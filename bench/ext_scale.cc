@@ -24,10 +24,8 @@
  * size; only the hostPerf numbers vary run to run.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hh"
@@ -128,88 +126,6 @@ printPerfTable(const std::vector<Experiment> &exps,
                 perf.eventsPerSec() / 1e6);
 }
 
-/**
- * A/B mode for the intra-system event-domain engine
- * (sim/domain_engine.hh): instead of sweeping the grid, run its most
- * DRAM-bound point — Unison at 64 MB, where channel events dominate
- * the serial profile — once on the serial engine and twice split
- * across @p domains event domains, print the measured
- * single-experiment speedup, and assert the two domain runs are
- * bit-equal (the engine's reproducibility contract at fixed N).
- *
- * The labels are domain-count-independent so one committed baseline
- * gates the hostPerf numbers regardless of the N CI picks.
- */
-int
-runIntraDomainMode(BenchOptions &opt, std::uint32_t domains)
-{
-    SystemConfig c = opt.base;
-    c.withScheme(SchemeKind::Unison);
-    c.mem.inPkgCapacity = 64ull << 20;
-    c.withTenants(gridTenants(), /*partition=*/false);
-
-    SystemConfig p = c;
-    p.withIntraDomains(domains);
-
-    const std::vector<Experiment> exps = {
-        {"Unison/64M/serial", c},
-        {"Unison/64M/domains", p},
-        {"Unison/64M/domains-repeat", p},
-    };
-
-    std::printf("A/B: one %u-core experiment, serial engine vs %u "
-                "event domains (frontend + up to %u channel workers)\n\n",
-                c.numCores, domains, domains - 1);
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (hw != 0 && hw < domains) {
-        std::printf("note: host has %u CPU%s for %u domain threads — "
-                    "the pipeline cannot overlap and the speedup below "
-                    "measures oversubscription overhead, not the "
-                    "engine's scaling\n\n",
-                    hw, hw == 1 ? "" : "s", domains);
-    }
-
-    SweepPerf perf;
-    perf.experiments.resize(exps.size());
-    std::vector<RunResult> results;
-    double wall = 0.0;
-    for (const Experiment &e : exps) {
-        SweepPerf one;
-        results.push_back(
-            runExperiments({e}, 1, true, &one).front());
-        perf.experiments[results.size() - 1] = one.experiments.front();
-        wall += one.wallSeconds;
-    }
-    perf.wallSeconds = wall;
-
-    const RunResult &a = results[1];
-    const RunResult &b = results[2];
-    sim_assert(a.instructions == b.instructions && a.cycles == b.cycles &&
-                   a.ipc == b.ipc && a.missRate == b.missRate &&
-                   a.inPkgBytes == b.inPkgBytes &&
-                   a.offPkgBytes == b.offPkgBytes &&
-                   a.totalEnergyPJ() == b.totalEnergyPJ(),
-               "repeated runs at --intra-domains %u diverged — the "
-               "domain engine lost bit-reproducibility",
-               domains);
-    std::printf("\nrepeated domain runs bit-equal: OK "
-                "(ipc %.4f, %llu cycles)\n",
-                a.ipc, static_cast<unsigned long long>(a.cycles));
-
-    printPerfTable(exps, perf, 1);
-
-    const double serialWall = perf.experiments[0].wallSeconds;
-    const double parWall = std::min(perf.experiments[1].wallSeconds,
-                                    perf.experiments[2].wallSeconds);
-    std::printf("\nsingle-experiment speedup at --intra-domains %u: "
-                "%.2fx (serial %.2f s -> %.2f s)\n",
-                domains, parWall > 0.0 ? serialWall / parWall : 0.0,
-                serialWall, parWall);
-
-    maybeWriteJson(opt, "ext_scale_intra", exps, results, &perf);
-    return 0;
-}
-
 } // namespace
 
 int
@@ -219,24 +135,11 @@ main(int argc, char **argv)
     // unknown arguments).
     bool compareSerial = false;
     bool quick = false;
-    std::uint32_t intraDomains = 1;
     std::vector<char *> args;
     args.reserve(static_cast<std::size_t>(argc));
     for (int i = 0; i < argc; ++i) {
         if (std::strcmp(argv[i], "--compare-serial") == 0) {
             compareSerial = true;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--intra-domains") == 0 &&
-            i + 1 < argc) {
-            intraDomains =
-                static_cast<std::uint32_t>(std::strtoul(argv[++i],
-                                                        nullptr, 10));
-            if (intraDomains < 1) {
-                std::fprintf(stderr,
-                             "--intra-domains needs a count >= 1\n");
-                return 2;
-            }
             continue;
         }
         if (std::strcmp(argv[i], "--quick") == 0)
@@ -260,9 +163,6 @@ main(int argc, char **argv)
     opt.base.measureInstrPerCore = quick ? 40'000 : 300'000;
     opt.base.autoWarmup = false;
     opt.base.footprintScale = 1.0 / 4.0;
-
-    if (intraDomains > 1)
-        return runIntraDomainMode(opt, intraDomains);
 
     const std::vector<Experiment> exps = buildGrid(opt.base);
 

@@ -17,10 +17,8 @@
 #include "core/fbr_directory.hh"
 #include "core/tag_buffer.hh"
 #include "dram/dram_model.hh"
-#include "mem/mem_system.hh"
 #include "os/os_services.hh"
 #include "os/page_table.hh"
-#include "sim/domain_engine.hh"
 #include "workload/pattern.hh"
 
 using namespace banshee;
@@ -210,65 +208,6 @@ BM_EventQueueFarHeap(benchmark::State &state)
     }
 }
 BENCHMARK(BM_EventQueueFarHeap);
-
-// ------------------------------------------------------------------
-// Event-domain engine (sim/domain_engine.hh)
-// ------------------------------------------------------------------
-
-static void
-BM_DomainEpochBarrier(benchmark::State &state)
-{
-    // Barrier round-trip with idle channel domains: release two
-    // workers, run an (almost) empty frontend window, wait, exchange
-    // empty mailboxes. This is the fixed per-epoch tax every parallel
-    // run pays W simulated cycles.
-    EventQueue fe;
-    DomainEngine engine(fe, 2);
-    MemSystemParams mp;
-    mp.numMcs = 4;
-    mp.hasOffPkg = false;
-    MemSystem mem(fe, mp, &engine);
-    engine.attach(mem);
-
-    const Cycle w = engine.epochCycles();
-    for (auto _ : state) {
-        bool fired = false;
-        fe.schedule(fe.now() + w, [&fired](Cycle) { fired = true; });
-        engine.runPhase([&fired] { return fired; });
-    }
-    state.counters["epochs"] = static_cast<double>(engine.epochsRun());
-}
-BENCHMARK(BM_DomainEpochBarrier);
-
-static void
-BM_DomainMailboxRoundTrip(benchmark::State &state)
-{
-    // Full cross-domain cycle: frontend pushes a request (mailbox
-    // envelope), the channel domain runs it, the completion merges
-    // back and wakes the frontend callback — mailbox push + drain on
-    // both directions plus the epoch barriers in between.
-    EventQueue fe;
-    DomainEngine engine(fe, 2);
-    MemSystemParams mp;
-    mp.numMcs = 4;
-    mp.hasOffPkg = false;
-    MemSystem mem(fe, mp, &engine);
-    engine.attach(mem);
-
-    std::uint64_t received = 0, sent = 0;
-    for (auto _ : state) {
-        fe.schedule(fe.now() + 1, [&](Cycle) {
-            DramRequest req;
-            req.addr = (sent * 4096) & ((1u << 24) - 1);
-            req.bytes = 64;
-            req.done = [&received](Cycle) { ++received; };
-            mem.inPkg()->access(0, std::move(req));
-        });
-        ++sent;
-        engine.runPhase([&] { return received == sent; });
-    }
-}
-BENCHMARK(BM_DomainMailboxRoundTrip);
 
 // ------------------------------------------------------------------
 // Per-core mapping memo (core/banshee.hh)

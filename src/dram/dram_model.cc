@@ -35,7 +35,7 @@ DramChannel::push(DramRequest req)
         else
             telem_->readOccupancy.record(readQ_.size());
     }
-    Pending p{std::move(req), eq_.now(), seq_++};
+    Pending p{std::move(req), eq_.now()};
     if (p.req.isWrite)
         writeQ_.push_back(std::move(p));
     else
@@ -60,11 +60,9 @@ DramChannel::armKick(Cycle when)
     // without an issue), and re-arm back onto the cycle it is armed
     // at now. The first no-op of the cycle is deliberately NOT
     // skipped: its re-arm pins the wheel entry at the re-arm cycle
-    // that the baseline's revival semantics (event-queue invariant
-    // I5) can observe; only the redundant repeats are elided. The
-    // A/B knob and the coalescing unit/e2e diff tests guard this.
-    if (coalesceKicks_ && kickEvent_.armed() &&
-        lastNoopKickCycle_ == when &&
+    // that the event queue's revival semantics (invariant I5) can
+    // observe; only the redundant repeats are elided.
+    if (kickEvent_.armed() && lastNoopKickCycle_ == when &&
         kickEvent_.when() + timing_.toCore(kReserveAheadDramCycles / 2) ==
             busFree_ &&
         busFree_ > when + timing_.toCore(kReserveAheadDramCycles))
@@ -102,60 +100,17 @@ DramChannel::bankReadyCycle(const Pending &p) const
                                      timing_.scaledCAS());
 }
 
-bool
-DramChannel::selectNext(Pending &out)
-{
-    if (qos_.enabled)
-        return selectNextQos(out);
-
-    // Write-drain hysteresis: start draining when the write queue is
-    // high or there is nothing else to do; stop at the low watermark.
-    // Note this puts no bound on an individual write's wait: a
-    // co-runner that keeps the read queue nonempty can park another
-    // tenant's writes below the high watermark for a long time, and
-    // posted writes pin core MSHR slots (see ROADMAP: QoS-aware
-    // memory scheduling).
-    if (!drainingWrites_) {
-        if (writeQ_.size() >= kWriteDrainHigh ||
-            (readQ_.empty() && !writeQ_.empty())) {
-            drainingWrites_ = true;
-        }
-    } else if (writeQ_.size() <= kWriteDrainLow && !readQ_.empty()) {
-        drainingWrites_ = false;
-    }
-
-    std::deque<Pending> &q =
-        (drainingWrites_ && !writeQ_.empty()) ? writeQ_ : readQ_;
-    if (q.empty())
-        return false;
-
-    // FR-FCFS: earliest possible bus time wins; FCFS tie-break.
-    std::size_t best = 0;
-    Cycle bestReady = bankReadyCycle(q[0]);
-    const std::size_t window = std::min<std::size_t>(q.size(), 16);
-    for (std::size_t i = 1; i < window; ++i) {
-        const Cycle r = bankReadyCycle(q[i]);
-        if (r < bestReady) {
-            bestReady = r;
-            best = i;
-        }
-    }
-    out = std::move(q[best]);
-    q.erase(q.begin() + static_cast<std::ptrdiff_t>(best));
-    return true;
-}
-
 void
-DramChannel::setQosConfig(const DramQosConfig &config)
+DramChannel::setSchedConfig(const DramSchedConfig &config)
 {
-    qos_ = config;
-    if (qos_.epochCycles == 0)
-        qos_.epochCycles = 1;
+    sched_ = config;
+    sched_.epochCycles = std::max<Cycle>(sched_.epochCycles, 1);
+    sched_.window = std::max<std::uint32_t>(sched_.window, 1);
     qosBytesPerEpoch_ = config.bytesPerEpoch;
     if (qosBytesPerEpoch_ == 0) {
         // Full channel bandwidth over one epoch: busBytesPerCycle
         // every DRAM cycle for epochCycles core cycles.
-        qosBytesPerEpoch_ = (qos_.epochCycles / timing_.toCore(1)) *
+        qosBytesPerEpoch_ = (sched_.epochCycles / timing_.toCore(1)) *
                             timing_.busBytesPerCycle;
     }
     qosEpochStart_ = eq_.now();
@@ -178,13 +133,13 @@ DramChannel::setQosShares(const std::array<double, kMaxTenants> &shares)
 void
 DramChannel::qosRefill(Cycle now)
 {
-    if (now < qosEpochStart_ + qos_.epochCycles)
+    if (now < qosEpochStart_ + sched_.epochCycles)
         return;
     // Advance by whole epochs. Credits reset rather than carry: an
     // idle tenant's unused entitlement was already spent by others
     // through work conservation, not banked.
     const Cycle elapsed = now - qosEpochStart_;
-    qosEpochStart_ += (elapsed / qos_.epochCycles) * qos_.epochCycles;
+    qosEpochStart_ += (elapsed / sched_.epochCycles) * sched_.epochCycles;
     for (std::size_t t = 0; t < kMaxTenants; ++t) {
         qosCredit_[t] = static_cast<std::int64_t>(
             qosShare_[t] * static_cast<double>(qosBytesPerEpoch_));
@@ -200,31 +155,32 @@ DramChannel::qosCharge(const Pending &p)
 }
 
 bool
-DramChannel::selectNextQos(Pending &out)
+DramChannel::selectNext(Pending &out)
 {
     const Cycle now = eq_.now();
-    qosRefill(now);
+    if (sched_.qos)
+        qosRefill(now);
 
-    // Stock write-drain hysteresis, plus the bounded write age: a
-    // write parked past its cap forces (and holds) a drain regardless
-    // of watermarks, so posted writes cannot wait on another tenant's
-    // read stream forever.
+    // Write-drain hysteresis: start draining when the write queue is
+    // high or there is nothing else to do; stop at the low watermark.
+    // A write parked past its age cap forces (and holds) a drain
+    // regardless of watermarks, so posted writes cannot wait on
+    // another tenant's read stream forever. Without a cap (the stock
+    // config) nothing bounds an individual write's wait: a co-runner
+    // that keeps the read queue nonempty can park another tenant's
+    // writes below the high watermark for a long time.
     const bool writeOverAge =
-        qos_.writeAgeCap > 0 && !writeQ_.empty() &&
-        now - writeQ_.front().arrival > qos_.writeAgeCap;
+        sched_.writeAgeCap > 0 && !writeQ_.empty() &&
+        now - writeQ_.front().arrival > sched_.writeAgeCap;
     const bool readOverAge =
-        qos_.readAgeCap > 0 && !readQ_.empty() &&
-        now - readQ_.front().arrival > qos_.readAgeCap;
-    const std::size_t drainHigh =
-        qos_.writeDrainHigh > 0 ? qos_.writeDrainHigh : kWriteDrainHigh;
-    const std::size_t drainLow =
-        qos_.writeDrainLow > 0 ? qos_.writeDrainLow : kWriteDrainLow;
+        sched_.readAgeCap > 0 && !readQ_.empty() &&
+        now - readQ_.front().arrival > sched_.readAgeCap;
     if (!drainingWrites_) {
-        if (writeQ_.size() >= drainHigh ||
+        if (writeQ_.size() >= sched_.writeDrainHigh ||
             (readQ_.empty() && !writeQ_.empty()) || writeOverAge) {
             drainingWrites_ = true;
         }
-    } else if (writeQ_.size() <= drainLow && !readQ_.empty() &&
+    } else if (writeQ_.size() <= sched_.writeDrainLow && !readQ_.empty() &&
                !writeOverAge) {
         drainingWrites_ = false;
     }
@@ -246,25 +202,30 @@ DramChannel::selectNextQos(Pending &out)
 
     // Age-bounded FR-FCFS: the oldest request (queue front — FIFO
     // push order) beats any row hit once its wait exceeds the cap.
-    const Cycle ageCap = &q == &writeQ_ ? qos_.writeAgeCap
-                                        : qos_.readAgeCap;
+    const Cycle ageCap =
+        &q == &writeQ_ ? sched_.writeAgeCap : sched_.readAgeCap;
     if (ageCap > 0 && now - q.front().arrival > ageCap) {
         out = std::move(q.front());
         q.pop_front();
         out.qosMark = kQosAged;
-        qosCharge(out);
+        if (sched_.qos)
+            qosCharge(out);
         return true;
     }
 
-    // Credit-aware FR-FCFS over a wider window: track the overall
-    // bandwidth-optimal pick and the best credit-eligible pick, and
-    // prefer the eligible one. Work conserving: with no eligible
-    // contender the overall best issues anyway.
-    const std::size_t window = std::min<std::size_t>(
-        q.size(), std::max<std::uint32_t>(qos_.window, 1));
+    // FR-FCFS over the window: earliest possible bus time wins, FCFS
+    // tie-break. Track the overall bandwidth-optimal pick and the best
+    // credit-eligible pick, and prefer the eligible one; while credits
+    // do not bind every request is eligible and the two coincide.
+    // Work conserving: with no eligible contender the overall best
+    // issues anyway.
+    const bool credits = sched_.qos && qosSharesSet_;
+    const std::size_t window =
+        std::min<std::size_t>(q.size(), sched_.window);
     std::size_t best = 0;
     Cycle bestReady = bankReadyCycle(q[0]);
-    std::size_t bestElig = qosEligible(q[0]) ? 0 : window; // window = none
+    std::size_t bestElig =
+        !credits || qosEligible(q[0]) ? 0 : window; // window = none
     Cycle bestEligReady = bestReady;
     for (std::size_t i = 1; i < window; ++i) {
         const Cycle r = bankReadyCycle(q[i]);
@@ -272,7 +233,8 @@ DramChannel::selectNextQos(Pending &out)
             bestReady = r;
             best = i;
         }
-        if (qosEligible(q[i]) && (bestElig == window || r < bestEligReady)) {
+        if ((!credits || qosEligible(q[i])) &&
+            (bestElig == window || r < bestEligReady)) {
             bestEligReady = r;
             bestElig = i;
         }
@@ -289,7 +251,8 @@ DramChannel::selectNextQos(Pending &out)
     }
     out = std::move(q[pick]);
     q.erase(q.begin() + static_cast<std::ptrdiff_t>(pick));
-    qosCharge(out);
+    if (sched_.qos)
+        qosCharge(out);
     return true;
 }
 
@@ -308,7 +271,7 @@ DramChannel::issue(Pending p)
         casTime = start + timing_.toCore(timing_.scaledRCD());
         bank.lastActStart = start;
         bank.openRow = row;
-        power_.onActivate(p.req.cat, p.req.tenant, energySink_);
+        power_.onActivate(p.req.cat, p.req.tenant);
     } else {
         const Cycle rasDone =
             bank.lastActStart + timing_.toCore(timing_.scaledRAS());
@@ -318,10 +281,10 @@ DramChannel::issue(Pending p)
         bank.lastActStart = actStart;
         bank.openRow = row;
         ++statRowConflicts_;
-        power_.onActivate(p.req.cat, p.req.tenant, energySink_);
+        power_.onActivate(p.req.cat, p.req.tenant);
     }
     power_.onBurst(p.req.bytes, p.req.tagBytes, p.req.isWrite, p.req.cat,
-                   p.req.tenant, energySink_);
+                   p.req.tenant);
 
     const Cycle dataReady = casTime + timing_.toCore(timing_.scaledCAS());
     const Cycle transfer =
@@ -331,7 +294,7 @@ DramChannel::issue(Pending p)
 
     busFree_ = complete;
     busBusyCycles_ += transfer;
-    power_.onBusBusy(transfer, energySink_);
+    power_.onBusBusy(transfer);
     // CAS commands pipeline: the bank accepts the next column access
     // one burst slot after this one issued (tCCD ~= burst length),
     // so consecutive row hits stream at full bus bandwidth while the
@@ -362,18 +325,10 @@ DramChannel::issue(Pending p)
     }
 
     if (p.req.done) {
-        if (completions_) {
-            // Event-domain mode: the completion cycle is known at
-            // issue time, so export it now — waiting for the event to
-            // fire on this (domain-local) queue would hand it to the
-            // frontend one epoch after it already ran that window.
-            completions_->deliver(complete, std::move(p.req.done));
-        } else {
-            // The CycleFn overload passes the firing cycle
-            // (== complete) straight through: the DramDoneFn moves
-            // into a pooled event node with no wrapper closure.
-            eq_.schedule(complete, std::move(p.req.done));
-        }
+        // The CycleFn overload passes the firing cycle (== complete)
+        // straight through: the DramDoneFn moves into a pooled event
+        // node with no wrapper closure.
+        eq_.schedule(complete, std::move(p.req.done));
     }
 }
 
@@ -410,16 +365,15 @@ DramChannel::kick()
 
 DramModel::DramModel(EventQueue &eq, DramTiming timing,
                      std::uint32_t numChannels, std::string name,
-                     DramPowerParams powerParams, ChannelQueueMap *domains)
+                     DramPowerParams powerParams)
     : eq_(eq), timing_(timing), name_(std::move(name)), stats_(name_),
       power_(powerParams, timing_, numChannels, stats_)
 {
     sim_assert(numChannels > 0, "DRAM device needs >= 1 channel");
     channels_.reserve(numChannels);
     for (std::uint32_t c = 0; c < numChannels; ++c) {
-        EventQueue &chq = domains ? domains->nextChannelQueue() : eq_;
         channels_.push_back(std::make_unique<DramChannel>(
-            chq, timing_, traffic_, power_, stats_,
+            eq_, timing_, traffic_, power_, stats_,
             "ch" + std::to_string(c)));
     }
 }

@@ -9,7 +9,9 @@
  * data can be put on the bus earliest (row-buffer hits win), with
  * arrival order as the tie-break. Bank preparation (precharge /
  * activate) of later requests overlaps the data transfer of earlier
- * ones, so the model pipelines across banks like real devices.
+ * ones, so the model pipelines across banks like real devices. The
+ * scheduler's knobs (window, drain watermarks, QoS age caps and
+ * credits) live in one DramSchedConfig; see dram/sched_config.hh.
  *
  * Large transfers must be chopped by the caller (schemes move pages
  * as a train of chunk requests); a single request may move at most
@@ -19,19 +21,19 @@
 #ifndef BANSHEE_DRAM_DRAM_MODEL_HH
 #define BANSHEE_DRAM_DRAM_MODEL_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
-
-#include <array>
 
 #include "common/event_queue.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "dram/dram_timing.hh"
-#include "dram/qos_sched.hh"
+#include "dram/sched_config.hh"
 #include "dram/traffic.hh"
 #include "power/power_model.hh"
 #include "power/power_params.hh"
@@ -43,45 +45,6 @@ class PageJournal;       // telemetry/span_trace.hh
 
 /** Completion callback: invoked with the cycle the data finished. */
 using DramDoneFn = std::function<void(Cycle)>;
-
-class DramChannel;
-struct DramRequest;
-
-/**
- * Event-domain hooks (sim/domain_engine.hh). All three interfaces
- * are inert by default: a DramModel built without a ChannelQueueMap
- * puts every channel on the system queue and never consults a router
- * or sink, keeping the serial path byte-identical.
- */
-
-/** Assigns each DRAM channel, in construction order, to the event
- *  queue shard its scheduler will run on. */
-class ChannelQueueMap
-{
-  public:
-    virtual ~ChannelQueueMap() = default;
-    virtual EventQueue &nextChannelQueue() = 0;
-};
-
-/** Frontend-side mailbox for requests bound for a channel that lives
- *  in another event domain (single producer: the frontend thread). */
-class DramDomainRouter
-{
-  public:
-    virtual ~DramDomainRouter() = default;
-    virtual void send(DramChannel &ch, DramRequest req) = 0;
-};
-
-/** Channel-side export of completion callbacks: instead of firing on
- *  the channel's (domain-local) queue — which would reach the
- *  frontend in its past — completions are recorded at issue time and
- *  merged onto the frontend queue at the next epoch boundary. */
-class DramCompletionSink
-{
-  public:
-    virtual ~DramCompletionSink() = default;
-    virtual void deliver(Cycle when, DramDoneFn fn) = 0;
-};
 
 /** Largest single DRAM transaction (see file comment). */
 constexpr std::uint32_t kMaxRequestBytes = 512;
@@ -131,9 +94,9 @@ class DramChannel
         spanTrack_ = track;
     }
 
-    /** Enable the QoS scheduler (see dram/qos_sched.hh). Until called
-     *  with an enabled config, the stock FR-FCFS path runs untouched. */
-    void setQosConfig(const DramQosConfig &config);
+    /** Replace the scheduler config (see dram/sched_config.hh); the
+     *  default-constructed config is the stock FR-FCFS scheduler. */
+    void setSchedConfig(const DramSchedConfig &config);
 
     /** Per-tenant entitlement shares (fractions summing to <= 1),
      *  indexed by TenantId. Until set, credits never bind (every
@@ -142,31 +105,11 @@ class DramChannel
 
     void resetStats() { busBusyCycles_ = 0; }
 
-    /** A/B knob for no-op-kick coalescing: once a kick has fired this
-     *  cycle and issued nothing, further same-cycle supersedes replay
-     *  an identical no-op round trip and are elided (see armKick). */
-    void setKickCoalescing(bool on) { coalesceKicks_ = on; }
-
-    /** The event queue this channel's scheduler runs on (the system
-     *  queue, or its domain's shard under a ChannelQueueMap). */
-    EventQueue &queue() { return eq_; }
-
-    /** Export completions to @p sink instead of scheduling them on
-     *  this channel's queue (event-domain mode). Null restores the
-     *  direct path. */
-    void setCompletionSink(DramCompletionSink *sink) { completions_ = sink; }
-
-    /** Charge this channel's dynamic energy to a private shard
-     *  instead of the shared device model (event-domain mode). Null
-     *  restores the direct path. */
-    void setEnergySink(EnergyStats *shard) { energySink_ = shard; }
-
   private:
     struct Pending
     {
         DramRequest req;
-        Cycle arrival;
-        std::uint64_t seq;
+        Cycle arrival; ///< queues are FIFO in arrival order
         /** QoS annotation for span tracing: how scheduling treated
          *  this request (0 none, kQosAged, kQosDeferred). */
         std::uint8_t qosMark = 0;
@@ -197,14 +140,16 @@ class DramChannel
     /** Issue one request: update bank/bus state, schedule completion. */
     void issue(Pending p);
 
-    /** Pick the best eligible request; returns false if none. */
+    /**
+     * The one selector: drain hysteresis picks a queue, an over-age
+     * request pops first, then FR-FCFS over the window (preferring a
+     * credit-eligible pick while credits bind). Returns false if both
+     * queues are empty.
+     */
     bool selectNext(Pending &out);
 
-    /** The QoS-gated pick: credit arbitration + age bounds. */
-    bool selectNextQos(Pending &out);
-
     /** Lazy credit replenish on the epoch clock (no extra events, so
-     *  enabling the scheduler never perturbs event ordering). */
+     *  enabling credits never perturbs event ordering). */
     void qosRefill(Cycle now);
 
     /** Charge an issued request to its tenant's credit + counters. */
@@ -216,16 +161,13 @@ class DramChannel
     bool
     qosEligible(const Pending &p) const
     {
-        return !qosSharesSet_ || p.req.tenant >= kMaxTenants ||
-               qosCredit_[p.req.tenant] > 0;
+        return p.req.tenant >= kMaxTenants || qosCredit_[p.req.tenant] > 0;
     }
 
     EventQueue &eq_;
     const DramTiming &timing_;
     TrafficStats &traffic_;
     DramPowerModel &power_;
-    DramCompletionSink *completions_ = nullptr;
-    EnergyStats *energySink_ = nullptr;
     ChannelTelemetry *telem_ = nullptr;
     PageJournal *spans_ = nullptr;
     std::uint32_t spanTrack_ = 0;
@@ -241,23 +183,18 @@ class DramChannel
      *  armKick() re-arms it to earlier cycles in place. */
     TickEvent kickEvent_;
     bool drainingWrites_ = false;
-    bool coalesceKicks_ = false;
     /** Cycle of the last kick that issued nothing (~0 = none): the
      *  guard for collapsing repeated same-cycle no-op kicks. */
     Cycle lastNoopKickCycle_ = ~0ull;
-    std::uint64_t seq_ = 0;
 
-    /** QoS scheduler state (inert until qos_.enabled). */
-    DramQosConfig qos_;
+    DramSchedConfig sched_;
+    /** Credit state (used only while sched_.qos). */
     std::uint64_t qosBytesPerEpoch_ = 0; ///< resolved (0 -> bus width)
     Cycle qosEpochStart_ = 0;
     std::array<double, kMaxTenants> qosShare_{};
     std::array<std::int64_t, kMaxTenants> qosCredit_{};
     bool qosSharesSet_ = false;
 
-    /** Write-queue drain hysteresis. */
-    static constexpr std::size_t kWriteDrainHigh = 48;
-    static constexpr std::size_t kWriteDrainLow = 16;
     /** Bus reservation lookahead per kick, in DRAM cycles. */
     static constexpr std::uint64_t kReserveAheadDramCycles = 64;
 
@@ -274,18 +211,9 @@ class DramChannel
 class DramModel
 {
   public:
-    /** @p domains, when given, assigns each channel's scheduler to an
-     *  event-queue shard (sim/domain_engine.hh); null keeps every
-     *  channel on @p eq (the serial path). */
     DramModel(EventQueue &eq, DramTiming timing, std::uint32_t numChannels,
               std::string name,
-              DramPowerParams powerParams = DramPowerParams::inPackage(),
-              ChannelQueueMap *domains = nullptr);
-
-    /** Route requests to out-of-domain channels through @p router
-     *  (installed only in event-domain mode; traffic accounting stays
-     *  on the calling thread either way). */
-    void setDomainRouter(DramDomainRouter *router) { router_ = router; }
+              DramPowerParams powerParams = DramPowerParams::inPackage());
 
     /** Issue a request on an explicit channel. */
     void
@@ -299,10 +227,6 @@ class DramModel
         if (req.tagBytes > 0)
             traffic_.add(TrafficCat::Tag, req.tagBytes, req.tenant);
         traffic_.add(req.cat, req.bytes - req.tagBytes, req.tenant);
-        if (router_) {
-            router_->send(*channels_[channel], std::move(req));
-            return;
-        }
         channels_[channel]->push(std::move(req));
     }
 
@@ -320,13 +244,12 @@ class DramModel
     /** Direct channel access (telemetry attach, tests). */
     DramChannel &channel(std::uint32_t i) { return *channels_[i]; }
 
-    /** Apply a QoS scheduler config to every channel. */
+    /** Apply a scheduler config to every channel. */
     void
-    setQosConfig(const DramQosConfig &config)
+    setSchedConfig(const DramSchedConfig &config)
     {
-        qosConfig_ = config;
         for (auto &ch : channels_)
-            ch->setQosConfig(config);
+            ch->setSchedConfig(config);
     }
 
     /** Push per-tenant entitlement shares to every channel. */
@@ -336,8 +259,6 @@ class DramModel
         for (auto &ch : channels_)
             ch->setQosShares(shares);
     }
-
-    const DramQosConfig &qosConfig() const { return qosConfig_; }
 
     const DramTiming &timing() const { return timing_; }
 
@@ -368,10 +289,8 @@ class DramModel
 
   private:
     EventQueue &eq_;
-    DramDomainRouter *router_ = nullptr;
     DramTiming timing_;
     std::string name_;
-    DramQosConfig qosConfig_;
     TrafficStats traffic_;
     StatSet stats_;
     DramPowerModel power_;

@@ -4,8 +4,7 @@
 
 namespace banshee {
 
-MemSystem::MemSystem(EventQueue &eq, const MemSystemParams &params,
-                     ChannelQueueMap *domains)
+MemSystem::MemSystem(EventQueue &eq, const MemSystemParams &params)
     : eq_(eq), params_(params), stats_("memSystem"),
       statFetches_(stats_.counter("fetches")),
       statWritebacks_(stats_.counter("writebacks")),
@@ -15,18 +14,13 @@ MemSystem::MemSystem(EventQueue &eq, const MemSystemParams &params,
     if (params_.hasInPkg) {
         inPkg_ = std::make_unique<DramModel>(eq_, params_.inPkgTiming,
                                              params_.numMcs, "inPkg",
-                                             params_.inPkgPower, domains);
-        if (params_.qos.enabled)
-            inPkg_->setQosConfig(params_.qos);
-        for (std::uint32_t c = 0; c < inPkg_->numChannels(); ++c)
-            inPkg_->channel(c).setKickCoalescing(params_.kickCoalescing);
+                                             params_.inPkgPower);
+        inPkg_->setSchedConfig(params_.inPkgSched);
     }
     if (params_.hasOffPkg) {
         offPkg_ = std::make_unique<DramModel>(
             eq_, params_.offPkgTiming, params_.numOffPkgChannels, "offPkg",
-            params_.offPkgPower, domains);
-        for (std::uint32_t c = 0; c < offPkg_->numChannels(); ++c)
-            offPkg_->channel(c).setKickCoalescing(params_.kickCoalescing);
+            params_.offPkgPower);
     }
     sim_assert(inPkg_ || offPkg_, "memory system needs at least one DRAM");
 }

@@ -40,22 +40,16 @@ struct MemSystemParams
     DramPowerParams offPkgPower = DramPowerParams::offPackage();
     bool hasInPkg = true;   ///< false for NoCache
     bool hasOffPkg = true;  ///< false for CacheOnly
-    /** QoS channel scheduling on the in-package device (the contended
-     *  tier). Off by default: the stock FR-FCFS path is untouched. */
-    DramQosConfig qos;
-    /** Collapse repeated same-cycle no-op scheduler kicks on every
-     *  channel (see DramChannel::setKickCoalescing). On by default;
-     *  the off position is the A/B baseline for identity tests. */
-    bool kickCoalescing = true;
+    /** Channel scheduler of the in-package device, the tier tenants
+     *  contend on (SystemConfig::withDramQos sets the QoS preset).
+     *  The off-package device always runs the stock scheduler. */
+    DramSchedConfig inPkgSched;
 };
 
 class MemSystem : public MemBackend
 {
   public:
-    /** @p domains, when given, shards the DRAM channels' schedulers
-     *  across event-domain queues (sim/domain_engine.hh). */
-    MemSystem(EventQueue &eq, const MemSystemParams &params,
-              ChannelQueueMap *domains = nullptr);
+    MemSystem(EventQueue &eq, const MemSystemParams &params);
 
     /** Multi-tenant runs: attach the ownership map before
      *  buildSchemes so every scheme can attribute traffic. */

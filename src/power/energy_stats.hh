@@ -72,21 +72,6 @@ class EnergyStats
                activeStandbyPJ_;
     }
 
-    /** Element-wise add of another accumulator (every bucket). Used
-     *  to fold per-channel energy shards back into the device model
-     *  when DRAM channels run on their own event-domain threads. */
-    void
-    merge(const EnergyStats &o)
-    {
-        for (std::size_t c = 0; c < dynamicPJ_.size(); ++c)
-            dynamicPJ_[c] += o.dynamicPJ_[c];
-        for (std::size_t t = 0; t < tenantDynamicPJ_.size(); ++t)
-            tenantDynamicPJ_[t] += o.tenantDynamicPJ_[t];
-        backgroundPJ_ += o.backgroundPJ_;
-        refreshPJ_ += o.refreshPJ_;
-        activeStandbyPJ_ += o.activeStandbyPJ_;
-    }
-
     void
     reset()
     {

@@ -44,20 +44,11 @@ class DramPowerModel
                    std::uint32_t numChannels, StatSet &stats);
 
     // ------------------------------------------------- command hooks
-    // Each hook takes an optional target accumulator: null charges
-    // the device model itself (the serial path); a non-null @p to
-    // charges a caller-owned shard instead, using this model's
-    // derived constants. Channels running on their own event-domain
-    // threads accumulate into private shards (the model's constants
-    // are immutable during a run, so sharing them is thread-safe) and
-    // the shards are absorb()ed back at quiesce.
-
     /** One row activation (and its eventual precharge). */
     void
-    onActivate(TrafficCat cat, TenantId tenant = kNoTenant,
-               EnergyStats *to = nullptr)
+    onActivate(TrafficCat cat, TenantId tenant = kNoTenant)
     {
-        (to ? *to : energy_).addDynamic(cat, actPrePJ_, tenant);
+        energy_.addDynamic(cat, actPrePJ_, tenant);
     }
 
     /**
@@ -67,29 +58,22 @@ class DramPowerModel
      */
     void
     onBurst(std::uint32_t bytes, std::uint32_t tagBytes, bool isWrite,
-            TrafficCat cat, TenantId tenant = kNoTenant,
-            EnergyStats *to = nullptr)
+            TrafficCat cat, TenantId tenant = kNoTenant)
     {
         const double perByte = isWrite ? writePJPerByte_ : readPJPerByte_;
-        EnergyStats &e = to ? *to : energy_;
         if (tagBytes > 0)
-            e.addDynamic(TrafficCat::Tag, perByte * tagBytes, tenant);
-        e.addDynamic(cat, perByte * (bytes - tagBytes), tenant);
+            energy_.addDynamic(TrafficCat::Tag, perByte * tagBytes, tenant);
+        energy_.addDynamic(cat, perByte * (bytes - tagBytes), tenant);
     }
 
     /** Data bus busy for @p coreCycles: active-standby delta. Kept
      *  out of the background bucket — it is not gateable. */
     void
-    onBusBusy(Cycle coreCycles, EnergyStats *to = nullptr)
+    onBusBusy(Cycle coreCycles)
     {
-        (to ? *to : energy_)
-            .addActiveStandby(actStandbyDeltaPJPerCycle_ *
-                              static_cast<double>(coreCycles));
+        energy_.addActiveStandby(actStandbyDeltaPJPerCycle_ *
+                                 static_cast<double>(coreCycles));
     }
-
-    /** Fold a channel shard's accumulated energy into the device
-     *  totals (see the command-hook comment). */
-    void absorb(const EnergyStats &shard) { energy_.merge(shard); }
 
     // ------------------------------------------------- slice gating
     /**

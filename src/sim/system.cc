@@ -10,7 +10,6 @@
 #include "schemes/simple.hh"
 #include "schemes/tdc.hh"
 #include "schemes/unison.hh"
-#include "sim/domain_engine.hh"
 #include "telemetry/span_trace.hh"
 #include "telemetry/telemetry.hh"
 #include "workload/workloads.hh"
@@ -157,45 +156,10 @@ System::System(const SystemConfig &config) : config_(config)
                    "resize tenant weights do not match the tenant list");
     }
 
-    // Intra-system event domains: the frontend (everything below)
-    // stays on eq_; the DRAM channels are sharded across worker
-    // domains. Features that read state across the domain boundary
-    // mid-run are rejected up front rather than racing silently.
-    if (config.intraDomains > 1) {
-        sim_assert(!config.telemetry.enabled && !config.spans.enabled,
-                   "intraDomains > 1 is incompatible with telemetry "
-                   "and span tracing (hooks sample channel state "
-                   "across the domain boundary)");
-        sim_assert(!config.mem.qos.enabled,
-                   "intraDomains > 1 is incompatible with the QoS "
-                   "channel scheduler (per-device grant/defer "
-                   "accounting is shared across channels)");
-        sim_assert(!config.enableBatman,
-                   "intraDomains > 1 is incompatible with Batman "
-                   "(it samples channel queues mid-run)");
-        sim_assert(!config.resize.enabled ||
-                       (config.resize.policy.kind !=
-                            ResizePolicyConfig::Kind::PowerCap &&
-                        config.resize.policy.kind !=
-                            ResizePolicyConfig::Kind::Qos),
-                   "intraDomains > 1 is incompatible with power-fed "
-                   "resize policies (channel energy lands in domain "
-                   "shards until the run quiesces)");
-        const std::uint32_t totalChannels =
-            (config.mem.hasInPkg ? config.mem.numMcs : 0) +
-            (config.mem.hasOffPkg ? config.mem.numOffPkgChannels : 0);
-        sim_assert(totalChannels > 0,
-                   "intraDomains > 1 needs at least one DRAM channel");
-        engine_ = std::make_unique<DomainEngine>(
-            eq_, std::min(config.intraDomains - 1, totalChannels));
-    }
-
     pageTable_ = std::make_unique<PageTableManager>();
     os_ = std::make_unique<OsServices>(eq_, *pageTable_, config.osCosts,
                                        config.seed);
-    mem_ = std::make_unique<MemSystem>(eq_, config.mem, engine_.get());
-    if (engine_)
-        engine_->attach(*mem_);
+    mem_ = std::make_unique<MemSystem>(eq_, config.mem);
     if (tenants_)
         mem_->setTenantMap(tenants_.get());
 
@@ -251,7 +215,7 @@ System::System(const SystemConfig &config) : config_(config)
     // QoS channel scheduling: seed bandwidth entitlements from the
     // quota weights now; resize commits re-push shares as slices
     // change hands (attachQosDevice pushes the partition-based split).
-    if (config.mem.qos.enabled && mem_->inPkg()) {
+    if (config.mem.inPkgSched.qos && mem_->inPkg()) {
         if (tenants_) {
             const std::uint32_t n = std::min<std::uint32_t>(
                 tenants_->numTenants(), kMaxTenants);
@@ -478,10 +442,7 @@ System::runPhase(std::uint64_t instrLimit)
         core->setInstrLimit(instrLimit);
         core->start();
     }
-    if (engine_) {
-        engine_->runPhase(
-            [this] { return parkedCount_ == config_.numCores; });
-    } else {
+    {
         ScopedTimer profile(
             telemetry_ ? telemetry_->timer("host.eventQueue") : nullptr);
         eq_.run();
@@ -495,8 +456,6 @@ System::runPhase(std::uint64_t instrLimit)
 void
 System::resetAllStats()
 {
-    if (engine_)
-        engine_->resetEnergyShards();
     mem_->resetStats();
     hierarchy_->resetStats();
     os_->stats().reset();
@@ -560,20 +519,7 @@ System::run()
 
     runPhase(config_.warmupInstrPerCore + config_.measureInstrPerCore);
 
-    // Event-domain runs: fold the channels' energy shards back into
-    // their device models (the workers are quiescent at the barrier)
-    // so collect() sees whole-device energy as usual.
-    if (engine_)
-        engine_->mergeEnergy();
-
     return collect(startCycle, startInstr, startGlobal);
-}
-
-std::uint64_t
-System::totalEventsExecuted() const
-{
-    return eq_.eventsExecuted() +
-           (engine_ ? engine_->domainEventsExecuted() : 0);
 }
 
 RunResult
@@ -667,7 +613,7 @@ System::collect(const std::vector<Cycle> &phaseStartCycle,
         }
     }
 
-    r.qosSchedEnabled = config_.mem.qos.enabled && mem_->inPkg() != nullptr;
+    r.qosSchedEnabled = config_.mem.inPkgSched.qos && mem_->inPkg() != nullptr;
 
     if (resize_) {
         r.resizesStarted = resize_->resizesStarted();

@@ -36,8 +36,7 @@
 
 namespace banshee {
 
-class Telemetry;    // telemetry/telemetry.hh
-class DomainEngine; // sim/domain_engine.hh
+class Telemetry; // telemetry/telemetry.hh
 
 /** One tenant's share of a multi-tenant run's measured statistics. */
 struct TenantRunStats
@@ -179,13 +178,9 @@ class System
     /** Telemetry façade, or nullptr when telemetry is disabled. */
     Telemetry *telemetry() { return telemetry_.get(); }
 
-    /** Intra-system event-domain engine, or nullptr when
-     *  config.intraDomains == 1 (the serial engine). */
-    DomainEngine *domainEngine() { return engine_.get(); }
-
-    /** Events executed across every queue this system owns: the
-     *  frontend queue plus any channel-domain shards. */
-    std::uint64_t totalEventsExecuted() const;
+    /** Events executed on this system's event queue (the sweep
+     *  runner's host-throughput denominator). */
+    std::uint64_t totalEventsExecuted() const { return eq_.eventsExecuted(); }
 
     /** Span-trace journal, or nullptr when tracing is disabled. */
     PageJournal *spanTrace() { return spans_.get(); }
@@ -209,9 +204,6 @@ class System
 
     SystemConfig config_;
     EventQueue eq_;
-    /** Declared right after eq_ (and before mem_) so the channel
-     *  domains' queues outlive the channels scheduled on them. */
-    std::unique_ptr<DomainEngine> engine_;
     std::unique_ptr<TenantMap> tenants_;
     std::unique_ptr<PageTableManager> pageTable_;
     std::unique_ptr<OsServices> os_;

@@ -136,20 +136,16 @@ SystemConfig::withDramQos(Cycle epochCycles, Cycle readAgeCap,
                           Cycle writeAgeCap, std::uint32_t writeDrainHigh,
                           std::uint32_t writeDrainLow)
 {
-    mem.qos.enabled = true;
-    mem.qos.epochCycles = epochCycles;
-    mem.qos.readAgeCap = readAgeCap;
-    mem.qos.writeAgeCap = writeAgeCap;
-    mem.qos.writeDrainHigh = writeDrainHigh;
-    mem.qos.writeDrainLow = writeDrainLow;
-    return *this;
-}
-
-SystemConfig &
-SystemConfig::withIntraDomains(std::uint32_t n)
-{
-    sim_assert(n >= 1, "intraDomains must be >= 1");
-    intraDomains = n;
+    DramSchedConfig &s = mem.inPkgSched;
+    s.qos = true;
+    s.epochCycles = epochCycles;
+    s.readAgeCap = readAgeCap;
+    s.writeAgeCap = writeAgeCap;
+    s.window = 64;
+    if (writeDrainHigh > 0)
+        s.writeDrainHigh = writeDrainHigh;
+    if (writeDrainLow > 0)
+        s.writeDrainLow = writeDrainLow;
     return *this;
 }
 

@@ -87,16 +87,6 @@ struct SystemConfig
      */
     std::vector<TenantConfig> tenants;
 
-    /**
-     * Intra-system event domains (sim/domain_engine.hh): 1 (default)
-     * runs the whole system on one event queue, byte-identical to
-     * every prior release; N > 1 adds up to N-1 DRAM-channel domains
-     * on their own threads, pipelined against the frontend with
-     * epoch barriers. Results are bit-reproducible for a fixed N but
-     * differ across N (different same-cycle interleavings).
-     */
-    std::uint32_t intraDomains = 1;
-
     // Workload + run control.
     std::string workload = "pagerank";
     double footprintScale = 1.0;
@@ -168,25 +158,17 @@ struct SystemConfig
     SystemConfig &withQosArbiter(double capWatts = 0.0);
 
     /**
-     * Enable the QoS channel scheduler on the in-package device:
-     * per-tenant bandwidth credits on an epoch clock plus age-bounded
-     * FR-FCFS and a bounded write-drain age (see dram/qos_sched.hh).
-     * Off by default — seed-default runs stay byte-identical.
+     * Put the in-package channel scheduler on its QoS preset:
+     * per-tenant bandwidth credits on an epoch clock, age-bounded
+     * FR-FCFS, a bounded write-drain age and a 64-entry window (see
+     * dram/sched_config.hh). Drain watermarks of 0 keep the stock
+     * 48/16. Off by default — seed-default runs stay byte-identical.
      */
     SystemConfig &withDramQos(Cycle epochCycles = 8192,
                               Cycle readAgeCap = 4096,
                               Cycle writeAgeCap = 16384,
                               std::uint32_t writeDrainHigh = 0,
                               std::uint32_t writeDrainLow = 0);
-
-    /**
-     * Split this system's event execution across @p n event domains
-     * (see the intraDomains field; n == 1 restores the serial
-     * engine). Incompatible with telemetry, span tracing, the QoS
-     * channel scheduler, Batman, and power-driven resize policies —
-     * those read state across the domain boundary mid-run.
-     */
-    SystemConfig &withIntraDomains(std::uint32_t n);
 
     /**
      * Enable epoch-resolved telemetry: metric time series, latency

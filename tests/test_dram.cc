@@ -287,8 +287,19 @@ INSTANTIATE_TEST_SUITE_P(Sizes, DramBurstTest,
                          ::testing::Values(32u, 64u, 96u, 128u, 256u));
 
 // ------------------------------------------------------------------
-// QoS channel scheduler (dram/qos_sched.hh)
+// Scheduler config and its QoS knobs (dram/sched_config.hh)
 // ------------------------------------------------------------------
+
+/** The QoS preset's selector (credits on, 64-entry window) with both
+ *  age caps off; each test turns on the knob it isolates. */
+DramSchedConfig
+qosSched()
+{
+    DramSchedConfig qc;
+    qc.qos = true;
+    qc.window = 64;
+    return qc;
+}
 
 /** Enqueue a read/write and collect its completion cycle. */
 void
@@ -306,25 +317,26 @@ enqueue(DramModel &dram, Addr addr, bool isWrite, std::vector<Cycle> &done,
     dram.access(0, std::move(req));
 }
 
-TEST_F(DramTest, QosDisabledKnobsAreByteIdentical)
+TEST_F(DramTest, StockSchedulerIsQosSelectorWithNothingBinding)
 {
-    // Satellite guard: a config object full of QoS knobs changes
-    // nothing while `enabled` stays false — every completion cycle
-    // matches a stock channel's.
+    // One selector serves both configs: with credits on but never
+    // binding (shares set, an epoch budget no tenant can spend), age
+    // caps off, window 16 and 48/16 watermarks, every completion
+    // cycle matches a default-configured channel's.
     const DramTiming t;
-    auto runMix = [&](bool withKnobs) {
+    auto runMix = [&](bool qosOn) {
         eq.reset();
         DramModel dram(eq, DramTiming{}, 1, "d");
-        if (withKnobs) {
-            DramQosConfig qc;
-            qc.enabled = false; // the only knob that matters
+        if (qosOn) {
+            DramSchedConfig qc;
+            qc.qos = true;
             qc.epochCycles = 64;
-            qc.readAgeCap = 1;
-            qc.writeAgeCap = 1;
-            qc.window = 2;
-            qc.writeDrainHigh = 2;
-            qc.writeDrainLow = 1;
-            dram.setQosConfig(qc);
+            qc.bytesPerEpoch = 1ull << 40;
+            dram.setSchedConfig(qc);
+            std::array<double, kMaxTenants> shares{};
+            shares[0] = 0.5;
+            shares[1] = 0.5;
+            dram.setQosShares(shares);
         }
         std::vector<Cycle> done;
         for (int i = 0; i < 96; ++i) {
@@ -334,6 +346,15 @@ TEST_F(DramTest, QosDisabledKnobsAreByteIdentical)
                     static_cast<TenantId>(i % 2));
         }
         eq.run();
+        if (qosOn) {
+            // Credits were live: every issue was charged as a grant.
+            EXPECT_EQ(dram.traffic().qosGrants(0) +
+                          dram.traffic().qosGrants(1),
+                      96u);
+            EXPECT_EQ(dram.traffic().qosDefers(0) +
+                          dram.traffic().qosDefers(1),
+                      0u);
+        }
         return done;
     };
     EXPECT_EQ(runMix(false), runMix(true));
@@ -349,11 +370,9 @@ TEST_F(DramTest, QosWriteAgeBoundsParkedWrite)
         eq.reset();
         DramModel dram(eq, DramTiming{}, 1, "d");
         if (qosOn) {
-            DramQosConfig qc;
-            qc.enabled = true;
+            DramSchedConfig qc = qosSched();
             qc.writeAgeCap = 256;
-            qc.readAgeCap = 0; // isolate the write bound
-            dram.setQosConfig(qc);
+            dram.setSchedConfig(qc);
         }
         std::vector<Cycle> writeDone, readDone;
         enqueue(dram, t.rowBytes, true, writeDone); // bank 1
@@ -382,11 +401,9 @@ TEST_F(DramTest, QosAgedReadBeatsRowHitStream)
         eq.reset();
         DramModel dram(eq, DramTiming{}, 1, "d");
         if (qosOn) {
-            DramQosConfig qc;
-            qc.enabled = true;
+            DramSchedConfig qc = qosSched();
             qc.readAgeCap = 256;
-            qc.writeAgeCap = 0;
-            dram.setQosConfig(qc);
+            dram.setSchedConfig(qc);
         }
         std::vector<Cycle> aDone, bDone;
         for (int i = 0; i < 4; ++i)
@@ -414,13 +431,10 @@ TEST_F(DramTest, QosCreditThrottleDefersFlooderUntilVictimDrains)
     // the remaining flood. Work conservation then lets the flooder
     // finish on its own.
     DramModel dram(eq, DramTiming{}, 1, "d");
-    DramQosConfig qc;
-    qc.enabled = true;
+    DramSchedConfig qc = qosSched();
     qc.epochCycles = 1'000'000'000; // never refills during the test
     qc.bytesPerEpoch = 2048;        // flooder: 512 B = 8 reads
-    qc.readAgeCap = 0;
-    qc.writeAgeCap = 0;
-    dram.setQosConfig(qc);
+    dram.setSchedConfig(qc);
     std::array<double, kMaxTenants> shares{};
     shares[0] = 0.75;
     shares[1] = 0.25;
@@ -450,23 +464,20 @@ TEST_F(DramTest, QosCreditThrottleDefersFlooderUntilVictimDrains)
 
 TEST_F(DramTest, QosDrainWatermarkOverridesSplitTheDrain)
 {
-    // Hysteresis edges under the QoS watermark overrides: 24 queued
-    // writes hit the overridden high watermark (24) immediately, the
-    // drain runs down to the overridden low watermark (8) — exactly
-    // 16 writes — and the remaining 8 wait until the reads empty.
-    // Stock watermarks (48/16) never drain before the reads finish.
+    // Hysteresis edges under the QoS preset's watermarks: 24 queued
+    // writes hit the high watermark (24) immediately, the drain runs
+    // down to the low watermark (8) — exactly 16 writes — and the
+    // remaining 8 wait until the reads empty. Stock watermarks
+    // (48/16) never drain before the reads finish.
     const DramTiming t;
     auto runBatch = [&](bool qosOn) {
         eq.reset();
         DramModel dram(eq, DramTiming{}, 1, "d");
         if (qosOn) {
-            DramQosConfig qc;
-            qc.enabled = true;
-            qc.readAgeCap = 0;
-            qc.writeAgeCap = 0;
+            DramSchedConfig qc = qosSched();
             qc.writeDrainHigh = 24;
             qc.writeDrainLow = 8;
-            dram.setQosConfig(qc);
+            dram.setSchedConfig(qc);
         }
         std::vector<Cycle> writeDone, readDone;
         for (int i = 0; i < 24; ++i)

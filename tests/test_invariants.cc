@@ -1,9 +1,9 @@
 /**
  * @file
  * Cross-subsystem invariant sweep: one parameterized test that runs
- * every scheme x resize x power-cap x tenant quick configuration and
- * asserts the accounting identities the per-subsystem suites only
- * spot-check:
+ * every scheme x resize x power-cap x tenant quick configuration, plus
+ * one with every optional feature enabled together, and asserts the
+ * accounting identities the per-subsystem suites only spot-check:
  *
  *  - energy identity: on every device, the per-category dynamic
  *    energies sum to the dynamic total, the per-tenant buckets sum
@@ -102,6 +102,23 @@ sweepCases()
         c.resize.policy.minSlices = 4;
         c.resize.policy.minSlicesPerTenant = 1;
         cases.push_back({"Banshee_tenants_powercap", c, 4});
+    }
+
+    // Every optional feature on one System — none excludes another:
+    // the capped QoS arbiter, the QoS channel scheduler, Batman,
+    // in-memory telemetry histograms and span tracing.
+    {
+        SystemConfig c = base();
+        c.withTenants({{"a", "mcf", 3.0, 4}, {"b", "omnetpp", 1.0, 4}});
+        c.withQosArbiter(/*capWatts=*/1e-3);
+        c.resize.policy.minSlices = 4;
+        c.resize.policy.minSlicesPerTenant = 1;
+        c.withDramQos();
+        c.enableBatman = true;
+        c.withTelemetry("");
+        c.withSpanTrace(testing::TempDir() + "invariants_all.trace.json",
+                        /*sampleShift=*/2);
+        cases.push_back({"Banshee_all_features", c, 4});
     }
 
     return cases;
