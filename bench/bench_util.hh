@@ -32,10 +32,6 @@ struct BenchOptions
     unsigned threads = 0;
     /** Empty = no JSON output. */
     std::string jsonPath;
-    /** Stamp host wall-clock / events-per-sec into --json output.
-     *  Opt-in: host timings are nondeterministic, and default JSON
-     *  output is guarded byte-identical across engine refactors. */
-    bool hostPerf = false;
     /** Non-empty when --spans was given: the directory span traces
      *  land in (one <label>.trace.json per experiment). */
     std::string spansDir;
@@ -48,12 +44,15 @@ struct BenchOptions
  *   --workloads a,b  restrict the workload list
  *   --threads N      worker threads
  *   --json path      also emit machine-readable results (BENCH_*.json)
- *   --host-perf      stamp wall-clock + events/sec into --json output
  *   --telemetry path epoch-resolved JSONL trace (telemetry_summary.py);
  *                    a directory path writes one <label>.jsonl per run
  *   --spans[=N]      span tracing into SPANS_<bench>/<label>.trace.json
  *                    with sample shift N (default 6 = 1/64 of pages)
  *   --verbose / -v   raise log verbosity (also: BANSHEE_LOG env var)
+ *
+ * Flag order does not matter: the preset (--full or the scaled
+ * default) is picked first, then --quick, --telemetry and --spans
+ * apply on top of it.
  *
  * @p benchName names the binary in usage/error messages (argv[0] when
  * empty) and the default --spans output directory.
@@ -77,7 +76,7 @@ parseArgs(int argc, char **argv, const std::string &benchName = "",
         std::fprintf(stderr,
                      "usage: %s [--quick] [--full] "
                      "[--workloads a,b,c] [--threads N] [--json path] "
-                     "[--host-perf] [--telemetry path] [--spans[=N]] "
+                     "[--telemetry path] [--spans[=N]] "
                      "[--verbose|-v]%s\n",
                      prog.c_str(), extra.c_str());
         std::exit(1);
@@ -91,15 +90,18 @@ parseArgs(int argc, char **argv, const std::string &benchName = "",
         }
         return false;
     };
+    bool quick = false;
+    bool full = false;
+    const char *telemetryPath = nullptr;
+    int spanShift = -1; // -1 = no --spans
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (matchExtra(arg)) {
             // handled
         } else if (arg == "--quick") {
-            opt.base.warmupInstrPerCore /= 4;
-            opt.base.measureInstrPerCore /= 4;
+            quick = true;
         } else if (arg == "--full") {
-            opt.base = SystemConfig::paperDefault();
+            full = true;
         } else if (arg == "--workloads" && i + 1 < argc) {
             opt.workloads.clear();
             opt.workloadsExplicit = true;
@@ -132,15 +134,13 @@ parseArgs(int argc, char **argv, const std::string &benchName = "",
             opt.threads = static_cast<unsigned>(v);
         } else if (arg == "--json" && i + 1 < argc) {
             opt.jsonPath = argv[++i];
-        } else if (arg == "--host-perf") {
-            opt.hostPerf = true;
         } else if (arg == "--telemetry" && i + 1 < argc) {
-            opt.base.withTelemetry(argv[++i]);
+            telemetryPath = argv[++i];
         } else if (arg == "--spans" ||
                    arg.rfind("--spans=", 0) == 0) {
             // Same strict-parse discipline as --threads: reject
             // garbage shifts instead of silently sampling everything.
-            std::uint32_t shift = 6;
+            spanShift = 6;
             if (arg.size() > 7) {
                 const char *s = arg.c_str() + 8;
                 char *end = nullptr;
@@ -151,17 +151,26 @@ parseArgs(int argc, char **argv, const std::string &benchName = "",
                                       "[0, 24], got '") +
                           s + "'");
                 }
-                shift = static_cast<std::uint32_t>(v);
+                spanShift = static_cast<int>(v);
             }
-            opt.spansDir = "SPANS_" + prog;
-            opt.base.withSpanTrace(opt.spansDir + "/", shift);
         } else if (arg == "--verbose" || arg == "-v") {
             ++banshee::logVerbosity;
         } else {
             usage("unknown or incomplete argument '" + arg + "'");
         }
     }
-    if (!opt.spansDir.empty()) {
+    if (full)
+        opt.base = SystemConfig::paperDefault();
+    if (quick) {
+        opt.base.warmupInstrPerCore /= 4;
+        opt.base.measureInstrPerCore /= 4;
+    }
+    if (telemetryPath != nullptr)
+        opt.base.withTelemetry(telemetryPath);
+    if (spanShift >= 0) {
+        opt.spansDir = "SPANS_" + prog;
+        opt.base.withSpanTrace(opt.spansDir + "/",
+                               static_cast<std::uint32_t>(spanShift));
         std::printf("[spans] tracing 1/%u of pages into %s/ "
                     "(scripts/spans_to_perfetto.py)\n",
                     1u << opt.base.spans.sampleShift,
@@ -170,14 +179,11 @@ parseArgs(int argc, char **argv, const std::string &benchName = "",
     return opt;
 }
 
-/** Emit BENCH_*.json when --json was given (shared by every bench).
- *  Pass the sweep's SweepPerf to honor --host-perf; host timings are
- *  stamped only when that flag was given. */
+/** Emit BENCH_*.json when --json was given (shared by every bench). */
 inline void
 maybeWriteJson(const BenchOptions &opt, const std::string &bench,
                const std::vector<Experiment> &exps,
-               const std::vector<RunResult> &results,
-               const SweepPerf *perf = nullptr)
+               const std::vector<RunResult> &results)
 {
     if (opt.jsonPath.empty())
         return;
@@ -185,8 +191,7 @@ maybeWriteJson(const BenchOptions &opt, const std::string &bench,
     labels.reserve(exps.size());
     for (const auto &e : exps)
         labels.push_back(e.label);
-    writeResultsJson(opt.jsonPath, bench, labels, results,
-                     opt.hostPerf ? perf : nullptr);
+    writeResultsJson(opt.jsonPath, bench, labels, results);
     std::printf("\n[json] wrote %zu results to %s\n", results.size(),
                 opt.jsonPath.c_str());
 }

@@ -50,8 +50,7 @@ main(int argc, char **argv)
             }
         }
     }
-    SweepPerf perf;
-    auto results = runExperiments(exps, opt.threads, true, &perf);
+    auto results = runExperiments(exps, opt.threads);
     const ResultIndex index(exps, results);
 
     // ------------------------------------------------ Part 1: energy
@@ -144,6 +143,6 @@ main(int argc, char **argv)
         exps.push_back(std::move(capExps[i]));
         results.push_back(capResults[i]);
     }
-    maybeWriteJson(opt, "ext_energy", exps, results, &perf);
+    maybeWriteJson(opt, "ext_energy", exps, results);
     return 0;
 }

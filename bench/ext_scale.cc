@@ -1,29 +1,32 @@
 /**
  * @file
- * Extension: consolidation-scale sweep throughput (the engine-core
- * refactor's payoff bench).
+ * Extension: a consolidation-scale sweep through the parallel sweep
+ * runner.
  *
  * The paper's evaluation — and the mode-comparison sweeps framed by
  * "Die-Stacked DRAM: Memory, Cache, or MemCache?" — multiply scheme
  * × capacity × tenant grids until the simulator itself is the
  * bottleneck. This bench drives a 64-core / 16-tenant consolidation
  * node over a scheme × cache-capacity grid (plus quota-partitioned
- * Banshee points) through the sharded sweep runner and reports the
- * *host* cost of every experiment: wall-clock seconds, simulation
- * events committed, and events/sec, plus the sweep-level aggregate.
+ * Banshee points) and prints each experiment's simulated IPC and
+ * miss rate, plus the sweep's wall-clock time.
  *
- * Throughput claim: with N worker threads the sweep's aggregate
- * events/sec must scale toward N× the serial figure (each experiment
- * is an isolated System; see the contract note in sim/runner.hh).
- * Run with --compare-serial to measure the ratio on this machine:
- * the same grid is re-run at --threads 1 and the speedup printed.
- * On a many-core runner the parallel sweep is expected to clear 5×.
+ * Each experiment is an isolated System (see the contract note in
+ * sim/runner.hh), so with N worker threads the sweep's wall time
+ * should shrink toward 1/N of the serial figure. Run with
+ * --compare-serial to measure the ratio on this machine: the same
+ * grid is re-run at --threads 1, each experiment's IPC and cycle
+ * count are asserted equal across the two runs, and the speedup is
+ * printed.
  *
- * All simulated results stay deterministic: the grid's per-
- * experiment RunResults are independent of thread count and shard
- * size; only the hostPerf numbers vary run to run.
+ * The --json output is independent of the thread count; the quick
+ * grid's output is the committed golden
+ * bench/baselines/BENCH_ext_scale_quick.json. Per-layer host time
+ * and simulated instructions per host second are measured by
+ * simbench/, not here.
  */
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -105,25 +108,18 @@ buildGrid(const SystemConfig &base)
     return exps;
 }
 
-void
-printPerfTable(const std::vector<Experiment> &exps,
-               const SweepPerf &perf, unsigned threads)
+/** Run the grid @p threads at a time; @p wallSeconds gets its
+ *  host wall-clock time. */
+std::vector<RunResult>
+timedSweep(const std::vector<Experiment> &exps, unsigned threads,
+           double &wallSeconds)
 {
-    TablePrinter table({"experiment", "wall s", "Mevents", "Mev/s"}, 16);
-    table.printHeader();
-    table.printRule();
-    for (std::size_t i = 0; i < exps.size(); ++i) {
-        const RunPerf &p = perf.experiments[i];
-        table.printRow({exps[i].label, fmt(p.wallSeconds, 2),
-                        fmt(static_cast<double>(p.events) / 1e6, 1),
-                        fmt(p.eventsPerSec() / 1e6, 2)});
-    }
-    table.printRule();
-    std::printf("sweep: %zu experiments, %u threads, %.2f s wall, "
-                "%.1f Mevents, %.2f Mevents/s aggregate\n",
-                exps.size(), threads, perf.wallSeconds,
-                static_cast<double>(perf.totalEvents()) / 1e6,
-                perf.eventsPerSec() / 1e6);
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<RunResult> results = runExperiments(exps, threads);
+    wallSeconds = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+    return results;
 }
 
 } // namespace
@@ -151,7 +147,7 @@ main(int argc, char **argv)
                   "ext_scale");
     printBanner("Extension: sweep throughput at consolidation scale "
                 "(64 cores, 16 tenants)",
-                "Banshee (MICRO'17) evaluation grids; sharded sweep "
+                "Banshee (MICRO'17) evaluation grids; parallel sweep "
                 "runner");
 
     opt.base.numCores = 64;
@@ -166,32 +162,27 @@ main(int argc, char **argv)
 
     const std::vector<Experiment> exps = buildGrid(opt.base);
 
-    SweepPerf perf;
+    double wallSeconds = 0.0;
     std::vector<RunResult> results =
-        runExperiments(exps, opt.threads, true, &perf);
+        timedSweep(exps, opt.threads, wallSeconds);
 
-    std::printf("\nHost cost per experiment (%s):\n",
-                opt.threads == 1 ? "serial" : "sharded across threads");
-    printPerfTable(exps, perf, opt.threads);
-
-    // Simulated sanity column so the bench is not a pure stopwatch:
-    // aggregate IPC per scheme point.
-    std::printf("\nSimulated aggregate IPC (determinism check — "
-                "independent of --threads):\n");
+    std::printf("\nSimulated aggregate IPC (independent of "
+                "--threads):\n");
     TablePrinter ipcTable({"experiment", "IPC", "missRate"}, 16);
     ipcTable.printHeader();
-    ipcTable.printRule();
     for (std::size_t i = 0; i < exps.size(); ++i) {
         ipcTable.printRow({exps[i].label, fmt(results[i].ipc, 3),
                            fmt(results[i].missRate, 4)});
     }
+    std::printf("\nsweep: %zu experiments, %.2f s wall\n", exps.size(),
+                wallSeconds);
 
     if (compareSerial) {
         std::printf("\nRe-running the grid serially (--threads 1) for "
                     "the speedup ratio...\n");
-        SweepPerf serial;
+        double serialSeconds = 0.0;
         std::vector<RunResult> serialResults =
-            runExperiments(exps, 1, true, &serial);
+            timedSweep(exps, 1, serialSeconds);
         for (std::size_t i = 0; i < results.size(); ++i) {
             sim_assert(serialResults[i].ipc == results[i].ipc &&
                            serialResults[i].cycles == results[i].cycles,
@@ -199,17 +190,12 @@ main(int argc, char **argv)
                        exps[i].label.c_str());
         }
         const double speedup =
-            serial.wallSeconds > 0.0 && perf.wallSeconds > 0.0
-                ? serial.wallSeconds / perf.wallSeconds
-                : 0.0;
-        std::printf("\nserial: %.2f s wall (%.2f Mevents/s); "
-                    "sharded: %.2f s wall (%.2f Mevents/s); "
+            wallSeconds > 0.0 ? serialSeconds / wallSeconds : 0.0;
+        std::printf("\nserial: %.2f s wall; parallel: %.2f s wall; "
                     "speedup %.2fx\n",
-                    serial.wallSeconds, serial.eventsPerSec() / 1e6,
-                    perf.wallSeconds, perf.eventsPerSec() / 1e6,
-                    speedup);
+                    serialSeconds, wallSeconds, speedup);
     }
 
-    maybeWriteJson(opt, "ext_scale", exps, results, &perf);
+    maybeWriteJson(opt, "ext_scale", exps, results);
     return 0;
 }

@@ -117,9 +117,7 @@ main(int argc, char **argv)
                            /*partition=*/false);
         exps.push_back({"resident/shared", shared});
     }
-    SweepPerf perf;
-    std::vector<RunResult> results =
-        runExperiments(exps, opt.threads, true, &perf);
+    std::vector<RunResult> results = runExperiments(exps, opt.threads);
     const RunResult &solo = results[0];
     const RunResult &quota = results[1];
     const RunResult &shared = results[2];
@@ -203,9 +201,7 @@ main(int argc, char **argv)
         c.resize.tenantWeights = {1.0, 1.0};
         qosExps.push_back({"resident/qos-rebalance", c});
     }
-    SweepPerf qosPerf;
-    std::vector<RunResult> qosResults =
-        runExperiments(qosExps, opt.threads, true, &qosPerf);
+    std::vector<RunResult> qosResults = runExperiments(qosExps, opt.threads);
     const RunResult &qos = qosResults[0];
 
     std::printf("\nQoS arbitration after a quota change (layout 4/4, "
@@ -226,17 +222,11 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(qos.qosReassigns),
                 qos.tenants[0].slicesOwned);
 
-    // Fold the QoS sweep into the isolation sweep's results — and its
-    // host perf: writeResultsJson requires one perf entry per result,
-    // so --host-perf used to panic here.
+    // Fold the QoS sweep into the isolation sweep's results.
     for (std::size_t i = 0; i < qosExps.size(); ++i) {
         exps.push_back(std::move(qosExps[i]));
         results.push_back(qosResults[i]);
     }
-    perf.wallSeconds += qosPerf.wallSeconds;
-    perf.experiments.insert(perf.experiments.end(),
-                            qosPerf.experiments.begin(),
-                            qosPerf.experiments.end());
 
     // ----------------------- Part 3: QoS memory scheduler (--sched)
     if (sched) {
@@ -268,9 +258,8 @@ main(int argc, char **argv)
                            /*writeDrainLow=*/8);
             schedExps.push_back({"resident/sched-on", on});
         }
-        SweepPerf schedPerf;
         std::vector<RunResult> schedResults =
-            runExperiments(schedExps, opt.threads, true, &schedPerf);
+            runExperiments(schedExps, opt.threads);
         const RunResult &soff = schedResults[0];
         const RunResult &son = schedResults[1];
 
@@ -327,12 +316,8 @@ main(int argc, char **argv)
             exps.push_back(std::move(schedExps[i]));
             results.push_back(schedResults[i]);
         }
-        perf.wallSeconds += schedPerf.wallSeconds;
-        perf.experiments.insert(perf.experiments.end(),
-                                schedPerf.experiments.begin(),
-                                schedPerf.experiments.end());
     }
 
-    maybeWriteJson(opt, "ext_tenant", exps, results, &perf);
+    maybeWriteJson(opt, "ext_tenant", exps, results);
     return 0;
 }

@@ -30,8 +30,7 @@ main(int argc, char **argv)
         for (auto &e : schemeSweep(opt.base, w))
             exps.push_back(std::move(e));
     }
-    SweepPerf perf;
-    const auto results = runExperiments(exps, opt.threads, true, &perf);
+    const auto results = runExperiments(exps, opt.threads);
     const ResultIndex index(exps, results);
 
     const auto schemes = figureSchemes();
@@ -72,6 +71,6 @@ main(int argc, char **argv)
     std::printf("Banshee vs Alloy    : %+.1f%%  (paper: +15.0%% vs best "
                 "Alloy)\n",
                 100.0 * (banshee / alloyBest - 1.0));
-    maybeWriteJson(opt, "fig4_speedup", exps, results, &perf);
+    maybeWriteJson(opt, "fig4_speedup", exps, results);
     return 0;
 }

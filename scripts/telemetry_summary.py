@@ -19,6 +19,9 @@ Usage:
     telemetry_summary.py trace.jsonl --check      # schema validation
     telemetry_summary.py trace.jsonl --csv        # machine-readable
 
+Span traces (--spans, Chrome JSON) have their own validator:
+scripts/spans_to_perfetto.py.
+
 Stdlib only (CI runs it next to the bench binaries).
 """
 
@@ -176,7 +179,7 @@ def timeline(run, recs, csv):
 
     decisions = [r for r in recs
                  if r["event"] not in ("epoch", "run_start", "tenant",
-                                       "measure_start", "profile")]
+                                       "measure_start")]
     if decisions:
         print("  events:")
         for r in decisions:
@@ -184,13 +187,6 @@ def timeline(run, recs, csv):
                      if k not in ("run", "cycle", "event")}
             print(f"    cycle {r['cycle']:>12}  {r['event']:<16} "
                   + " ".join(f"{k}={v}" for k, v in extra.items()))
-    profile = next((r for r in recs if r["event"] == "profile"), None)
-    if profile and profile.get("timers"):
-        print("  host-time profile:")
-        for name, t in sorted(profile["timers"].items()):
-            ms = t["ns"] / 1e6
-            print(f"    {name:<20} {ms:>10.1f} ms  "
-                  f"{t['calls']:>10} calls")
     print()
 
 
@@ -204,25 +200,6 @@ def main():
     ap.add_argument("--csv", action="store_true",
                     help="emit the timelines as CSV")
     args = ap.parse_args()
-
-    # Span traces (Chrome trace-event JSON arrays from --spans) have
-    # their own validator; delegate so `--check` works on either
-    # artifact the simulator writes.
-    with open(args.trace) as f:
-        first = f.read(1)
-    if first == "[":
-        import spans_to_perfetto
-        events = spans_to_perfetto.load(args.trace)
-        problems = spans_to_perfetto.check(args.trace, events)
-        for p in problems:
-            print(p, file=sys.stderr)
-        if not problems:
-            print(f"{args.trace}: OK ({len(events)} span events)")
-        if args.check:
-            sys.exit(1 if problems else 0)
-        if not problems:
-            spans_to_perfetto.summarize(args.trace, events)
-        sys.exit(1 if problems else 0)
 
     runs, errors = load(args.trace)
     if args.check:

@@ -192,8 +192,8 @@ class EventQueue
     /** Ask run() to return after the current event completes. */
     void requestStop() { stopRequested_ = true; }
 
-    /** Events executed over the queue's lifetime (host throughput
-     *  metric: the sweep runner reports events/sec from this). */
+    /** Events executed over the queue's lifetime (a deterministic
+     *  work counter; simbench reports it per simulated instruction). */
     std::uint64_t eventsExecuted() const { return executedTotal_; }
 
     /** Reset time and drop all pending events (for tests). */

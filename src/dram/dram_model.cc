@@ -335,7 +335,6 @@ DramChannel::issue(Pending p)
 void
 DramChannel::kick()
 {
-    ScopedTimer profile(telem_ ? telem_->kickTimer : nullptr);
     // Issue requests while the bus reservation horizon allows; bank
     // preparation of later picks overlaps earlier transfers.
     const Cycle horizon =

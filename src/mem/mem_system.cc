@@ -51,7 +51,6 @@ void
 MemSystem::fetchLine(LineAddr line, const MappingInfo &mapping, CoreId core,
                      MissDoneFn done)
 {
-    ScopedTimer profile(fetchTimer_);
     ++statFetches_;
     const Cycle issued = eq_.now();
     // Span tracing: tag the fetch with its (sampled) page so the

@@ -17,7 +17,6 @@
 #include "dram/dram_model.hh"
 #include "mem/request.hh"
 #include "mem/scheme.hh"
-#include "telemetry/scoped_timer.hh"
 
 namespace banshee {
 
@@ -54,10 +53,6 @@ class MemSystem : public MemBackend
     /** Multi-tenant runs: attach the ownership map before
      *  buildSchemes so every scheme can attribute traffic. */
     void setTenantMap(const TenantMap *tenants) { tenants_ = tenants; }
-
-    /** Attach (or detach with nullptr) a host-time profile of the
-     *  scheme-side fetch path (demandFetch dispatch, not completion). */
-    void setFetchTimer(PhaseTimer *timer) { fetchTimer_ = timer; }
 
     /** Attach span tracing: demand fetches of sampled pages emit
      *  end-to-end issue->complete spans. Null = off. */
@@ -110,7 +105,6 @@ class MemSystem : public MemBackend
     EventQueue &eq_;
     MemSystemParams params_;
     const TenantMap *tenants_ = nullptr;
-    PhaseTimer *fetchTimer_ = nullptr;
     PageJournal *spans_ = nullptr;
     std::unique_ptr<DramModel> inPkg_;
     std::unique_ptr<DramModel> offPkg_;

@@ -75,32 +75,16 @@ writeCatEnergy(std::FILE *f, const char *key,
 void
 writeResultsJson(const std::string &path, const std::string &bench,
                  const std::vector<std::string> &labels,
-                 const std::vector<RunResult> &results,
-                 const SweepPerf *perf)
+                 const std::vector<RunResult> &results)
 {
     sim_assert(labels.size() == results.size(),
                "json: %zu labels for %zu results", labels.size(),
-               results.size());
-    sim_assert(perf == nullptr ||
-                   perf->experiments.size() == results.size(),
-               "json: host perf for %zu of %zu results",
-               perf == nullptr ? 0 : perf->experiments.size(),
                results.size());
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (f == nullptr)
         fatal("cannot open '%s' for writing", path.c_str());
 
     std::fprintf(f, "{\n  \"bench\": \"%s\",\n", jsonEscape(bench).c_str());
-    // Host performance is opt-in: timings vary run to run, and the
-    // default output is guarded byte-identical across refactors.
-    if (perf != nullptr) {
-        std::fprintf(f,
-                     "  \"sweepHostPerf\": {\"wallSeconds\": %.3f, "
-                     "\"events\": %llu, \"eventsPerSec\": %.0f},\n",
-                     perf->wallSeconds,
-                     static_cast<unsigned long long>(perf->totalEvents()),
-                     perf->eventsPerSec());
-    }
     std::fprintf(f, "  \"results\": [\n");
     for (std::size_t i = 0; i < results.size(); ++i) {
         const RunResult &r = results[i];
@@ -148,15 +132,6 @@ writeResultsJson(const std::string &path, const std::string &bench,
                      r.finalActiveSlices);
         std::fprintf(f, "      \"qosReassigns\": %llu,\n",
                      static_cast<unsigned long long>(r.qosReassigns));
-        if (perf != nullptr) {
-            const RunPerf &p = perf->experiments[i];
-            std::fprintf(f,
-                         "      \"hostPerf\": {\"wallSeconds\": %.3f, "
-                         "\"events\": %llu, \"eventsPerSec\": %.0f},\n",
-                         p.wallSeconds,
-                         static_cast<unsigned long long>(p.events),
-                         p.eventsPerSec());
-        }
         std::fprintf(f, "      \"tenants\": [");
         for (std::size_t t = 0; t < r.tenants.size(); ++t) {
             const TenantRunStats &ts = r.tenants[t];

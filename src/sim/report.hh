@@ -48,17 +48,12 @@ void printBanner(const std::string &title, const std::string &paperRef);
  * keyed by its experiment label. Fatal (sim_assert) when @p labels
  * and @p results disagree in length; dies on I/O errors.
  *
- * When @p perf is given (opt-in via the benches' --host-perf flag —
- * host timings are nondeterministic, so stamping them by default
- * would break byte-identical output), each result carries a
- * "hostPerf" object with its wall-clock seconds and events/sec, and
- * the file gains a sweep-level aggregate — the start of a simulator
- * performance trajectory across BENCH_*.json files.
+ * The output is a pure function of the results (no host timings), so
+ * the committed bench/baselines/ goldens can be checked byte for byte.
  */
 void writeResultsJson(const std::string &path, const std::string &bench,
                       const std::vector<std::string> &labels,
-                      const std::vector<RunResult> &results,
-                      const SweepPerf *perf = nullptr);
+                      const std::vector<RunResult> &results);
 
 } // namespace banshee
 

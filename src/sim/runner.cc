@@ -1,7 +1,6 @@
 #include "sim/runner.hh"
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <thread>
@@ -10,81 +9,39 @@
 
 namespace banshee {
 
-std::uint64_t
-SweepPerf::totalEvents() const
-{
-    std::uint64_t total = 0;
-    for (const RunPerf &p : experiments)
-        total += p.events;
-    return total;
-}
-
-double
-SweepPerf::eventsPerSec() const
-{
-    return wallSeconds > 0.0
-               ? static_cast<double>(totalEvents()) / wallSeconds
-               : 0.0;
-}
-
 std::vector<RunResult>
-runSweep(const std::vector<Experiment> &exps, const SweepOptions &opts)
+runExperiments(const std::vector<Experiment> &exps, unsigned threads,
+               bool showProgress)
 {
-    using clock = std::chrono::steady_clock;
-
-    unsigned threads = opts.threads;
     if (threads == 0)
         threads = std::max(1u, std::thread::hardware_concurrency());
     threads = std::min<unsigned>(
         threads, std::max<std::size_t>(exps.size(), 1));
 
-    // Auto shard size: several claims per worker for load balance;
-    // one experiment per claim until grids get large.
-    std::size_t shard = opts.shard;
-    if (shard == 0)
-        shard = std::max<std::size_t>(
-            1, exps.size() / (static_cast<std::size_t>(threads) * 8));
-
     std::vector<RunResult> results(exps.size());
-    std::vector<RunPerf> perf(exps.size());
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> finished{0};
 
-    const auto sweepStart = clock::now();
-
     auto worker = [&] {
-        while (true) {
-            const std::size_t begin = next.fetch_add(shard);
-            if (begin >= exps.size())
-                return;
-            const std::size_t end =
-                std::min(begin + shard, exps.size());
-            for (std::size_t i = begin; i < end; ++i) {
-                // Telemetry traces from a sweep share one file; stamp
-                // each run's lines with its experiment label so the
-                // summary script can split them back apart.
-                SystemConfig config = exps[i].config;
-                if (config.telemetry.enabled &&
-                    config.telemetry.runLabel.empty())
-                    config.telemetry.runLabel = exps[i].label;
-                // Span traces never share a file: the label routes
-                // each experiment to its own trace (directory paths)
-                // or a "-<label>" suffixed file.
-                if (config.spans.enabled && config.spans.runLabel.empty())
-                    config.spans.runLabel = exps[i].label;
-                const auto start = clock::now();
-                System system(config);
-                results[i] = system.run();
-                perf[i].wallSeconds =
-                    std::chrono::duration<double>(clock::now() - start)
-                        .count();
-                perf[i].events = system.totalEventsExecuted();
-                const std::size_t done = finished.fetch_add(1) + 1;
-                if (opts.showProgress) {
-                    std::fprintf(stderr, "\r[bench] %zu/%zu %-40s", done,
-                                 exps.size(), exps[i].label.c_str());
-                    std::fflush(stderr);
-                }
+        for (std::size_t i = next++; i < exps.size(); i = next++) {
+            // Telemetry traces from a sweep share one file; stamp each
+            // run's lines with its experiment label so the summary
+            // script can split them back apart.
+            SystemConfig config = exps[i].config;
+            if (config.telemetry.enabled &&
+                config.telemetry.runLabel.empty())
+                config.telemetry.runLabel = exps[i].label;
+            // Span traces never share a file: the label routes each
+            // experiment to its own trace (directory paths) or a
+            // "-<label>" suffixed file.
+            if (config.spans.enabled && config.spans.runLabel.empty())
+                config.spans.runLabel = exps[i].label;
+            results[i] = System(config).run();
+            const std::size_t done = ++finished;
+            if (showProgress) {
+                std::fprintf(stderr, "\r[bench] %zu/%zu %-40s", done,
+                             exps.size(), exps[i].label.c_str());
+                std::fflush(stderr);
             }
         }
     };
@@ -95,27 +52,9 @@ runSweep(const std::vector<Experiment> &exps, const SweepOptions &opts)
         pool.emplace_back(worker);
     for (auto &t : pool)
         t.join();
-    if (opts.showProgress)
+    if (showProgress)
         std::fprintf(stderr, "\n");
-
-    if (opts.perf != nullptr) {
-        opts.perf->wallSeconds =
-            std::chrono::duration<double>(clock::now() - sweepStart)
-                .count();
-        opts.perf->experiments = std::move(perf);
-    }
     return results;
-}
-
-std::vector<RunResult>
-runExperiments(const std::vector<Experiment> &exps, unsigned threads,
-               bool showProgress, SweepPerf *perf)
-{
-    SweepOptions opts;
-    opts.threads = threads;
-    opts.showProgress = showProgress;
-    opts.perf = perf;
-    return runSweep(exps, opts);
 }
 
 std::vector<Experiment>

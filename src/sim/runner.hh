@@ -1,9 +1,9 @@
 /**
  * @file
- * Sharded in-process sweep runner: each experiment is an independent
- * (config, label) pair, and a worker pool claims shards (contiguous
- * chunks) of the experiment list. Used by every bench binary to
- * sweep workloads x schemes in minutes instead of hours.
+ * In-process sweep runner: each experiment is an independent
+ * (config, label) pair, and a worker pool claims experiments from
+ * the list one at a time. Used by every bench binary to sweep
+ * workloads x schemes in minutes instead of hours.
  *
  * Safe-parallelism contract (audited for the engine refactor): a
  * `System` owns every piece of mutable simulation state it touches —
@@ -13,8 +13,10 @@
  * append line-atomically), the process-wide `logVerbosity` knob
  * (written during argument parsing, before any worker thread
  * starts), and `warn_once` dedup flags (atomic). Sweeps therefore
- * shard freely across threads with no simulation-visible interaction
+ * spread freely across threads with no simulation-visible interaction
  * between experiments.
+ *
+ * Host speed is measured from outside the library: see simbench/.
  */
 
 #ifndef BANSHEE_SIM_RUNNER_HH
@@ -35,62 +37,14 @@ struct Experiment
     SystemConfig config;
 };
 
-/** Host-side cost of simulating one experiment (simulator
- *  performance, not simulated results). */
-struct RunPerf
-{
-    double wallSeconds = 0.0;
-    std::uint64_t events = 0; ///< events the experiment's queue ran
-
-    double
-    eventsPerSec() const
-    {
-        return wallSeconds > 0.0
-                   ? static_cast<double>(events) / wallSeconds
-                   : 0.0;
-    }
-};
-
-/** Host-side cost of a whole sweep. */
-struct SweepPerf
-{
-    double wallSeconds = 0.0;          ///< whole-sweep wall clock
-    std::vector<RunPerf> experiments;  ///< input order
-
-    std::uint64_t totalEvents() const;
-    /** Aggregate simulation throughput: events committed across all
-     *  experiments per second of sweep wall clock. */
-    double eventsPerSec() const;
-};
-
-struct SweepOptions
-{
-    unsigned threads = 0; ///< simultaneous experiments; 0 = hw conc.
-    /** Experiments claimed per worker fetch. 0 = auto: chunks sized
-     *  so each worker makes several claims (load balance) without a
-     *  fetch per experiment on huge grids. */
-    std::size_t shard = 0;
-    bool showProgress = true;
-    SweepPerf *perf = nullptr; ///< optional host-performance out
-};
-
 /**
- * Run all experiments across a worker pool claiming shards of the
- * list. Results are returned in the input order regardless of
- * thread count or shard size.
- */
-std::vector<RunResult> runSweep(const std::vector<Experiment> &exps,
-                                const SweepOptions &opts);
-
-/**
- * Back-compat convenience over runSweep(): run all experiments,
- * @p threads at a time (0 = hardware concurrency). When @p perf is
- * given it receives the per-experiment and whole-sweep host cost.
+ * Run all experiments, @p threads at a time (0 = hardware
+ * concurrency). Results are returned in the input order, and each
+ * is independent of the thread count.
  */
 std::vector<RunResult> runExperiments(const std::vector<Experiment> &exps,
                                       unsigned threads = 0,
-                                      bool showProgress = true,
-                                      SweepPerf *perf = nullptr);
+                                      bool showProgress = true);
 
 /**
  * Build the standard scheme sweep of Figures 4-6 for one workload:

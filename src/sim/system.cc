@@ -376,14 +376,11 @@ System::buildTelemetry()
                 std::string(prefix) + ".ch" + std::to_string(c));
             if (tenantSplit && tenants_)
                 ct.tenantQueueLatency = telemetry_->tenantQueueLatency();
-            ct.kickTimer = telemetry_->timer("host.dramKick");
             dev->channel(c).setTelemetry(&ct);
         }
     };
     attachChannels(mem_->inPkg(), "inpkg", true);
     attachChannels(mem_->offPkg(), "offpkg", false);
-
-    mem_->setFetchTimer(telemetry_->timer("host.fetchLine"));
 }
 
 void
@@ -442,11 +439,7 @@ System::runPhase(std::uint64_t instrLimit)
         core->setInstrLimit(instrLimit);
         core->start();
     }
-    {
-        ScopedTimer profile(
-            telemetry_ ? telemetry_->timer("host.eventQueue") : nullptr);
-        eq_.run();
-    }
+    eq_.run();
     sim_assert(parkedCount_ == config_.numCores,
                "event queue drained with %u/%u cores parked — "
                "a memory response was lost",
@@ -683,7 +676,6 @@ System::collect(const std::vector<Cycle> &phaseStartCycle,
                            {"ipc", r.ipc},
                            {"missRate", r.missRate},
                            {"finalActiveSlices", r.finalActiveSlices}});
-        telemetry_->emitProfile();
     }
     return r;
 }

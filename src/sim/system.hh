@@ -178,8 +178,8 @@ class System
     /** Telemetry façade, or nullptr when telemetry is disabled. */
     Telemetry *telemetry() { return telemetry_.get(); }
 
-    /** Events executed on this system's event queue (the sweep
-     *  runner's host-throughput denominator). */
+    /** Events executed on this system's event queue (a
+     *  deterministic work counter, read by simbench). */
     std::uint64_t totalEventsExecuted() const { return eq_.eventsExecuted(); }
 
     /** Span-trace journal, or nullptr when tracing is disabled. */

@@ -12,7 +12,6 @@
 #define BANSHEE_TELEMETRY_DRAM_HOOKS_HH
 
 #include "telemetry/histogram.hh"
-#include "telemetry/scoped_timer.hh"
 #include "tenant/tenant.hh"
 
 namespace banshee {
@@ -39,9 +38,6 @@ struct ChannelTelemetry
      *  tenantBucket(); shared by every channel of the device. Null
      *  when the device carries no tenant-attributed traffic. */
     Histogram *tenantQueueLatency = nullptr;
-
-    /** Host-time profile of the FR-FCFS scheduler (shared). */
-    PhaseTimer *kickTimer = nullptr;
 };
 
 } // namespace banshee

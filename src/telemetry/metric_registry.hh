@@ -23,14 +23,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "common/event_queue.hh"
 #include "common/stats.hh"
 #include "telemetry/histogram.hh"
-#include "telemetry/scoped_timer.hh"
 
 namespace banshee {
 
@@ -91,14 +89,6 @@ class MetricRegistry
         hists_.push_back(&h);
     }
 
-    /** Named wall-clock phase timer (created on first use). */
-    PhaseTimer &timer(const std::string &name) { return timers_[name]; }
-
-    const std::map<std::string, PhaseTimer> &timers() const
-    {
-        return timers_;
-    }
-
     /**
      * Start the epoch clock: one sample every @p epochCycles on
      * @p eq, until stop(). @p onSample (optional) observes each
@@ -139,7 +129,6 @@ class MetricRegistry
     std::vector<GaugeFn> gauges_;
     std::vector<std::string> histNames_;
     std::vector<const Histogram *> hists_;
-    std::map<std::string, PhaseTimer> timers_;
 
     std::vector<Sample> series_;
     std::uint64_t nextEpoch_ = 0;

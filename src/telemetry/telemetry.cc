@@ -11,7 +11,7 @@ Telemetry::Telemetry(EventQueue &eq, const TelemetryConfig &config)
       runLabel_(config.runLabel.empty() ? "run" : config.runLabel)
 {
     sim_assert(config.enabled, "Telemetry built while disabled");
-    // An empty path keeps the in-memory side (histograms, timers,
+    // An empty path keeps the in-memory side (histograms,
     // summaries()) without a JSONL sink — benches that only want
     // end-of-run percentiles use this to skip the file.
     const std::string resolved = resolveTracePath(
@@ -97,27 +97,6 @@ Telemetry::finishEpochs()
     // One closing sample so the last (partial) epoch's activity is
     // still visible in the timeline (traced via the onSample hook).
     registry_.sample(eq_.now());
-}
-
-void
-Telemetry::emitProfile()
-{
-    if (!sink_)
-        return;
-    std::string json = "{\"run\": \"" + jsonEscape(runLabel_) +
-                       "\", \"cycle\": " + std::to_string(eq_.now()) +
-                       ", \"event\": \"profile\", \"timers\": {";
-    bool first = true;
-    for (const auto &kv : registry_.timers()) {
-        if (!first)
-            json += ", ";
-        first = false;
-        json += "\"" + jsonEscape(kv.first) +
-                "\": {\"ns\": " + std::to_string(kv.second.ns) +
-                ", \"calls\": " + std::to_string(kv.second.calls) + "}";
-    }
-    json += "}}";
-    sink_->writeLine(json);
 }
 
 std::vector<HistogramSummary>

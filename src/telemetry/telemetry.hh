@@ -1,7 +1,7 @@
 /**
  * @file
  * The per-run telemetry facade: one MetricRegistry (epoch-sampled
- * time series + phase timers), the owned histograms hot paths record
+ * time series), the owned histograms hot paths record
  * into, and the shared TraceSink the run's structured events go to.
  *
  * A System builds one Telemetry instance when its TelemetryConfig is
@@ -57,19 +57,12 @@ class Telemetry
     void nameTenantQueueLatency(std::size_t bucket,
                                 const std::string &metricName);
 
-    /** Named phase timer (null-safe handle for ScopedTimer). */
-    PhaseTimer *timer(const std::string &name)
-    {
-        return &registry_.timer(name);
-    }
-
     /** Emit one structured event stamped with run label + cycle. */
     void event(const char *type,
                std::initializer_list<TraceField> fields = {});
 
     /** Warmup boundary: clear histograms so measured-phase
-     *  distributions start clean (timers are host-profile data and
-     *  keep accumulating). */
+     *  distributions start clean. */
     void resetHistograms();
 
     /** Begin epoch sampling; each sample is also traced. */
@@ -77,9 +70,6 @@ class Telemetry
 
     /** Final sample + stop the clock (end of the measured phase). */
     void finishEpochs();
-
-    /** Emit the "profile" event holding the phase-timer totals. */
-    void emitProfile();
 
     /** End-of-run digests of every registered histogram. */
     std::vector<HistogramSummary> summaries() const;

@@ -178,10 +178,7 @@ TEST(SpanTrace, SweepRoutesPerLabelAndIsThreadCountInvariant)
             c.withSpanTrace(dir + "/", /*sampleShift=*/2);
             exps.push_back({std::string(wl) + "/Banshee", c});
         }
-        SweepOptions opts;
-        opts.threads = threads;
-        opts.showProgress = false;
-        runSweep(exps, opts);
+        runExperiments(exps, threads, /*showProgress=*/false);
     };
 
     const std::string dir1 = ::testing::TempDir() + "span_sweep_t1";

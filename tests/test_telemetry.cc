@@ -17,7 +17,6 @@
 #include "sim/system.hh"
 #include "telemetry/histogram.hh"
 #include "telemetry/metric_registry.hh"
-#include "telemetry/scoped_timer.hh"
 #include "telemetry/telemetry.hh"
 #include "telemetry/trace_sink.hh"
 
@@ -175,18 +174,6 @@ TEST(MetricRegistry, CountersAndStatSets)
     EXPECT_EQ(reg.metricNames()[0], "dev.reads");
     EXPECT_DOUBLE_EQ(s.values[0], 7.0);
     EXPECT_DOUBLE_EQ(s.values[1], 2.0);
-}
-
-TEST(ScopedTimer, NullTimerIsNoop)
-{
-    {
-        ScopedTimer t(nullptr); // must not crash
-    }
-    PhaseTimer timer;
-    {
-        ScopedTimer t(&timer);
-    }
-    EXPECT_EQ(timer.calls, 1u);
 }
 
 TEST(TraceSink, JsonlSchemaRoundTrip)
