@@ -9,12 +9,12 @@
  * issue is burst + I/O energy Banshee never spends, and off-package
  * bytes cost ~4x the interface energy of in-package ones.
  *
- * Part 2 (power-cap resizing): the same Banshee system re-run under a
- * PowerCapPolicy whose watt budget sits below the uncapped run's
- * measured in-package power. The policy sheds slices until the device
- * fits the budget; deactivated slices stop refreshing and gate their
- * background power, so the capped run must report strictly lower
- * background+refresh energy at a bounded IPC cost.
+ * Part 2 (power-cap resizing): the same Banshee system re-run under
+ * the PowerCap resize policy with a watt budget below the uncapped
+ * run's measured in-package power. The policy sheds slices until the
+ * device fits the budget; deactivated slices stop refreshing and gate
+ * their background power, so the capped run must report strictly
+ * lower background+refresh energy at a bounded IPC cost.
  *
  * Defaults to four paper workloads that are robust at --quick scale
  * (omnetpp, mcf, milc, gcc); --workloads overrides.

@@ -99,5 +99,6 @@ main(int argc, char **argv)
                 "measured phase containing the shrink;\n mig = pages "
                 "drained by the migration engine; dIPC = IPC change "
                 "vs the unresized run)\n");
+    maybeWriteJson(opt, "ext_resize", exps, results);
     return 0;
 }

@@ -464,20 +464,6 @@ BansheeScheme::requestMappingCommit()
 }
 
 void
-BansheeScheme::onCapacityLoss()
-{
-    if (!config_.fbrDecayOnShrink)
-        return;
-    // Same operation as counter saturation (Alg. 1), applied across
-    // the board: relative hotness ordering survives, but the absolute
-    // counts that the anti-churn threshold compares against shrink,
-    // so pages evicted with the drained slices can re-earn residency
-    // instead of the stale resident set staying frozen.
-    for (std::uint32_t s = 0; s < dir_.numSets(); ++s)
-        dir_.halveAll(s);
-}
-
-void
 BansheeScheme::verifyResidencyConsistent()
 {
     dir_.forEachValid([this](std::uint32_t setIdx, std::uint32_t way,

@@ -61,12 +61,6 @@ struct BansheeConfig
     Policy policy = Policy::Fbr;
     /** Verify the lazy-coherence invariant on every access (tests). */
     bool checkStaleInvariant = false;
-    /** Halve all FBR counters when a shrink commits, so the slimmer
-     *  cache's resident set re-earns its standing instead of the
-     *  pre-shrink counts freezing out every re-admission candidate.
-     *  Off by default: the decay changes post-shrink dynamics that
-     *  the seed resize/power-cap behavior (and its tests) pin. */
-    bool fbrDecayOnShrink = false;
 };
 
 class BansheeScheme : public DramCacheScheme, public ResizeHost
@@ -94,14 +88,11 @@ class BansheeScheme : public DramCacheScheme, public ResizeHost
     bool canEvictFrame(PageNum page) const override;
     bool evictFrame(std::uint32_t setIdx, std::uint32_t way) override;
     void requestMappingCommit() override;
-    void onCapacityLoss() override;
     void
     attachResizeDomain(ResizeDomain *domain) override
     {
         resizeDomain_ = domain;
     }
-    std::uint64_t demandAccesses() const override { return accesses(); }
-    std::uint64_t demandMisses() const override { return misses(); }
     std::uint64_t
     demandAccessesOf(TenantId t) const override
     {

@@ -62,39 +62,13 @@ struct ResizeStep
     std::uint32_t targetSlices = 0; ///< active slices to resize to
 };
 
-/**
- * What the controller observed over one epoch, summed over all MCs:
- * the demand-traffic delta plus the in-package device's mean power
- * (zero when no power model is attached).
- */
-struct ResizeEpochStats
-{
-    std::uint64_t accesses = 0;
-    std::uint64_t misses = 0;
-    /** Mean in-package device power over the epoch (W). */
-    double avgPowerWatts = 0.0;
-    /** Background + refresh share of @c avgPowerWatts (W) — the part
-     *  slice gating can actually shed. */
-    double bgRefreshWatts = 0.0;
-
-    double
-    missRate() const
-    {
-        return accesses == 0
-                   ? 0.0
-                   : static_cast<double>(misses) /
-                         static_cast<double>(accesses);
-    }
-};
-
 struct ResizePolicyConfig
 {
     enum class Kind : std::uint8_t
     {
         Schedule, ///< scripted steps (benches, tests, external control)
-        Adaptive, ///< stats-fed: shrink when cold, grow when thrashing
-        PowerCap, ///< watt budget (see power/power_cap_policy.hh)
-        Qos       ///< multi-tenant arbiter (see tenant/qos_arbiter.hh)
+        PowerCap, ///< watt budget
+        Qos       ///< multi-tenant arbiter
     };
 
     Kind kind = Kind::Schedule;
@@ -105,18 +79,18 @@ struct ResizePolicyConfig
     /** Scripted resizes (Kind::Schedule). */
     std::vector<ResizeStep> schedule;
 
-    // Adaptive knobs (Kind::Adaptive).
-    /** Shrink by one slice when the epoch miss rate is below this. */
+    // QoS lending knobs (Kind::Qos; see resize_policy.hh).
+    /** A tenant below this epoch miss rate is cold: it may lend. */
     double shrinkMissRate = 0.02;
-    /** Grow by one slice when the epoch miss rate is above this. */
+    /** A tenant above this epoch miss rate thrashes: it may borrow. */
     double growMissRate = 0.20;
-    /** Never shrink below this many active slices. */
-    std::uint32_t minSlices = 1;
-    /** Ignore epochs with fewer demand accesses than this (noise). */
+    /** Ignore tenants with fewer demand accesses than this (noise). */
     std::uint64_t minEpochAccesses = 1000;
 
     // Power-cap knobs (Kind::PowerCap; also compose into Kind::Qos,
     // where the cap sheds from the tenant furthest over quota).
+    /** Never shed below this many active slices. */
+    std::uint32_t minSlices = 1;
     /** In-package device power budget (W); <= 0 disables the cap. */
     double powerCapWatts = 0.0;
     /** Grow hysteresis as a fraction of one slice's power share. */

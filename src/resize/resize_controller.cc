@@ -1,5 +1,7 @@
 #include "resize/resize_controller.hh"
 
+#include <tuple>
+
 #include "common/log.hh"
 #include "common/units.hh"
 #include "dram/dram_model.hh"
@@ -55,16 +57,6 @@ ResizeController::attachPowerModel(DramPowerModel *power)
 }
 
 void
-ResizeController::attachTenants(TenantMap *tenants)
-{
-    tenants_ = tenants;
-    if (tenants_ && config_.policy.kind == ResizePolicyConfig::Kind::Qos) {
-        qos_ = std::make_unique<QosArbiterPolicy>(config_.policy,
-                                                  tenants_->weights());
-    }
-}
-
-void
 ResizeController::attachSpanTrace(PageJournal *spans)
 {
     spans_ = spans;
@@ -91,15 +83,13 @@ ResizeController::attachSpanTrace(PageJournal *spans)
 void
 ResizeController::setTenantWeights(const std::vector<double> &weights)
 {
-    sim_assert(qos_ != nullptr, "weight update without a QoS arbiter");
+    sim_assert(tenants_ != nullptr &&
+                   config_.policy.kind == ResizePolicyConfig::Kind::Qos,
+               "weight update without a QoS arbiter");
     sim_assert(weights.size() == tenants_->numTenants(),
                "weight update changes the tenant count");
-    // Keep the TenantMap in step: it is what reports (RunResult,
-    // JSON) and what future arbiter rebuilds read — a quota change
-    // must not leave the two weight sources divergent.
     for (std::uint32_t t = 0; t < tenants_->numTenants(); ++t)
         tenants_->setWeight(static_cast<TenantId>(t), weights[t]);
-    qos_->setWeights(weights);
 }
 
 void
@@ -114,29 +104,22 @@ ResizeController::pushQosShares()
 {
     if (!qosDev_ || !tenants_)
         return;
-    std::array<double, kMaxTenants> shares{};
-    const std::uint32_t n = std::min<std::uint32_t>(
-        tenants_->numTenants(), kMaxTenants);
     // Bandwidth entitlement follows the live slice partition when one
     // exists (so every reassign/resize commit rebalances channel
     // credit alongside residency), else the configured quota weights.
+    const std::uint32_t n = tenants_->numTenants();
     std::uint32_t ownedTotal = 0;
     for (std::uint32_t t = 0; t < n; ++t)
         ownedTotal += slicesOwnedBy(static_cast<TenantId>(t));
-    if (ownedTotal > 0) {
-        for (std::uint32_t t = 0; t < n; ++t) {
-            shares[t] =
-                static_cast<double>(slicesOwnedBy(static_cast<TenantId>(t))) /
-                static_cast<double>(ownedTotal);
-        }
-    } else {
-        double wsum = 0.0;
-        for (std::uint32_t t = 0; t < n; ++t)
-            wsum += tenants_->weight(static_cast<TenantId>(t));
-        if (wsum <= 0.0)
-            return;
-        for (std::uint32_t t = 0; t < n; ++t)
-            shares[t] = tenants_->weight(static_cast<TenantId>(t)) / wsum;
+    if (ownedTotal == 0) {
+        qosDev_->setQosShares(tenants_->weightShares());
+        return;
+    }
+    std::array<double, kMaxTenants> shares{};
+    for (std::uint32_t t = 0; t < n; ++t) {
+        shares[t] =
+            static_cast<double>(slicesOwnedBy(static_cast<TenantId>(t))) /
+            static_cast<double>(ownedTotal);
     }
     qosDev_->setQosShares(shares);
 }
@@ -145,21 +128,9 @@ void
 ResizeController::onMeasureStart()
 {
     epochIndex_ = 0;
-    prevAccesses_ = 0;
-    prevMisses_ = 0;
-    prevTenantAccesses_.fill(0);
-    prevTenantMisses_.fill(0);
-    for (auto &d : domains_) {
-        prevAccesses_ += d->host().demandAccesses();
-        prevMisses_ += d->host().demandMisses();
-        if (tenants_) {
-            for (std::uint32_t t = 0; t < tenants_->numTenants(); ++t) {
-                prevTenantAccesses_[t] +=
-                    d->host().demandAccessesOf(static_cast<TenantId>(t));
-                prevTenantMisses_[t] +=
-                    d->host().demandMissesOf(static_cast<TenantId>(t));
-            }
-        }
+    for (std::uint32_t t = 0; tenants_ && t < tenants_->numTenants(); ++t) {
+        std::tie(prevTenantAccesses_[t], prevTenantMisses_[t]) =
+            tenantDemand(static_cast<TenantId>(t));
     }
     // The measure boundary zeroes the power model's accumulators
     // (System::resetAllStats), so epoch energy deltas restart at 0.
@@ -174,18 +145,8 @@ ResizeController::epochTick()
 {
     ++statEpochs_;
 
-    std::uint64_t accesses = 0;
-    std::uint64_t misses = 0;
-    for (auto &d : domains_) {
-        accesses += d->host().demandAccesses();
-        misses += d->host().demandMisses();
-    }
+    // ------------------------------------------------------- measure
     ResizeEpochStats epoch;
-    epoch.accesses = accesses - prevAccesses_;
-    epoch.misses = misses - prevMisses_;
-    prevAccesses_ = accesses;
-    prevMisses_ = misses;
-
     if (power_) {
         const double totalPJ = power_->totalEnergyPJ(eq_.now());
         const double bgRefPJ = power_->energy().backgroundPJ() +
@@ -206,53 +167,62 @@ ResizeController::epochTick()
         ewmaValid_ = true;
         epoch.avgPowerWatts = ewmaPowerWatts_;
     }
-
-    if (qos_) {
-        qosTick(epoch);
-    } else {
-        const auto target = policy_.decide(epochIndex_, epoch,
-                                           activeSlices(), totalSlices());
-        if (telem_ && target.has_value() && *target != activeSlices()) {
-            if (config_.policy.kind == ResizePolicyConfig::Kind::PowerCap &&
-                *target < activeSlices()) {
-                telem_->event("powercap_shed",
-                              {{"from", activeSlices()},
-                               {"to", *target},
-                               {"watts", epoch.avgPowerWatts},
-                               {"capWatts", config_.policy.powerCapWatts}});
-            } else {
-                telem_->event("resize_target",
-                              {{"from", activeSlices()}, {"to", *target}});
-            }
+    // Per-tenant demand deltas, kept current every epoch (even while
+    // settling) so a post-transition decision sees one epoch's worth.
+    if (tenants_) {
+        epoch.tenants.resize(tenants_->numTenants());
+        for (std::uint32_t t = 0; t < epoch.tenants.size(); ++t) {
+            const TenantId id = static_cast<TenantId>(t);
+            const auto [acc, mis] = tenantDemand(id);
+            TenantEpochStats &ts = epoch.tenants[t];
+            ts.accesses = acc - prevTenantAccesses_[t];
+            ts.misses = mis - prevTenantMisses_[t];
+            ts.ownedSlices = slicesOwnedBy(id);
+            ts.weight = tenants_->weight(id);
+            prevTenantAccesses_[t] = acc;
+            prevTenantMisses_[t] = mis;
         }
-        if (config_.policy.kind == ResizePolicyConfig::Kind::Schedule) {
-            if (target.has_value())
-                pendingTarget_ = *target;
+    }
+
+    // -------------------------------------------------------- settle
+    // The incremental kinds (PowerCap, Qos) re-decide from fresh
+    // measurements every epoch: epochs measured mid-transition (or
+    // before the smoothed reading has settled on the new layout) are
+    // transitional, so they adopt nothing.
+    const bool settling = resizeInProgress() || holdEpochs_ > 0;
+    if (holdEpochs_ > 0)
+        --holdEpochs_;
+    const bool scheduled =
+        config_.policy.kind == ResizePolicyConfig::Kind::Schedule;
+
+    // -------------------------------------------------------- decide
+    if (scheduled || !settling) {
+        const ResizeDecision d =
+            policy_.decide(epochIndex_, epoch, activeSlices(), totalSlices());
+        if (!d.empty()) {
+            trace(Mark::Instant, "decision",
+                  {{"reason", resizeReasonName(d.reason)},
+                   {"from", activeSlices()},
+                   {"to", d.targetActive.value_or(activeSlices())},
+                   {"donor", d.donor},
+                   {"receiver", d.receiver},
+                   {"watts", epoch.avgPowerWatts},
+                   {"capWatts", config_.policy.powerCapWatts}});
+            pending_ = d;
+        }
+    }
+
+    // --------------------------------------------------------- apply
+    // A scheduled target that arrives while a previous transition is
+    // still draining is deferred and retried every epoch until it
+    // applies (or becomes moot), so scripted steps are never silently
+    // lost. The incremental kinds decide only when idle.
+    if (pending_) {
+        if (apply(*pending_) || !scheduled ||
+            pending_->targetActive == activeSlices()) {
+            pending_.reset();
         } else {
-            // Incremental policies (Adaptive, PowerCap) re-decide from
-            // fresh measurements every epoch: carrying a stale target
-            // across a drain would overshoot the steady state, and
-            // epochs measured mid-transition (or before the smoothed
-            // reading has settled on the new layout) are transitional
-            // — hold.
-            const bool settling = resizeInProgress() || holdEpochs_ > 0;
-            if (holdEpochs_ > 0)
-                --holdEpochs_;
-            pendingTarget_ = settling ? std::nullopt : target;
-        }
-
-        // A target that arrives while a previous transition is still
-        // draining is deferred and retried every epoch until it
-        // applies (or becomes moot), so scheduled steps are never
-        // silently lost.
-        if (pendingTarget_.has_value()) {
-            if (*pendingTarget_ == activeSlices()) {
-                pendingTarget_.reset();
-            } else if (requestResize(*pendingTarget_)) {
-                pendingTarget_.reset();
-            } else {
-                ++statDeferred_;
-            }
+            ++statDeferred_;
         }
     }
 
@@ -261,127 +231,99 @@ ResizeController::epochTick()
         eq_.scheduleAfter(epochEvent_, config_.policy.epoch);
 }
 
-void
-ResizeController::qosTick(const ResizeEpochStats &epoch)
+std::pair<std::uint64_t, std::uint64_t>
+ResizeController::tenantDemand(TenantId t) const
 {
-    const std::uint32_t n = tenants_->numTenants();
-
-    // Per-tenant demand deltas, kept current every epoch (even while
-    // settling) so a post-transition decision sees one epoch's worth.
-    std::vector<TenantEpochStats> ts(n);
-    for (std::uint32_t t = 0; t < n; ++t) {
-        std::uint64_t acc = 0;
-        std::uint64_t mis = 0;
-        for (auto &d : domains_) {
-            acc += d->host().demandAccessesOf(static_cast<TenantId>(t));
-            mis += d->host().demandMissesOf(static_cast<TenantId>(t));
-        }
-        ts[t].accesses = acc - prevTenantAccesses_[t];
-        ts[t].misses = mis - prevTenantMisses_[t];
-        prevTenantAccesses_[t] = acc;
-        prevTenantMisses_[t] = mis;
+    std::uint64_t accesses = 0;
+    std::uint64_t misses = 0;
+    for (const auto &d : domains_) {
+        accesses += d->host().demandAccessesOf(t);
+        misses += d->host().demandMissesOf(t);
     }
-
-    // Like the incremental scalar policies: decisions made from
-    // mid-transition measurements are transitional — hold.
-    const bool settling = resizeInProgress() || holdEpochs_ > 0;
-    if (holdEpochs_ > 0)
-        --holdEpochs_;
-    if (settling)
-        return;
-
-    std::vector<std::uint32_t> owned(n);
-    for (std::uint32_t t = 0; t < n; ++t)
-        owned[t] = slicesOwnedBy(static_cast<TenantId>(t));
-
-    const QosDecision d =
-        qos_->decide(ts, epoch, owned, activeSlices(), totalSlices());
-    if (spans_ && !d.empty()) {
-        spans_->controlInstant(
-            spanTrack_, "qos_decision", eq_.now(),
-            {{"reason", qosReasonName(d.reason)},
-             {"donor", static_cast<std::uint32_t>(d.donor)},
-             {"receiver", static_cast<std::uint32_t>(d.receiver)}});
-    }
-    if (telem_ && !d.empty()) {
-        if (d.targetActive.has_value()) {
-            telem_->event("qos_resize",
-                          {{"from", activeSlices()},
-                           {"to", *d.targetActive},
-                           {"donor", d.donor},
-                           {"receiver", d.receiver},
-                           {"reason", qosReasonName(d.reason)},
-                           {"watts", epoch.avgPowerWatts},
-                           {"capWatts", config_.policy.powerCapWatts}});
-        } else if (d.reassign()) {
-            telem_->event("qos_reassign",
-                          {{"donor", d.donor},
-                           {"receiver", d.receiver},
-                           {"reason", qosReasonName(d.reason)}});
-        }
-    }
-    if (d.targetActive.has_value())
-        requestResize(*d.targetActive, d.donor, d.receiver);
-    else if (d.reassign())
-        requestReassign(d.donor, d.receiver);
+    return {accesses, misses};
 }
 
-std::function<void()>
-ResizeController::transitionDone(Counter &completions,
-                                 const char *traceEvent,
-                                 bool capacityLoss)
+bool
+ResizeController::apply(const ResizeDecision &d)
 {
-    return [this, &completions, traceEvent, capacityLoss] {
-        sim_assert(pendingDomains_ > 0, "stray drain completion");
-        if (--pendingDomains_ == 0) {
-            ++completions;
-            if (capacityLoss) {
-                // The drained slices' pages are gone, but their FBR
-                // counters would still outrank every newcomer: let
-                // the host decay them so the survivors re-earn their
-                // residency against re-admission candidates.
-                for (auto &d : domains_)
-                    d->host().onCapacityLoss();
-            }
-            // Entitlements may have moved with the slices.
-            pushQosShares();
-            if (telem_) {
-                telem_->event(traceEvent,
-                              {{"activeSlices", activeSlices()},
-                               {"pagesMigrated", pagesMigrated()},
-                               {"tagBufferStalls", tagBufferStalls()}});
-            }
-            if (spans_) {
-                spans_->controlEnd(
-                    spanTrack_, eq_.now(),
-                    {{"activeSlices", activeSlices()},
-                     {"pagesMigrated", pagesMigrated()},
-                     {"tagBufferStalls", tagBufferStalls()}});
-                // Quota marks on every tenant track: the commit is
-                // when a reassigned slice actually changes hands.
-                for (std::uint32_t t = 0; t < tenantSpanTracks_.size();
-                     ++t) {
-                    spans_->controlInstant(
-                        tenantSpanTracks_[t], "quota", eq_.now(),
-                        {{"slices",
-                          slicesOwnedBy(static_cast<TenantId>(t))}});
-                }
-            }
-            holdEpochs_ = kSettleEpochs;
-            // Reseed the running average: samples taken under the
-            // old slice layout (and the drain's migration bursts)
-            // would otherwise dominate the slow EWMA for ~1/alpha
-            // epochs and drive redundant decisions.
-            ewmaValid_ = false;
-            if (power_) {
-                power_->setGatedSliceFraction(
-                    gatedFractionFor(activeSlices()), eq_.now());
-            }
-            // Fold the transition's remaps into the PTEs promptly
-            // so TLBs reconverge on the new layout.
-            os_.requestResizeCommit();
-        }
-    };
+    return d.targetActive
+               ? requestResize(*d.targetActive, d.donor, d.receiver)
+               : requestReassign(d.donor, d.receiver);
+}
+
+void
+ResizeController::trace(Mark mark, const char *name,
+                        std::initializer_list<TraceField> fields)
+{
+    if (telem_) {
+        static constexpr const char *kSuffix[] = {"", "_start", "_commit"};
+        telem_->event(
+            (name + std::string(kSuffix[static_cast<int>(mark)])).c_str(),
+            fields);
+    }
+    if (!spans_)
+        return;
+    switch (mark) {
+    case Mark::Instant:
+        spans_->controlInstant(spanTrack_, name, eq_.now(), fields);
+        break;
+    case Mark::Begin:
+        spans_->controlBegin(spanTrack_, name, eq_.now(), fields);
+        break;
+    case Mark::End:
+        spans_->controlEnd(spanTrack_, eq_.now(), fields);
+        break;
+    }
+}
+
+void
+ResizeController::startTransition(
+    const char *kind, Counter &completions,
+    std::initializer_list<TraceField> fields,
+    const std::function<void(ResizeDomain &, std::function<void()>)>
+        &startDomain)
+{
+    trace(Mark::Begin, kind, fields);
+    pendingDomains_ = static_cast<std::uint32_t>(domains_.size());
+    for (auto &d : domains_) {
+        startDomain(*d, [this, &completions, kind] {
+            sim_assert(pendingDomains_ > 0, "stray drain completion");
+            if (--pendingDomains_ == 0)
+                commitTransition(completions, kind);
+        });
+    }
+}
+
+void
+ResizeController::commitTransition(Counter &completions, const char *kind)
+{
+    ++completions;
+    // Entitlements may have moved with the slices.
+    pushQosShares();
+    trace(Mark::End, kind,
+          {{"activeSlices", activeSlices()},
+           {"pagesMigrated", pagesMigrated()},
+           {"tagBufferStalls", tagBufferStalls()}});
+    // Quota marks on every tenant track: the commit is when a
+    // reassigned slice actually changes hands.
+    for (std::uint32_t t = 0; t < tenantSpanTracks_.size(); ++t) {
+        spans_->controlInstant(
+            tenantSpanTracks_[t], "quota", eq_.now(),
+            {{"slices", slicesOwnedBy(static_cast<TenantId>(t))}});
+    }
+    holdEpochs_ = kSettleEpochs;
+    // Reseed the running average: samples taken under the old slice
+    // layout (and the drain's migration bursts) would otherwise
+    // dominate the slow EWMA for ~1/alpha epochs and drive redundant
+    // decisions.
+    ewmaValid_ = false;
+    if (power_) {
+        power_->setGatedSliceFraction(gatedFractionFor(activeSlices()),
+                                      eq_.now());
+    }
+    // Fold the transition's remaps into the PTEs promptly so TLBs
+    // reconverge on the new layout.
+    os_.requestResizeCommit();
 }
 
 bool
@@ -395,23 +337,6 @@ ResizeController::requestResize(std::uint32_t targetSlices, TenantId donor,
     ++statStarted_;
     inform("resize: %u -> %u active slices (%s)", activeSlices(),
            targetSlices, resizeStrategyName(config_.strategy));
-    if (telem_) {
-        telem_->event("resize_start",
-                      {{"from", activeSlices()},
-                       {"to", targetSlices},
-                       {"strategy", resizeStrategyName(config_.strategy)},
-                       {"donor", donor},
-                       {"receiver", receiver}});
-    }
-    if (spans_) {
-        spans_->controlBegin(
-            spanTrack_, "resize", eq_.now(),
-            {{"from", activeSlices()},
-             {"to", targetSlices},
-             {"strategy", resizeStrategyName(config_.strategy)},
-             {"donor", static_cast<std::uint32_t>(donor)},
-             {"receiver", static_cast<std::uint32_t>(receiver)}});
-    }
 
     // Growing? The incoming slices must power up (and refresh) before
     // any data lands in them. Shrinking slices stay powered until the
@@ -421,13 +346,16 @@ ResizeController::requestResize(std::uint32_t targetSlices, TenantId donor,
                                       eq_.now());
     }
 
-    const bool capacityLoss = targetSlices < activeSlices();
-    pendingDomains_ = static_cast<std::uint32_t>(domains_.size());
-    for (auto &d : domains_)
-        d->resizeTo(targetSlices,
-                    transitionDone(statCompleted_, "resize_commit",
-                                   capacityLoss),
-                    donor, receiver);
+    startTransition("resize", statCompleted_,
+                    {{"from", activeSlices()},
+                     {"to", targetSlices},
+                     {"strategy", resizeStrategyName(config_.strategy)},
+                     {"donor", donor},
+                     {"receiver", receiver}},
+                    [&](ResizeDomain &d, std::function<void()> done) {
+                        d.resizeTo(targetSlices, std::move(done), donor,
+                                   receiver);
+                    });
     return true;
 }
 
@@ -451,18 +379,14 @@ ResizeController::requestReassign(TenantId donor, TenantId receiver)
     if (slice >= totalSlices())
         return false;
     inform("qos: slice %u moves tenant %u -> %u", slice, donor, receiver);
-    if (spans_) {
-        spans_->controlBegin(
-            spanTrack_, "reassign", eq_.now(),
-            {{"slice", slice},
-             {"donor", static_cast<std::uint32_t>(donor)},
-             {"receiver", static_cast<std::uint32_t>(receiver)}});
-    }
 
-    pendingDomains_ = static_cast<std::uint32_t>(domains_.size());
-    for (auto &d : domains_)
-        d->reassignSlice(slice, receiver,
-                         transitionDone(statReassigns_, "reassign_commit"));
+    startTransition("reassign", statReassigns_,
+                    {{"slice", slice},
+                     {"donor", donor},
+                     {"receiver", receiver}},
+                    [&](ResizeDomain &d, std::function<void()> done) {
+                        d.reassignSlice(slice, receiver, std::move(done));
+                    });
     return true;
 }
 

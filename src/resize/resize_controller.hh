@@ -3,13 +3,16 @@
  * System-wide coordination of DRAM-cache resizing.
  *
  * The controller owns one ResizeDomain per memory controller and an
- * epoch clock on the event queue. Every epoch it samples the demand
- * counters (and, when a power model is attached, the in-package
- * device's epoch power), asks the ResizePolicy for a target, and —
- * when one comes back — starts the transition on every domain
- * simultaneously (the slice layout must stay identical across
- * controllers because pages stripe over them). It also bridges the OS
- * cooperation loop: when a batch PTE update completes, stalled
+ * epoch clock on the event queue. Every epoch runs one path: measure
+ * (the in-package device's smoothed power when a power model is
+ * attached, each tenant's demand delta and slice ownership when
+ * tenants are), settle, ask the ResizePolicy for a decision, and
+ * apply it — starting the transition on every domain simultaneously
+ * (the slice layout must stay identical across controllers because
+ * pages stripe over them). Each adopted decision, each transition
+ * start and each commit is rendered once, from one field list, to
+ * both the JSONL trace and the Chrome "resize" track. It also bridges
+ * the OS cooperation loop: when a batch PTE update completes, stalled
  * migration engines are kicked so the drain resumes immediately
  * instead of waiting out its back-off.
  *
@@ -25,9 +28,12 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/event_queue.hh"
@@ -37,7 +43,7 @@
 #include "resize/resize_config.hh"
 #include "resize/resize_domain.hh"
 #include "resize/resize_policy.hh"
-#include "tenant/qos_arbiter.hh"
+#include "telemetry/trace_sink.hh"
 #include "tenant/tenant_map.hh"
 
 namespace banshee {
@@ -58,7 +64,7 @@ class ResizeController
     /**
      * Attach the in-package device's power model: deactivated slices
      * gate their share of background/refresh power, and epoch power
-     * readings feed the PowerCap policy. Optional — without it,
+     * readings feed the power-cap rule. Optional — without it,
      * resizing works but saves no modeled energy. Re-attaching (or
      * attaching mid-run) reseeds the epoch-power baseline from the
      * model's current accumulators, so the first epoch reading is the
@@ -68,15 +74,14 @@ class ResizeController
     void attachPowerModel(DramPowerModel *power);
 
     /**
-     * Multi-tenant runs: attach the tenant map. When the policy kind
-     * is Qos this builds the arbiter over the map's quota weights.
-     * Non-const: runtime quota changes (setTenantWeights) write the
-     * map so reporting stays in step with arbitration.
+     * Multi-tenant runs: attach the tenant map. Its quota weights are
+     * what Kind::Qos arbitrates toward, read every epoch. Non-const:
+     * runtime quota changes (setTenantWeights) write the map.
      */
-    void attachTenants(TenantMap *tenants);
+    void attachTenants(TenantMap *tenants) { tenants_ = tenants; }
 
-    /** Runtime quota change: the QoS arbiter rebalances toward the
-     *  new weights over the following epochs. */
+    /** Runtime quota change: Kind::Qos rebalances toward the new
+     *  weights over the following epochs. */
     void setTenantWeights(const std::vector<double> &weights);
 
     /**
@@ -88,16 +93,16 @@ class ResizeController
      */
     void attachQosDevice(DramModel *dev);
 
-    /** Attach (or detach with nullptr) the trace-event sink: resize
-     *  targets, cap sheds, QoS decisions and commits are logged. */
+    /** Attach (or detach with nullptr) the trace-event sink: adopted
+     *  decisions, transition starts and commits are logged. */
     void attachTelemetry(Telemetry *telem) { telem_ = telem; }
 
     /**
-     * Attach span tracing: transitions become begin/end spans on a
-     * "resize" control track, each domain's drain batches land on
-     * their own "migration.<i>" track, and per-tenant quota changes
-     * are marked on "tenant.<name>" tracks. Call after addHost and
-     * attachTenants. Null = off.
+     * Attach span tracing: decisions become instants and transitions
+     * begin/end spans on a "resize" control track, each domain's
+     * drain batches land on their own "migration.<i>" track, and
+     * per-tenant quota changes are marked on "tenant.<name>" tracks.
+     * Call after addHost and attachTenants. Null = off.
      */
     void attachSpanTrace(PageJournal *spans);
 
@@ -108,7 +113,7 @@ class ResizeController
         return domains_.empty() ? 0 : domains_[0]->slicesOwnedBy(t);
     }
 
-    /** Smoothed epoch power the cap policy sees (tests). */
+    /** Smoothed epoch power the cap rule sees (tests). */
     double epochPowerEwmaWatts() const { return ewmaPowerWatts_; }
 
     std::size_t numDomains() const { return domains_.size(); }
@@ -131,7 +136,7 @@ class ResizeController
 
     /** Move one of @p donor's slices to @p receiver (QoS decision or
      *  external quota manager). Returns false when busy or the donor
-     *  owns nothing. */
+     *  is at its slice floor. */
     bool requestReassign(TenantId donor, TenantId receiver);
 
     bool resizeInProgress() const { return pendingDomains_ > 0; }
@@ -172,18 +177,46 @@ class ResizeController
     StatSet &stats() { return stats_; }
 
   private:
+    /** Where a control record lands on the Chrome "resize" track. */
+    enum class Mark : std::uint8_t
+    {
+        Instant, ///< a decision
+        Begin,   ///< a transition starts
+        End      ///< the open transition commits
+    };
+
     void epochTick();
 
-    /** Run the QoS arbiter for this epoch and apply its decision. */
-    void qosTick(const ResizeEpochStats &epoch);
+    /** Demand accesses and misses of tenant @p t, summed over all
+     *  domains since the run started. */
+    std::pair<std::uint64_t, std::uint64_t> tenantDemand(TenantId t) const;
 
-    /** Completion callback shared by resizes and reassignments;
-     *  @p traceEvent names the commit event in the telemetry trace.
-     *  @p capacityLoss marks a shrink: hosts are told so they can
-     *  unfreeze replacement state (FBR decay). */
-    std::function<void()> transitionDone(Counter &completions,
-                                         const char *traceEvent,
-                                         bool capacityLoss = false);
+    /** Start the decision's resize or reassignment. */
+    bool apply(const ResizeDecision &d);
+
+    /**
+     * The one emitter of control records: renders @p fields to the
+     * JSONL trace as event @p name (a Begin as "<name>_start", an End
+     * as "<name>_commit") and to the Chrome "resize" track as an
+     * instant, span begin or span end.
+     */
+    void trace(Mark mark, const char *name,
+               std::initializer_list<TraceField> fields);
+
+    /**
+     * Start a transition of @p kind ("resize" or "reassign") on every
+     * domain: trace its start with @p fields, then hand each domain to
+     * @p startDomain with the callback its drain calls when done.
+     */
+    void startTransition(
+        const char *kind, Counter &completions,
+        std::initializer_list<TraceField> fields,
+        const std::function<void(ResizeDomain &, std::function<void()>)>
+            &startDomain);
+
+    /** The last domain drained: count the commit in @p completions,
+     *  trace it, and settle. */
+    void commitTransition(Counter &completions, const char *kind);
 
     /** Recompute tenant entitlement shares and push them to the QoS
      *  device (no-op without one). */
@@ -208,7 +241,6 @@ class ResizeController
     std::vector<std::uint32_t> tenantSpanTracks_;
     TenantMap *tenants_ = nullptr;
     DramModel *qosDev_ = nullptr;
-    std::unique_ptr<QosArbiterPolicy> qos_;
     std::vector<std::unique_ptr<ResizeDomain>> domains_;
 
     std::uint64_t epochIndex_ = 0;
@@ -216,26 +248,25 @@ class ResizeController
     /** The controller's epoch clock; re-armed each epochTick(). */
     TickEvent epochEvent_{[this] { epochTick(); }};
     std::uint32_t pendingDomains_ = 0;
-    /** Policy target awaiting an idle engine (deferred, not dropped). */
-    std::optional<std::uint32_t> pendingTarget_;
-    std::uint64_t prevAccesses_ = 0;
-    std::uint64_t prevMisses_ = 0;
+    /** Schedule decision awaiting an idle engine (deferred, not
+     *  dropped). */
+    std::optional<ResizeDecision> pending_;
     std::array<std::uint64_t, kTenantBuckets> prevTenantAccesses_{};
     std::array<std::uint64_t, kTenantBuckets> prevTenantMisses_{};
     double prevTotalPJ_ = 0.0;
     double prevBgRefPJ_ = 0.0;
     /** Running (exponentially smoothed) epoch power — the reading the
-     *  PowerCap policy sees. Replacement traffic arrives in bursts
+     *  power-cap rule sees. Replacement traffic arrives in bursts
      *  (tag-buffer fill -> batch PTE commit cadence), so the smoothing
      *  window must span several bursts or the policy would track the
      *  inter-burst baseline and flap across the cap. */
     double ewmaPowerWatts_ = 0.0;
     bool ewmaValid_ = false;
     static constexpr double kPowerEwmaAlpha = 0.1;
-    /** Incremental-policy settling time: epochs to hold decisions
-     *  after a transition completes. The EWMA is reseeded at
-     *  completion, so the hold only needs to gather a couple of
-     *  post-transition samples before deciding again. */
+    /** Settling time of the incremental kinds (PowerCap, Qos): epochs
+     *  to hold decisions after a transition completes. The EWMA is
+     *  reseeded at completion, so the hold only needs to gather a
+     *  couple of post-transition samples before deciding again. */
     std::uint64_t holdEpochs_ = 0;
     static constexpr std::uint64_t kSettleEpochs = 2;
 

@@ -82,11 +82,11 @@ ResizeDomain::resizeTo(std::uint32_t targetActive,
         // Two passes: the donor's slices first (QoS shed), then any
         // active slice, both highest-id first for determinism. In a
         // partitioned layout the unrestricted pass still respects a
-        // one-slice floor per tenant: a scalar policy (PowerCap,
-        // Adaptive) composed with quotas must not deactivate a
-        // tenant's last slice — that would silently void its quota
-        // through the sliceOf cross-tenant fallback. The shrink then
-        // simply stops short of the target.
+        // one-slice floor per tenant: a tenant-blind decision (a
+        // schedule step or a PowerCap shed) composed with quotas must
+        // not deactivate a tenant's last slice — that would silently
+        // void its quota through the sliceOf cross-tenant fallback.
+        // The shrink then simply stops short of the target.
         auto deactivate = [&](TenantId owner) {
             for (std::uint32_t s = mapper_.numSlices();
                  s-- > 0 && mapper_.activeSlices() > targetActive;) {

@@ -62,10 +62,6 @@ class ResizeHost
      *  once the subsystem is built. */
     virtual void attachResizeDomain(ResizeDomain *domain) = 0;
 
-    // Demand statistics feeding the resize policy.
-    virtual std::uint64_t demandAccesses() const = 0;
-    virtual std::uint64_t demandMisses() const = 0;
-
     // Per-tenant demand statistics feeding the QoS arbiter. Hosts
     // without tenant tracking report zero.
     virtual std::uint64_t
@@ -90,15 +86,6 @@ class ResizeHost
         (void)page;
         return kNoTenant;
     }
-
-    /**
-     * A shrink transition just committed: the drained slices' pages
-     * are gone for good. Hosts with frequency-based replacement decay
-     * their counters here — otherwise the stale resident set's
-     * accumulated counts keep every re-admission candidate below the
-     * anti-churn threshold and recovery crawls. Default: nothing.
-     */
-    virtual void onCapacityLoss() {}
 
     /** Test hook: assert directory / page-table / slice consistency. */
     virtual void verifyResidencyConsistent() = 0;

@@ -216,21 +216,8 @@ System::System(const SystemConfig &config) : config_(config)
     // quota weights now; resize commits re-push shares as slices
     // change hands (attachQosDevice pushes the partition-based split).
     if (config.mem.inPkgSched.qos && mem_->inPkg()) {
-        if (tenants_) {
-            const std::uint32_t n = std::min<std::uint32_t>(
-                tenants_->numTenants(), kMaxTenants);
-            double wsum = 0.0;
-            for (std::uint32_t t = 0; t < n; ++t)
-                wsum += tenants_->weight(static_cast<TenantId>(t));
-            if (wsum > 0.0) {
-                std::array<double, kMaxTenants> shares{};
-                for (std::uint32_t t = 0; t < n; ++t) {
-                    shares[t] =
-                        tenants_->weight(static_cast<TenantId>(t)) / wsum;
-                }
-                mem_->inPkg()->setQosShares(shares);
-            }
-        }
+        if (tenants_)
+            mem_->inPkg()->setQosShares(tenants_->weightShares());
         if (resize_)
             resize_->attachQosDevice(mem_->inPkg());
     }

@@ -131,7 +131,8 @@ struct SystemConfig
 
     /**
      * Enable resizing driven by an in-package power cap of @p watts
-     * (PowerCapPolicy), never shrinking below @p minSlices.
+     * (ResizePolicyConfig::Kind::PowerCap), never shrinking below
+     * @p minSlices.
      */
     SystemConfig &withPowerCap(double watts, std::uint32_t minSlices = 1);
 

@@ -26,7 +26,8 @@
  *   pid 2 "channels" — one tid per DRAM channel: async "queue" +
  *                      "service" slices per request touching a
  *                      sampled page (arrival->busStart->complete).
- *   pid 3 "control"  — resize/reassign transitions (B/E), migration
+ *   pid 3 "control"  — resize decisions (instants) and
+ *                      resize/reassign transitions (B/E), migration
  *                      drain batches (X), per-tenant quota instants.
  *
  * scripts/spans_to_perfetto.py validates and summarizes the output.

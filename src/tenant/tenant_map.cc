@@ -62,14 +62,13 @@ TenantMap::share(TenantId t) const
     return tenants_[t].weight / sum;
 }
 
-std::vector<double>
-TenantMap::weights() const
+std::array<double, kMaxTenants>
+TenantMap::weightShares() const
 {
-    std::vector<double> w;
-    w.reserve(tenants_.size());
-    for (const TenantConfig &tc : tenants_)
-        w.push_back(tc.weight);
-    return w;
+    std::array<double, kMaxTenants> shares{};
+    for (std::size_t t = 0; t < tenants_.size(); ++t)
+        shares[t] = share(static_cast<TenantId>(t));
+    return shares;
 }
 
 void

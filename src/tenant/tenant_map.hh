@@ -14,14 +14,16 @@
  *    scan over resident frames, DRAM traffic attribution) can recover
  *    the owner without a core id.
  *
- * Weights double as quota shares for slice apportionment and as the
- * QoS arbiter's entitlement; setWeight models a runtime quota change
- * the arbiter then converges the slice ownership toward.
+ * Weights double as quota shares for slice apportionment, as the QoS
+ * arbiter's entitlement and as the QoS scheduler's bandwidth shares;
+ * setWeight models a runtime quota change the arbiter then converges
+ * the slice ownership toward.
  */
 
 #ifndef BANSHEE_TENANT_TENANT_MAP_HH
 #define BANSHEE_TENANT_TENANT_MAP_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -52,7 +54,9 @@ class TenantMap
     /** Normalized quota share of @p t (weights sum to 1). */
     double share(TenantId t) const;
 
-    std::vector<double> weights() const;
+    /** share() of every tenant, indexed by TenantId (0 past the last
+     *  tenant) — the QoS scheduler's bandwidth entitlement. */
+    std::array<double, kMaxTenants> weightShares() const;
 
     /** Runtime quota change; callers re-arbitrate toward it. */
     void setWeight(TenantId t, double weight);

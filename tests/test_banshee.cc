@@ -279,30 +279,6 @@ TEST(BansheeScheme, CounterOverflowHalvesSet)
     EXPECT_GT(s.stats().value("counterOverflows"), 0u);
 }
 
-TEST(BansheeScheme, CapacityLossDecayHalvesCountersOnlyWhenEnabled)
-{
-    // The shrink-commit decay hook (resize satellite): with
-    // fbrDecayOnShrink set, onCapacityLoss() halves every FBR counter
-    // so the slimmer cache's residents re-earn their standing; with
-    // the seed default (off), counters are untouched.
-    for (const bool decay : {false, true}) {
-        SchemeHarness h;
-        BansheeConfig cfg = aggressive();
-        cfg.fbrDecayOnShrink = decay;
-        BansheeScheme s(h.ctx, cfg);
-        FbrDirectory &dir = s.directory();
-        dir.cached(0, 0) = {/*tag=*/7, /*count=*/12, 0, true, false};
-        dir.cached(1, 2) = {/*tag=*/9, /*count=*/5, 0, true, true};
-
-        s.onCapacityLoss();
-        EXPECT_EQ(dir.cached(0, 0).count, decay ? 6u : 12u);
-        EXPECT_EQ(dir.cached(1, 2).count, decay ? 2u : 5u);
-        // Residency and dirtiness survive the decay untouched.
-        EXPECT_TRUE(dir.cached(0, 0).valid);
-        EXPECT_TRUE(dir.cached(1, 2).dirty);
-    }
-}
-
 // ------------------------------------------------------------------
 // Per-core mapping memo (setOfMemo)
 // ------------------------------------------------------------------

@@ -2,16 +2,22 @@
  * @file
  * Power subsystem tests: DramPowerModel energy identities (dynamic
  * energy monotone in traffic, background/refresh proportional to the
- * ungated slice fraction, piecewise gating integration), PowerCapPolicy
- * convergence under a step change in the cap, and end-to-end checks
- * that a shrink gates background/refresh power on the full machine.
+ * ungated slice fraction, piecewise gating integration), the PowerCap
+ * resize policy's convergence under a step change in the cap, and
+ * end-to-end checks that a shrink gates background/refresh power on
+ * the full machine and that a capped run logs each decision once.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <string>
+#include <vector>
+
 #include "common/units.hh"
-#include "power/power_cap_policy.hh"
 #include "power/power_model.hh"
+#include "resize/resize_policy.hh"
 #include "sim/system.hh"
 #include "sim/system_config.hh"
 
@@ -136,7 +142,7 @@ TEST(DramPowerModel, ResetStatsRestartsIntegrationButKeepsGating)
 }
 
 // ------------------------------------------------------------------
-// PowerCapPolicy
+// ResizePolicy, Kind::PowerCap
 // ------------------------------------------------------------------
 
 /** Epoch stats for a synthetic device: fixed dynamic power plus a
@@ -146,14 +152,12 @@ syntheticEpoch(double dynamicWatts, double perSliceWatts,
                std::uint32_t active)
 {
     ResizeEpochStats s;
-    s.accesses = 100'000;
-    s.misses = 10'000;
     s.bgRefreshWatts = perSliceWatts * active;
     s.avgPowerWatts = dynamicWatts + s.bgRefreshWatts;
     return s;
 }
 
-TEST(PowerCapPolicy, ConvergesUnderStepChangeInCap)
+TEST(ResizePolicy, PowerCapConvergesUnderStepChangeInCap)
 {
     ResizePolicyConfig config;
     config.kind = ResizePolicyConfig::Kind::PowerCap;
@@ -168,21 +172,22 @@ TEST(PowerCapPolicy, ConvergesUnderStepChangeInCap)
     ResizePolicy policy(config);
     std::uint32_t active = 8;
     for (int epoch = 0; epoch < 12; ++epoch) {
-        const auto t = policy.decide(
+        const ResizeDecision d = policy.decide(
             epoch, syntheticEpoch(dynamic, perSlice, active), active, 8);
-        if (!t.has_value())
+        if (d.empty())
             break;
-        EXPECT_EQ(*t, active - 1) << "sheds exactly one slice per epoch";
-        active = *t;
+        EXPECT_EQ(d.reason, ResizeReason::CapShed);
+        EXPECT_EQ(d.targetActive, std::optional<std::uint32_t>(active - 1))
+            << "sheds exactly one slice per epoch";
+        active = *d.targetActive;
     }
     // 4 + 4*0.5 = 6 W <= 6.2 W: converged at 4 slices, and stays put.
     EXPECT_EQ(active, 4u);
     for (int epoch = 0; epoch < 4; ++epoch) {
-        EXPECT_FALSE(policy.decide(epoch,
-                                   syntheticEpoch(dynamic, perSlice,
-                                                  active),
-                                   active, 8)
-                         .has_value());
+        EXPECT_TRUE(
+            policy.decide(epoch, syntheticEpoch(dynamic, perSlice, active),
+                          active, 8)
+                .empty());
     }
 
     // Step the cap back up: grows while headroom covers a slice's
@@ -191,17 +196,18 @@ TEST(PowerCapPolicy, ConvergesUnderStepChangeInCap)
     config.powerCapWatts = 8.0;
     ResizePolicy raised(config);
     for (int epoch = 0; epoch < 12; ++epoch) {
-        const auto t = raised.decide(
+        const ResizeDecision d = raised.decide(
             epoch, syntheticEpoch(dynamic, perSlice, active), active, 8);
-        if (!t.has_value())
+        if (d.empty())
             break;
-        EXPECT_EQ(*t, active + 1);
-        active = *t;
+        EXPECT_EQ(d.reason, ResizeReason::CapGrow);
+        EXPECT_EQ(d.targetActive, std::optional<std::uint32_t>(active + 1));
+        active = *d.targetActive;
     }
     EXPECT_EQ(active, 7u);
 }
 
-TEST(PowerCapPolicy, RespectsFloorAndDisabledCap)
+TEST(ResizePolicy, PowerCapRespectsFloorAndDisabledCap)
 {
     ResizePolicyConfig config;
     config.kind = ResizePolicyConfig::Kind::PowerCap;
@@ -210,28 +216,27 @@ TEST(PowerCapPolicy, RespectsFloorAndDisabledCap)
     ResizePolicy policy(config);
 
     std::uint32_t active = 8;
-    auto t = policy.decide(0, syntheticEpoch(4.0, 0.5, active), active, 8);
-    ASSERT_TRUE(t.has_value());
-    active = *t;
-    t = policy.decide(1, syntheticEpoch(4.0, 0.5, active), active, 8);
-    ASSERT_TRUE(t.has_value());
-    active = *t;
+    ResizeDecision d =
+        policy.decide(0, syntheticEpoch(4.0, 0.5, active), active, 8);
+    ASSERT_TRUE(d.targetActive.has_value());
+    active = *d.targetActive;
+    d = policy.decide(1, syntheticEpoch(4.0, 0.5, active), active, 8);
+    ASSERT_TRUE(d.targetActive.has_value());
+    active = *d.targetActive;
     EXPECT_EQ(active, 6u);
     // At the floor the policy stops even though the cap is exceeded.
-    EXPECT_FALSE(policy.decide(2, syntheticEpoch(4.0, 0.5, active),
-                               active, 8)
-                     .has_value());
+    EXPECT_TRUE(
+        policy.decide(2, syntheticEpoch(4.0, 0.5, active), active, 8)
+            .empty());
 
     // A zero/negative cap disables the policy entirely.
     config.powerCapWatts = 0.0;
     ResizePolicy off(config);
-    EXPECT_FALSE(off.decide(0, syntheticEpoch(4.0, 0.5, 8), 8, 8)
-                     .has_value());
+    EXPECT_TRUE(off.decide(0, syntheticEpoch(4.0, 0.5, 8), 8, 8).empty());
     // No measured background power -> shedding cannot save anything.
     config.powerCapWatts = 1.0;
     ResizePolicy noBg(config);
-    EXPECT_FALSE(noBg.decide(0, syntheticEpoch(4.0, 0.0, 8), 8, 8)
-                     .has_value());
+    EXPECT_TRUE(noBg.decide(0, syntheticEpoch(4.0, 0.0, 8), 8, 8).empty());
 }
 
 // ------------------------------------------------------------------
@@ -326,6 +331,69 @@ TEST(PowerEndToEnd, PowerCapShedsSlicesOnFullMachine)
     EXPECT_LT(r.inPkgBgRefreshPJ() / r.cycles,
               un.inPkgBgRefreshPJ() / un.cycles);
     s.resizeController()->verifyResidencyConsistent();
+}
+
+/** Text of @p line between the end of @p open and its last '}'. */
+std::string
+between(const std::string &line, const std::string &open)
+{
+    const std::size_t from = line.find(open);
+    const std::size_t to = line.rfind('}');
+    if (from == std::string::npos || to == std::string::npos)
+        return "";
+    return line.substr(from + open.size(), to - from - open.size());
+}
+
+TEST(PowerEndToEnd, PowerCapLogsOneDecisionPerStartedTransition)
+{
+    // The capped run of PowerCapShedsSlicesOnFullMachine, traced. A
+    // decision is logged once, on the epoch the controller adopts it:
+    // epochs that settle after a transition log nothing, and both
+    // sinks carry the same decisions with the same fields.
+    const RunResult un = System(powerBase("omnetpp")).run();
+    const std::string jsonl = ::testing::TempDir() + "powercap.jsonl";
+    const std::string chrome =
+        ::testing::TempDir() + "powercap.trace.json";
+    SystemConfig capped = powerBase("omnetpp");
+    capped.withPowerCap(0.75 * un.inPkgAvgPowerWatts, /*minSlices=*/6);
+    capped.withTelemetry(jsonl);
+    capped.withSpanTrace(chrome);
+    std::uint64_t started = 0;
+    {
+        System s(capped);
+        started = s.run().resizesStarted;
+    }
+    ASSERT_GE(started, 1u);
+
+    // Every JSONL record that is not run metadata or an epoch sample
+    // is a decision, a transition start or a commit.
+    std::vector<std::string> logged;
+    std::ifstream telem(jsonl);
+    for (std::string line; std::getline(telem, line);) {
+        const std::string event = between(line, "\"event\": \"");
+        const std::string name = event.substr(0, event.find('"'));
+        if (name == "run_start" || name == "measure_start" ||
+            name == "epoch" || name == "run_end" ||
+            name == "resize_start" || name == "resize_commit") {
+            continue;
+        }
+        EXPECT_EQ(name, "decision") << line;
+        logged.push_back(between(line, "\"event\": \"decision\", "));
+    }
+    EXPECT_EQ(logged.size(), started);
+
+    // The Chrome control track carries the same decisions.
+    std::vector<std::string> marked;
+    std::ifstream spans(chrome);
+    for (std::string line; std::getline(spans, line);) {
+        if (line.find("\"name\": \"decision\"") == std::string::npos)
+            continue;
+        const std::string args = between(line, "\"args\": {");
+        marked.push_back(args.substr(0, args.rfind('}')));
+    }
+    EXPECT_EQ(marked, logged);
+    std::remove(jsonl.c_str());
+    std::remove(chrome.c_str());
 }
 
 } // namespace

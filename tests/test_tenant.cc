@@ -5,7 +5,7 @@
  *  - TenantMap unit behavior: core handout (explicit counts and the
  *    equal split of the leftover), address-region ownership, runtime
  *    weight changes;
- *  - the QoS arbiter as a pure function: entitlement rebalance
+ *  - the Qos resize policy as a pure function: entitlement rebalance
  *    converges after a quota change, pressure lending never takes a
  *    donor below its entitlement floor (quota is a guarantee), and
  *    the power-cap composition sheds from the tenant furthest over
@@ -25,7 +25,7 @@
 #include "common/units.hh"
 #include "sim/system.hh"
 #include "sim/system_config.hh"
-#include "tenant/qos_arbiter.hh"
+#include "resize/resize_policy.hh"
 #include "tenant/tenant_map.hh"
 #include "workload/workloads.hh"
 
@@ -77,12 +77,17 @@ TEST(TenantMap, WeightsNormalizeAndUpdate)
     EXPECT_DOUBLE_EQ(map.share(1), 0.25);
 
     map.setWeight(0, 1.0);
+    EXPECT_DOUBLE_EQ(map.weight(0), 1.0);
     EXPECT_DOUBLE_EQ(map.share(0), 0.5);
-    EXPECT_EQ(map.weights(), (std::vector<double>{1.0, 1.0}));
+    // The QoS scheduler's shares: one per tenant, zero past the last.
+    const auto shares = map.weightShares();
+    EXPECT_DOUBLE_EQ(shares[0], 0.5);
+    EXPECT_DOUBLE_EQ(shares[1], 0.5);
+    EXPECT_EQ(shares[2], 0.0);
 }
 
 // ------------------------------------------------------------------
-// QosArbiterPolicy (pure function)
+// ResizePolicy, Kind::Qos (pure function)
 // ------------------------------------------------------------------
 
 ResizePolicyConfig
@@ -94,89 +99,114 @@ qosConfig()
     return c;
 }
 
-/** Apply reassignment decisions until the arbiter goes quiet. */
+/** An epoch of @p weights.size() tenants owning @p owned slices. */
+ResizeEpochStats
+qosEpoch(const std::vector<double> &weights,
+         const std::vector<std::uint32_t> &owned)
+{
+    ResizeEpochStats e;
+    e.tenants.resize(weights.size());
+    for (std::size_t t = 0; t < weights.size(); ++t) {
+        e.tenants[t].weight = weights[t];
+        e.tenants[t].ownedSlices = owned[t];
+    }
+    return e;
+}
+
+/** Apply transfer decisions until the arbiter goes quiet. */
 int
-settle(const QosArbiterPolicy &qos, std::vector<std::uint32_t> &owned,
-       const std::vector<TenantEpochStats> &stats,
+settle(const ResizePolicy &qos, ResizeEpochStats &epoch,
        std::uint32_t activeSlices, std::uint32_t totalSlices)
 {
     int steps = 0;
     for (; steps < 32; ++steps) {
-        const QosDecision d = qos.decide(stats, ResizeEpochStats{}, owned,
-                                         activeSlices, totalSlices);
+        const ResizeDecision d =
+            qos.decide(0, epoch, activeSlices, totalSlices);
         if (d.empty())
             break;
-        EXPECT_TRUE(d.reassign());
-        --owned[d.donor];
-        ++owned[d.receiver];
+        EXPECT_FALSE(d.targetActive.has_value());
+        --epoch.tenants[d.donor].ownedSlices;
+        ++epoch.tenants[d.receiver].ownedSlices;
     }
     return steps;
 }
 
-TEST(QosArbiter, RebalanceConvergesAfterAQuotaChange)
+std::vector<std::uint32_t>
+ownedSlices(const ResizeEpochStats &epoch)
 {
-    QosArbiterPolicy qos(qosConfig(), {3.0, 1.0});
-    // Layout built for weights 3:1...
-    std::vector<std::uint32_t> owned = {6, 2};
-    std::vector<TenantEpochStats> stats(2);
-
-    // ...no drift while the weights still match.
-    EXPECT_TRUE(qos.decide(stats, ResizeEpochStats{}, owned, 8, 8).empty());
-
-    // Quota change to 1:1: one slice per epoch until 4/4.
-    qos.setWeights({1.0, 1.0});
-    const int steps = settle(qos, owned, stats, 8, 8);
-    EXPECT_EQ(steps, 2);
-    EXPECT_EQ(owned, (std::vector<std::uint32_t>{4, 4}));
+    std::vector<std::uint32_t> owned;
+    for (const TenantEpochStats &t : epoch.tenants)
+        owned.push_back(t.ownedSlices);
+    return owned;
 }
 
-TEST(QosArbiter, LendingStopsAtTheDonorsEntitlementFloor)
+TEST(ResizePolicy, QosRebalanceConvergesAfterAQuotaChange)
 {
-    QosArbiterPolicy qos(qosConfig(), {1.0, 1.0});
-    std::vector<std::uint32_t> owned = {4, 4};
+    ResizePolicy qos(qosConfig());
+    // Layout built for weights 3:1...
+    ResizeEpochStats epoch = qosEpoch({3.0, 1.0}, {6, 2});
+
+    // ...no drift while the weights still match.
+    EXPECT_TRUE(qos.decide(0, epoch, 8, 8).empty());
+
+    // Quota change to 1:1: one slice per epoch until 4/4.
+    epoch.tenants[0].weight = 1.0;
+    EXPECT_EQ(qos.decide(0, epoch, 8, 8).reason, ResizeReason::Rebalance);
+    const int steps = settle(qos, epoch, 8, 8);
+    EXPECT_EQ(steps, 2);
+    EXPECT_EQ(ownedSlices(epoch), (std::vector<std::uint32_t>{4, 4}));
+}
+
+TEST(ResizePolicy, QosLendingStopsAtTheDonorsEntitlementFloor)
+{
+    ResizePolicy qos(qosConfig());
+    ResizeEpochStats epoch = qosEpoch({1.0, 1.0}, {4, 4});
 
     // Tenant 1 thrashes, tenant 0 is demonstrably cold.
-    std::vector<TenantEpochStats> stats(2);
-    stats[0].accesses = 10000;
-    stats[0].misses = 10;
-    stats[1].accesses = 10000;
-    stats[1].misses = 6000;
+    epoch.tenants[0].accesses = 10000;
+    epoch.tenants[0].misses = 10;
+    epoch.tenants[1].accesses = 10000;
+    epoch.tenants[1].misses = 6000;
 
     // One slice may be lent beyond entitlement...
-    const int steps = settle(qos, owned, stats, 8, 8);
+    EXPECT_EQ(qos.decide(0, epoch, 8, 8).reason, ResizeReason::Lend);
+    const int steps = settle(qos, epoch, 8, 8);
     EXPECT_EQ(steps, 1);
-    EXPECT_EQ(owned, (std::vector<std::uint32_t>{3, 5}));
+    EXPECT_EQ(ownedSlices(epoch), (std::vector<std::uint32_t>{3, 5}));
 
     // ...but the donor never drops further below its share, no
     // matter how hard the borrower keeps thrashing: quota holds.
-    EXPECT_TRUE(qos.decide(stats, ResizeEpochStats{}, owned, 8, 8).empty());
+    EXPECT_TRUE(qos.decide(0, epoch, 8, 8).empty());
 }
 
-TEST(QosArbiter, PowerCapShedsFromTheTenantOverQuota)
+TEST(ResizePolicy, QosPowerCapShedsFromTheTenantOverQuota)
 {
     ResizePolicyConfig c = qosConfig();
     c.powerCapWatts = 1.0;
-    QosArbiterPolicy qos(c, {1.0, 1.0});
-
-    ResizeEpochStats total;
-    total.avgPowerWatts = 1.5; // over budget
-    total.bgRefreshWatts = 0.8;
+    ResizePolicy qos(c);
 
     // Tenant 0 sits two slices over its entitlement: it donates.
-    std::vector<TenantEpochStats> stats(2);
-    const QosDecision d =
-        qos.decide(stats, total, {5, 3}, 8, 8);
-    ASSERT_TRUE(d.targetActive.has_value());
-    EXPECT_EQ(*d.targetActive, 7u);
+    ResizeEpochStats epoch = qosEpoch({1.0, 1.0}, {5, 3});
+    epoch.avgPowerWatts = 1.5; // over budget
+    epoch.bgRefreshWatts = 0.8;
+    const ResizeDecision d = qos.decide(0, epoch, 8, 8);
+    EXPECT_EQ(d.reason, ResizeReason::CapShed);
+    EXPECT_EQ(d.targetActive, std::optional<std::uint32_t>(7));
     EXPECT_EQ(d.donor, 0);
 
     // Under budget with margin: the returning slice goes to the
     // larger deficit.
-    total.avgPowerWatts = 0.2;
-    const QosDecision g = qos.decide(stats, total, {2, 4}, 6, 8);
-    ASSERT_TRUE(g.targetActive.has_value());
-    EXPECT_EQ(*g.targetActive, 7u);
+    epoch = qosEpoch({1.0, 1.0}, {2, 4});
+    epoch.avgPowerWatts = 0.2;
+    epoch.bgRefreshWatts = 0.8;
+    const ResizeDecision g = qos.decide(0, epoch, 6, 8);
+    EXPECT_EQ(g.reason, ResizeReason::CapGrow);
+    EXPECT_EQ(g.targetActive, std::optional<std::uint32_t>(7));
     EXPECT_EQ(g.receiver, 0);
+
+    // Without tenants the Qos kind does nothing, cap or not.
+    epoch.tenants.clear();
+    EXPECT_TRUE(qos.decide(0, epoch, 6, 8).empty());
 }
 
 // ------------------------------------------------------------------
