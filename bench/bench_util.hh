@@ -2,7 +2,7 @@
  * @file
  * Shared plumbing for the bench binaries: run-length presets, CLI
  * parsing (--quick / --full / --workloads a,b,c / --json path /
- * --telemetry path / --verbose), and result lookup.
+ * --spans[=N] / --verbose), and result lookup.
  */
 
 #ifndef BANSHEE_BENCH_BENCH_UTIL_HH
@@ -32,8 +32,8 @@ struct BenchOptions
     unsigned threads = 0;
     /** Empty = no JSON output. */
     std::string jsonPath;
-    /** Non-empty when --spans was given: the directory span traces
-     *  land in (one <label>.trace.json per experiment). */
+    /** Non-empty when --spans was given: the directory traces land
+     *  in (one <label>.trace.json per experiment). */
     std::string spansDir;
 };
 
@@ -41,18 +41,18 @@ struct BenchOptions
  * Parse common flags:
  *   --quick          quarter-length runs (CI smoke)
  *   --full           paper-sized system (1 GB cache, long runs)
- *   --workloads a,b  restrict the workload list
+ *   --workloads a,b  restrict the workload list (each name must exist)
  *   --threads N      worker threads
  *   --json path      also emit machine-readable results (BENCH_*.json)
- *   --telemetry path epoch-resolved JSONL trace (telemetry_summary.py);
- *                    a directory path writes one <label>.jsonl per run
- *   --spans[=N]      span tracing into SPANS_<bench>/<label>.trace.json
- *                    with sample shift N (default 6 = 1/64 of pages)
+ *   --spans[=N]      one trace per run, SPANS_<bench>/<label>.trace.json:
+ *                    page/channel spans with sample shift N (default
+ *                    6 = 1/64 of pages), resize decisions and the
+ *                    epoch telemetry timeline (spans_to_perfetto.py)
  *   --verbose / -v   raise log verbosity (also: BANSHEE_LOG env var)
  *
  * Flag order does not matter: the preset (--full or the scaled
- * default) is picked first, then --quick, --telemetry and --spans
- * apply on top of it.
+ * default) is picked first, then --quick and --spans apply on top of
+ * it.
  *
  * @p benchName names the binary in usage/error messages (argv[0] when
  * empty) and the default --spans output directory.
@@ -76,8 +76,7 @@ parseArgs(int argc, char **argv, const std::string &benchName = "",
         std::fprintf(stderr,
                      "usage: %s [--quick] [--full] "
                      "[--workloads a,b,c] [--threads N] [--json path] "
-                     "[--telemetry path] [--spans[=N]] "
-                     "[--verbose|-v]%s\n",
+                     "[--spans[=N]] [--verbose|-v]%s\n",
                      prog.c_str(), extra.c_str());
         std::exit(1);
     };
@@ -92,7 +91,6 @@ parseArgs(int argc, char **argv, const std::string &benchName = "",
     };
     bool quick = false;
     bool full = false;
-    const char *telemetryPath = nullptr;
     int spanShift = -1; // -1 = no --spans
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -113,8 +111,12 @@ parseArgs(int argc, char **argv, const std::string &benchName = "",
                 const std::size_t comma = list.find(',', pos);
                 const std::size_t end =
                     comma == std::string::npos ? list.size() : comma;
-                if (end > pos)
-                    opt.workloads.push_back(list.substr(pos, end - pos));
+                if (end > pos) {
+                    const std::string name = list.substr(pos, end - pos);
+                    if (!WorkloadFactory::exists(name))
+                        usage("unknown workload '" + name + "'");
+                    opt.workloads.push_back(name);
+                }
                 pos = end + 1;
             }
             if (opt.workloads.empty())
@@ -134,8 +136,6 @@ parseArgs(int argc, char **argv, const std::string &benchName = "",
             opt.threads = static_cast<unsigned>(v);
         } else if (arg == "--json" && i + 1 < argc) {
             opt.jsonPath = argv[++i];
-        } else if (arg == "--telemetry" && i + 1 < argc) {
-            telemetryPath = argv[++i];
         } else if (arg == "--spans" ||
                    arg.rfind("--spans=", 0) == 0) {
             // Same strict-parse discipline as --threads: reject
@@ -165,10 +165,11 @@ parseArgs(int argc, char **argv, const std::string &benchName = "",
         opt.base.warmupInstrPerCore /= 4;
         opt.base.measureInstrPerCore /= 4;
     }
-    if (telemetryPath != nullptr)
-        opt.base.withTelemetry(telemetryPath);
     if (spanShift >= 0) {
+        // Telemetry rides along so every trace carries its epoch
+        // timeline next to the spans and decisions.
         opt.spansDir = "SPANS_" + prog;
+        opt.base.withTelemetry();
         opt.base.withSpanTrace(opt.spansDir + "/",
                                static_cast<std::uint32_t>(spanShift));
         std::printf("[spans] tracing 1/%u of pages into %s/ "

@@ -21,11 +21,7 @@ int
 main(int argc, char **argv)
 {
     BenchOptions opt = parseArgs(argc, argv, "ext_large_pages");
-    bool defaultList = true;
-    for (int i = 1; i < argc; ++i)
-        if (std::string(argv[i]) == "--workloads")
-            defaultList = false;
-    if (defaultList)
+    if (!opt.workloadsExplicit)
         opt.workloads = WorkloadFactory::graphNames();
 
     printBanner("Section 5.4.1: 2 MB large pages vs 4 KB pages "

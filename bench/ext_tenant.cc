@@ -234,12 +234,10 @@ main(int argc, char **argv)
         {
             SystemConfig off = opt.base;
             off.withTenants(mixTenants(coresPerTenant));
-            // Telemetry on in both runs (it does not perturb the
-            // simulation — pinned by TracingDoesNotPerturbSimulation)
-            // so the resident tenant's p95 queueing is comparable. An
-            // empty path keeps the JSONL sink off.
-            if (!off.telemetry.enabled)
-                off.withTelemetry("");
+            // Telemetry on in both runs so the resident tenant's p95
+            // queueing is comparable; without --spans it stays in
+            // memory (RunResult::histograms).
+            off.withTelemetry();
             schedExps.push_back({"resident/sched-off", off});
 
             SystemConfig on = off;

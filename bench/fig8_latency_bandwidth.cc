@@ -37,11 +37,7 @@ int
 main(int argc, char **argv)
 {
     BenchOptions opt = parseArgs(argc, argv, "fig8_latency_bandwidth");
-    bool defaultList = true;
-    for (int i = 1; i < argc; ++i)
-        if (std::string(argv[i]) == "--workloads")
-            defaultList = false;
-    if (defaultList) {
+    if (!opt.workloadsExplicit) {
         opt.workloads = {"pagerank", "graph500", "mcf",
                          "lbm", "omnetpp", "libquantum"};
     }

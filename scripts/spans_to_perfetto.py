@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
-"""Validate, summarize or merge Banshee span traces (span_trace.cc).
+"""Validate, summarize or merge Banshee run traces (span_trace.cc).
 
-The simulator already writes Chrome trace-event JSON — a top-level
-array of event objects — so the files load directly in Perfetto
-(ui.perfetto.dev) or chrome://tracing. This script is the tooling
+Each run writes one Chrome trace-event JSON file — a top-level array
+of event objects — that loads directly in Perfetto (ui.perfetto.dev)
+or chrome://tracing: sampled page/channel spans, the control "resize"
+track, run metadata and, with telemetry on, one "metrics" counter plus
+one "epoch" instant per epoch sample. This script is the tooling
 around that:
 
     spans_to_perfetto.py trace.json            # --check + --summary
     spans_to_perfetto.py trace.json --check    # well-formedness gate
     spans_to_perfetto.py trace.json --summary  # queue-vs-service table
+    spans_to_perfetto.py trace.json --timeline [--csv]
+                                               # per-epoch rates + events
     spans_to_perfetto.py a.json b.json --merge out.json
                                                # side-by-side compare
 
@@ -21,11 +25,18 @@ simulator promises:
     order, which is not time order);
   * async events pair: per (pid, cat, id), b and e counts match and
     no e precedes its b;
-  * complete (X) events carry dur >= 0, instants carry scope "t".
+  * complete (X) events carry dur >= 0, instants carry scope "t",
+    counters (C) numeric args with ts non-decreasing per name;
+  * exactly one run_info, measure_start and run_end.
 
 --summary reconstructs the causal story: per-channel queueing vs
 service time, per-page residency, eviction causes, fetch latency —
 split by tenant when tenant ids are present.
+
+--timeline prints one row per epoch (miss rate, watts, active slices,
+per-tenant slices and p95 queue latency), then the resize track
+(decisions, <kind>_start, <kind>_commit) and run_end by cycle. A
+percentile ending in "!" was read from the top bucket of the sample.
 
 Stdlib only (CI runs it next to the bench binaries).
 """
@@ -68,7 +79,7 @@ def check(path, events):
             if key not in ev:
                 bad(i, ev, f"missing {key!r}")
         ph = ev.get("ph")
-        if ph not in ("B", "E", "X", "i", "b", "e", "M"):
+        if ph not in ("B", "E", "X", "i", "b", "e", "M", "C"):
             bad(i, ev, f"unknown phase {ph!r}")
             continue
         if ph != "M" and "ts" not in ev:
@@ -79,6 +90,9 @@ def check(path, events):
             bad(i, ev, "instant without thread scope")
         if ph in ("b", "e") and ("cat" not in ev or "id" not in ev):
             bad(i, ev, "async event without cat/id")
+        if ph == "C" and not all(type(v) in (int, float) for v in
+                                 ev.get("args", {}).values()):
+            bad(i, ev, "counter with a non-numeric arg")
     if problems:
         return problems
 
@@ -132,7 +146,35 @@ def check(path, events):
         if opened != closed:
             problems.append(
                 f"{path}: async {key}: {opened} 'b' vs {closed} 'e'")
+
+    # Counter series: Perfetto plots each name as one track in time.
+    last_ts = {}
+    for ev in events:
+        if ev["ph"] != "C":
+            continue
+        key = (ev["pid"], ev["name"])
+        if key in last_ts and ev["ts"] < last_ts[key]:
+            problems.append(
+                f"{path}: counter {ev['name']!r}: ts {ev['ts']} after "
+                f"{last_ts[key]}")
+        last_ts[key] = ev["ts"]
+
+    for name in ("run_info", "measure_start", "run_end"):
+        n = len(run_events(events, name))
+        if n != 1:
+            problems.append(f"{path}: {n} {name!r} events, want 1")
     return problems
+
+
+def is_run_event(ev, name):
+    """An instant named @name on the control process (run metadata,
+    epoch samples)."""
+    return (ev.get("ph") == "i" and ev.get("pid") == 3
+            and ev.get("name") == name)
+
+
+def run_events(events, name):
+    return [ev for ev in events if is_run_event(ev, name)]
 
 
 def thread_names(events):
@@ -144,18 +186,12 @@ def thread_names(events):
 
 
 def summarize(path, events):
-    names = thread_names(events)
     print(f"== {path} ==")
-    info = next((e for e in events if e.get("name") == "run_info"), None)
-    if info:
+    for info in run_events(events, "run_info"):
         args = info.get("args", {})
         print("  run: " + ", ".join(f"{k}={v}" for k, v in args.items()))
-    tenant_names = {
-        e["args"]["id"]: e["args"]["name"]
-        for e in events
-        if e.get("name") == "tenant" and e.get("ph") == "i"
-        and e.get("pid") == 3 and e.get("tid") == 0
-    }
+    tenant_names = {e["args"]["id"]: e["args"]["name"]
+                    for e in run_events(events, "tenant")}
 
     # Channel tracks (pid 2): queue/service async pairs share one id
     # per request; only the queue 'b' carries the request args
@@ -234,7 +270,125 @@ def summarize(path, events):
     if fetch_n:
         print(f"  fetches: {fetch_n} sampled, "
               f"avg {fetch_us / fetch_n:.3f} us")
-    _ = names  # track names only matter for --merge output
+
+
+def bucket_high(i):
+    """Upper bound (inclusive-exclusive) of log2 bucket i; bucket 0
+    holds the value 0, bucket i >= 1 holds [2^(i-1), 2^i)."""
+    return 0 if i == 0 else (1 << i) - 1
+
+
+def delta_percentile(prev, cur, q):
+    """Percentile of the values recorded *between* two cumulative
+    histogram snapshots (epoch-local distribution), rendered as a
+    string, or None when the epoch recorded nothing. A trailing "!"
+    marks a read from the top bucket of the snapshot's bucket list."""
+    prev_b = (prev or {}).get("buckets", [])
+    cur_b = cur.get("buckets", [])
+    deltas = []
+    for i, c in enumerate(cur_b):
+        p = prev_b[i] if i < len(prev_b) else 0
+        deltas.append(c - p)
+    total = sum(deltas)
+    if total <= 0:
+        return None
+    target = max(1, int(q * total + 0.9999999))
+    seen = 0
+    for i, d in enumerate(deltas):
+        seen += d
+        if seen >= target:
+            val = min(bucket_high(i), cur.get("max", bucket_high(i)))
+            mark = "!" if i == len(cur_b) - 1 else ""
+            return f"{val}{mark}"
+    return f"{bucket_high(len(deltas) - 1)}!"
+
+
+def timeline(path, events, csv):
+    """Per-epoch rate table and event list of one run."""
+    info = run_events(events, "run_info")
+    info = info[0].get("args", {}) if info else {}
+    run = info.get("label") or path
+    freq_hz = info.get("coreFreqHz", 0.0)
+    # Each sample is a "metrics" counter followed by its "epoch"
+    # instant; pair them in file order.
+    metrics = [ev.get("args", {}) for ev in events
+               if ev.get("ph") == "C" and ev.get("name") == "metrics"]
+    epochs = [dict(ev.get("args", {}), metrics=m)
+              for ev, m in zip(run_events(events, "epoch"), metrics)]
+    if len(epochs) < 2:
+        print(f"== {run}: fewer than two epoch samples, no timeline")
+        return
+
+    tenants = [ev["args"]["name"] for ev in
+               sorted(run_events(events, "tenant"),
+                      key=lambda ev: ev["args"]["id"])]
+    cols = ["epoch", "cycle", "missRate", "W", "activeSlices"]
+    for t in tenants:
+        cols += [f"{t}.slices", f"{t}.p95qlat"]
+
+    rows = []
+    for prev, cur in zip(epochs, epochs[1:]):
+        pm, cm = prev["metrics"], cur["metrics"]
+
+        def d(name):
+            return cm.get(name, 0.0) - pm.get(name, 0.0)
+
+        acc = d("dramAccesses")
+        miss_rate = d("dramMisses") / acc if acc > 0 else 0.0
+        dcycles = cur["cycle"] - prev["cycle"]
+        watts = ""
+        if freq_hz > 0 and dcycles > 0 and "inPkgEnergyPJ" in cm:
+            ns = dcycles * 1e9 / freq_hz
+            watts = f"{d('inPkgEnergyPJ') / ns * 1e-3:.3f}"
+        row = [str(cur["epoch"]), str(cur["cycle"]),
+               f"{miss_rate:.4f}", watts,
+               f"{cm['activeSlices']:.0f}" if "activeSlices" in cm
+               else ""]
+        for t in tenants:
+            slices = cm.get(f"tenant.{t}.slices")
+            row.append("" if slices is None else f"{slices:.0f}")
+            p95 = delta_percentile(
+                prev["hists"].get(f"tenant.{t}.queueLat"),
+                cur["hists"].get(f"tenant.{t}.queueLat", {}), 0.95)
+            row.append("" if p95 is None else p95)
+        rows.append(row)
+
+    if csv:
+        print(",".join(["run"] + cols))
+        for row in rows:
+            print(",".join([run] + row))
+        return
+
+    print(f"== {run}")
+    widths = [max(len(c), max(len(r[i]) for r in rows))
+              for i, c in enumerate(cols)]
+    print("  " + "  ".join(c.ljust(w) for c, w in zip(cols, widths)))
+    for row in rows:
+        print("  " + "  ".join(v.ljust(w) for v, w in zip(row, widths)))
+
+    # The resize track (a B opens "<kind>_start", its E is the
+    # "<kind>_commit"; a span the run ended inside has no commit) and
+    # run_end, by cycle.
+    resize = {tid for (pid, tid), name in thread_names(events).items()
+              if pid == 3 and name == "resize"}
+    suffix = {"i": "", "B": "_start", "E": "_commit"}
+    lines = []
+    for ev in events:
+        args = ev.get("args", {})
+        on_resize = ev.get("pid") == 3 and ev.get("tid") in resize
+        if on_resize and ev["ph"] in suffix and "truncated" not in args:
+            name = ev["name"] + suffix[ev["ph"]]
+        elif is_run_event(ev, "run_end"):
+            name = "run_end"
+        else:
+            continue
+        cycle = round(ev["ts"] * freq_hz / 1e6)
+        lines.append(f"    cycle {cycle:>12}  {name:<16} "
+                     + " ".join(f"{k}={v}" for k, v in args.items()))
+    if lines:
+        print("  events:")
+        print("\n".join(lines))
+    print()
 
 
 def merge(paths, out):
@@ -273,10 +427,20 @@ def main():
                     help="print per-channel / per-tenant tables only")
     ap.add_argument("--merge", metavar="OUT",
                     help="write one merged Perfetto file")
+    ap.add_argument("--timeline", action="store_true",
+                    help="print per-epoch rates and the resize events")
+    ap.add_argument("--csv", action="store_true",
+                    help="emit the --timeline rows as CSV")
     args = ap.parse_args()
+    if args.csv and not args.timeline:
+        ap.error("--csv needs --timeline")
 
     if args.merge:
         merge(args.traces, args.merge)
+        return
+    if args.timeline:
+        for path in args.traces:
+            timeline(path, load(path), args.csv)
         return
 
     do_check = args.check or not args.summary

@@ -5,8 +5,7 @@
 namespace banshee {
 
 Cache::Cache(const CacheParams &params)
-    : ways_(params.ways), policy_(params.policy),
-      randState_(0x853c49e6748fea9bull), stats_(params.name),
+    : ways_(params.ways), stats_(params.name),
       statHits_(stats_.counter("hits")),
       statMisses_(stats_.counter("misses")),
       statEvictions_(stats_.counter("evictions")),
@@ -53,8 +52,7 @@ Cache::lookup(LineAddr line, bool isWrite)
         return false;
     }
     ++statHits_;
-    if (policy_ == ReplPolicy::Lru)
-        l->stamp = stampCounter_++;
+    l->stamp = stampCounter_++;
     if (isWrite)
         l->dirty = true;
     return true;
@@ -83,20 +81,11 @@ Cache::insert(LineAddr line, bool dirty, std::uint64_t meta)
 
     Victim victim;
     if (!slot) {
-        if (policy_ == ReplPolicy::Random) {
-            // xorshift for repeatable victim picks without an Rng dep.
-            randState_ ^= randState_ << 13;
-            randState_ ^= randState_ >> 7;
-            randState_ ^= randState_ << 17;
-            slot = &set[randState_ % ways_];
-        } else {
-            // LRU and FIFO both evict the smallest stamp; FIFO simply
-            // never refreshes stamps on hits.
-            slot = &set[0];
-            for (std::uint32_t w = 1; w < ways_; ++w) {
-                if (set[w].stamp < slot->stamp)
-                    slot = &set[w];
-            }
+        // Evict the least recently used way (smallest stamp).
+        slot = &set[0];
+        for (std::uint32_t w = 1; w < ways_; ++w) {
+            if (set[w].stamp < slot->stamp)
+                slot = &set[w];
         }
         victim.valid = true;
         victim.dirty = slot->dirty;

@@ -19,20 +19,16 @@
 
 namespace banshee {
 
-/** Replacement policy of an SRAM cache. */
-enum class ReplPolicy : std::uint8_t { Lru, Fifo, Random };
-
 struct CacheParams
 {
     std::string name = "cache";
     std::uint64_t sizeBytes = 32 * 1024;
     std::uint32_t ways = 8;
     std::uint32_t lineBytes = kLineBytes;
-    ReplPolicy policy = ReplPolicy::Lru;
 };
 
 /**
- * A set-associative cache of line addresses. Lines carry a dirty bit
+ * A set-associative LRU cache of line addresses. Lines carry a dirty bit
  * and a 64-bit user metadata word (the shared L3 stores a sharer
  * bitmask there).
  */
@@ -93,7 +89,7 @@ class Cache
     struct Line
     {
         LineAddr tag = 0;
-        std::uint64_t stamp = 0; ///< LRU/FIFO ordering stamp
+        std::uint64_t stamp = 0; ///< LRU ordering stamp
         std::uint64_t meta = 0;
         bool valid = false;
         bool dirty = false;
@@ -105,10 +101,8 @@ class Cache
 
     std::uint32_t numSets_;
     std::uint32_t ways_;
-    ReplPolicy policy_;
     std::vector<Line> lines_;
     std::uint64_t stampCounter_ = 1;
-    std::uint64_t randState_;
 
     StatSet stats_;
     Counter &statHits_;

@@ -6,7 +6,6 @@
 #include "common/units.hh"
 #include "dram/dram_model.hh"
 #include "telemetry/span_trace.hh"
-#include "telemetry/telemetry.hh"
 
 namespace banshee {
 
@@ -255,12 +254,6 @@ void
 ResizeController::trace(Mark mark, const char *name,
                         std::initializer_list<TraceField> fields)
 {
-    if (telem_) {
-        static constexpr const char *kSuffix[] = {"", "_start", "_commit"};
-        telem_->event(
-            (name + std::string(kSuffix[static_cast<int>(mark)])).c_str(),
-            fields);
-    }
     if (!spans_)
         return;
     switch (mark) {

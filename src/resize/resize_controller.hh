@@ -11,7 +11,7 @@
  * (the slice layout must stay identical across controllers because
  * pages stripe over them). Each adopted decision, each transition
  * start and each commit is rendered once, from one field list, to
- * both the JSONL trace and the Chrome "resize" track. It also bridges
+ * the Chrome "resize" track of the run's trace. It also bridges
  * the OS cooperation loop: when a batch PTE update completes, stalled
  * migration engines are kicked so the drain resumes immediately
  * instead of waiting out its back-off.
@@ -48,7 +48,6 @@
 
 namespace banshee {
 
-class Telemetry;    // telemetry/telemetry.hh
 class PageJournal;  // telemetry/span_trace.hh
 class DramModel;    // dram/dram_model.hh
 
@@ -92,10 +91,6 @@ class ResizeController
      * same way residency quota does. Null detaches.
      */
     void attachQosDevice(DramModel *dev);
-
-    /** Attach (or detach with nullptr) the trace-event sink: adopted
-     *  decisions, transition starts and commits are logged. */
-    void attachTelemetry(Telemetry *telem) { telem_ = telem; }
 
     /**
      * Attach span tracing: decisions become instants and transitions
@@ -196,9 +191,8 @@ class ResizeController
 
     /**
      * The one emitter of control records: renders @p fields to the
-     * JSONL trace as event @p name (a Begin as "<name>_start", an End
-     * as "<name>_commit") and to the Chrome "resize" track as an
-     * instant, span begin or span end.
+     * Chrome "resize" track as an instant, span begin or span end
+     * named @p name (no-op without a span trace).
      */
     void trace(Mark mark, const char *name,
                std::initializer_list<TraceField> fields);
@@ -235,7 +229,6 @@ class ResizeController
     ResizeConfig config_;
     ResizePolicy policy_;
     DramPowerModel *power_ = nullptr;
-    Telemetry *telem_ = nullptr;
     PageJournal *spans_ = nullptr;
     std::uint32_t spanTrack_ = 0;
     std::vector<std::uint32_t> tenantSpanTracks_;

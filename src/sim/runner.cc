@@ -24,16 +24,10 @@ runExperiments(const std::vector<Experiment> &exps, unsigned threads,
 
     auto worker = [&] {
         for (std::size_t i = next++; i < exps.size(); i = next++) {
-            // Telemetry traces from a sweep share one file; stamp each
-            // run's lines with its experiment label so the summary
-            // script can split them back apart.
-            SystemConfig config = exps[i].config;
-            if (config.telemetry.enabled &&
-                config.telemetry.runLabel.empty())
-                config.telemetry.runLabel = exps[i].label;
-            // Span traces never share a file: the label routes each
+            // Traces never share a file: the label routes each
             // experiment to its own trace (directory paths) or a
             // "-<label>" suffixed file.
+            SystemConfig config = exps[i].config;
             if (config.spans.enabled && config.spans.runLabel.empty())
                 config.spans.runLabel = exps[i].label;
             results[i] = System(config).run();

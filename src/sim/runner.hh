@@ -5,16 +5,19 @@
  * the list one at a time. Used by every bench binary to sweep
  * workloads x schemes in minutes instead of hours.
  *
- * Safe-parallelism contract (audited for the engine refactor): a
- * `System` owns every piece of mutable simulation state it touches —
- * its EventQueue, all component RNGs (seeded from its config), stats
- * and telemetry buffers. The only cross-`System` mutable state is
- * the TraceSink registry (mutex-protected; concurrent JSONL writers
- * append line-atomically), the process-wide `logVerbosity` knob
- * (written during argument parsing, before any worker thread
- * starts), and `warn_once` dedup flags (atomic). Sweeps therefore
- * spread freely across threads with no simulation-visible interaction
- * between experiments.
+ * Safe-parallelism contract: a `System` owns every piece of mutable
+ * simulation state it touches — its EventQueue, all component RNGs
+ * (seeded from its config), stats, telemetry buffers and its own
+ * trace file (the runner routes each experiment to a private one by
+ * label). The only cross-`System` mutable state is:
+ *  - the process-wide `logVerbosity` knob, written during argument
+ *    parsing before any worker thread starts;
+ *  - the `warn_once` dedup flags (atomic);
+ *  - the trace-replay buffer cache (`TracePattern::sharedFromFile`,
+ *    mutex-guarded), which hands every replay of one file the same
+ *    immutable records.
+ * Sweeps therefore spread freely across threads with no
+ * simulation-visible interaction between experiments.
  *
  * Host speed is measured from outside the library: see simbench/.
  */

@@ -115,24 +115,38 @@ System::System(const SystemConfig &config) : config_(config)
     }
 
     if (config.tenants.empty()) {
-        sim_assert(WorkloadFactory::exists(config.workload),
-                   "unknown workload '%s'", config.workload.c_str());
+        if (!WorkloadFactory::exists(config.workload)) {
+            fatal("unknown workload '%s' — use a name from "
+                  "WorkloadFactory::allNames() (e.g. mcf, pagerank) or "
+                  "trace:<path>",
+                  config.workload.c_str());
+        }
     } else {
         tenants_ = std::make_unique<TenantMap>(config.tenants,
                                                config.numCores);
         for (std::uint32_t t = 0; t < tenants_->numTenants(); ++t) {
             const TenantConfig &tc =
                 tenants_->config(static_cast<TenantId>(t));
-            sim_assert(WorkloadFactory::exists(tc.workload),
-                       "unknown workload '%s' (tenant '%s')",
-                       tc.workload.c_str(), tc.name.c_str());
-            sim_assert(!WorkloadFactory::isGraph(tc.workload),
-                       "tenant '%s': graph workloads share one heap and "
-                       "cannot be partitioned", tc.name.c_str());
-            sim_assert(tc.workload.rfind("trace:", 0) != 0,
-                       "tenant '%s': trace replay addresses were "
-                       "recorded outside the per-core regions, so they "
-                       "cannot be tenant-tagged", tc.name.c_str());
+            if (!WorkloadFactory::exists(tc.workload)) {
+                fatal("tenant '%s': unknown workload '%s' — use a "
+                      "per-core workload: a SPEC name (e.g. mcf) or "
+                      "qos_resident / qos_churn",
+                      tc.name.c_str(), tc.workload.c_str());
+            }
+            if (WorkloadFactory::isGraph(tc.workload)) {
+                fatal("tenant '%s': graph workload '%s' shares one heap "
+                      "and cannot be partitioned — give the tenant a "
+                      "per-core workload: a SPEC name (e.g. mcf) or "
+                      "qos_resident / qos_churn",
+                      tc.name.c_str(), tc.workload.c_str());
+            }
+            if (tc.workload.rfind("trace:", 0) == 0) {
+                fatal("tenant '%s': trace replay addresses were recorded "
+                      "outside the per-core regions, so they cannot be "
+                      "tenant-tagged — replay the trace in a "
+                      "single-tenant run",
+                      tc.name.c_str());
+            }
         }
         // Each core's private heap region belongs to its tenant, so
         // every layer holding only an address (writebacks, the resize
@@ -150,10 +164,13 @@ System::System(const SystemConfig &config) : config_(config)
             tenants_->addRegion(codeBase, codeBase + config.core.codeBytes,
                                 tenants_->tenantOfCore(c));
         }
-        sim_assert(config.resize.tenantWeights.empty() ||
-                       config.resize.tenantWeights.size() ==
-                           tenants_->numTenants(),
-                   "resize tenant weights do not match the tenant list");
+        if (!config.resize.tenantWeights.empty() &&
+            config.resize.tenantWeights.size() != tenants_->numTenants()) {
+            fatal("resize.tenantWeights has %zu entries for %u tenants — "
+                  "give one weight per tenant (withTenants fills them)",
+                  config.resize.tenantWeights.size(),
+                  tenants_->numTenants());
+        }
     }
 
     pageTable_ = std::make_unique<PageTableManager>();
@@ -201,9 +218,11 @@ System::System(const SystemConfig &config) : config_(config)
                                                      config.resize);
         for (std::uint32_t mc = 0; mc < mem_->numMcs(); ++mc) {
             ResizeHost *host = mem_->scheme(mc).resizeHost();
-            sim_assert(host != nullptr,
-                       "resize enabled but scheme '%s' cannot resize",
-                       schemeKindName(config.scheme));
+            if (host == nullptr) {
+                fatal("resize enabled but scheme '%s' cannot resize — "
+                      "use the Banshee scheme or turn resize off",
+                      schemeKindName(config.scheme));
+            }
             resize_->addHost(*host, "resize" + std::to_string(mc));
         }
         if (mem_->inPkg())
@@ -319,7 +338,6 @@ System::buildTelemetry()
             return static_cast<double>(resize_->activeSlices());
         });
         reg.addStatSet(resize_->stats(), "resize.");
-        resize_->attachTelemetry(telemetry_.get());
         Histogram &batchLat = telemetry_->histogram("migration.batchLat");
         for (std::size_t d = 0; d < resize_->numDomains(); ++d)
             resize_->domain(d).engine().setTelemetry(&batchLat);
@@ -381,12 +399,19 @@ System::buildSpanTrace()
                                        : kPageBits;
     spans_ = std::make_unique<PageJournal>(config_.spans, pageBits,
                                            config_.seed);
-    spans_->runInfo({{"workload", config_.workload},
-                     {"scheme", schemeKindName(config_.scheme)},
-                     {"label", config_.spans.runLabel},
-                     {"sampleShift", config_.spans.sampleShift},
-                     {"seed", config_.seed},
-                     {"pageBits", pageBits}});
+    spans_->controlInstant(
+        PageJournal::kRunTrack, "run_info", 0,
+        {{"workload", config_.workload},
+         {"scheme", schemeKindName(config_.scheme)},
+         {"label", config_.spans.runLabel},
+         {"sampleShift", config_.spans.sampleShift},
+         {"seed", config_.seed},
+         {"pageBits", pageBits},
+         {"cores", config_.numCores},
+         {"coreFreqHz", kCoreFreqHz},
+         {"epochCycles", config_.telemetry.epochCycles},
+         {"warmupInstrPerCore", config_.warmupInstrPerCore},
+         {"measureInstrPerCore", config_.measureInstrPerCore}});
 
     mem_->setSpanTrace(spans_.get());
     for (std::uint32_t mc = 0; mc < mem_->numMcs(); ++mc)
@@ -410,8 +435,13 @@ System::buildSpanTrace()
     if (tenants_) {
         for (std::uint32_t ti = 0; ti < tenants_->numTenants(); ++ti) {
             const TenantId t = static_cast<TenantId>(ti);
-            spans_->tenantInfo(ti, tenants_->config(t).name,
-                               tenants_->weight(t));
+            spans_->controlInstant(
+                PageJournal::kRunTrack, "tenant", 0,
+                {{"id", ti},
+                 {"name", tenants_->config(t).name},
+                 {"weight", tenants_->weight(t)},
+                 {"workload", tenants_->config(t).workload},
+                 {"cores", tenants_->coreCount(t)}});
         }
     }
 }
@@ -451,38 +481,18 @@ System::resetAllStats()
 RunResult
 System::run()
 {
-    if (telemetry_) {
-        telemetry_->event(
-            "run_start",
-            {{"workload", config_.workload},
-             {"scheme", schemeKindName(config_.scheme)},
-             {"cores", config_.numCores},
-             {"coreFreqHz", kCoreFreqHz},
-             {"epochCycles", config_.telemetry.epochCycles},
-             {"warmupInstrPerCore", config_.warmupInstrPerCore},
-             {"measureInstrPerCore", config_.measureInstrPerCore}});
-        if (tenants_) {
-            for (std::uint32_t ti = 0; ti < tenants_->numTenants(); ++ti) {
-                const TenantId t = static_cast<TenantId>(ti);
-                telemetry_->event(
-                    "tenant", {{"id", ti},
-                               {"name", tenants_->config(t).name},
-                               {"workload", tenants_->config(t).workload},
-                               {"weight", tenants_->weight(t)},
-                               {"cores", tenants_->coreCount(t)}});
-            }
-        }
-    }
-
     // Warmup: caches, predictors and counters learn; stats discarded.
     if (config_.warmupInstrPerCore > 0)
         runPhase(config_.warmupInstrPerCore);
     resetAllStats();
+    if (spans_) {
+        spans_->controlInstant(PageJournal::kRunTrack, "measure_start",
+                               eq_.now());
+    }
     if (telemetry_) {
         // Warmup-phase distributions would pollute the measured ones.
         telemetry_->resetHistograms();
-        telemetry_->event("measure_start");
-        telemetry_->startEpochs();
+        telemetry_->startEpochs(spans_.get());
     }
     // The resize epoch clock runs over the measured phase only, so
     // scripted schedules are phase-relative and deterministic.
@@ -509,8 +519,6 @@ System::collect(const std::vector<Cycle> &phaseStartCycle,
 {
     if (telemetry_)
         telemetry_->finishEpochs();
-    if (spans_)
-        spans_->finish(eq_.now());
 
     RunResult r;
     r.workload = config_.workload;
@@ -655,14 +663,16 @@ System::collect(const std::vector<Cycle> &phaseStartCycle,
         }
     }
 
-    if (telemetry_) {
+    if (telemetry_)
         r.histograms = telemetry_->summaries();
-        telemetry_->event("run_end",
-                          {{"instructions", r.instructions},
-                           {"cycles", r.cycles},
-                           {"ipc", r.ipc},
-                           {"missRate", r.missRate},
-                           {"finalActiveSlices", r.finalActiveSlices}});
+    if (spans_) {
+        spans_->controlInstant(PageJournal::kRunTrack, "run_end", eq_.now(),
+                               {{"instructions", r.instructions},
+                                {"cycles", r.cycles},
+                                {"ipc", r.ipc},
+                                {"missRate", r.missRate},
+                                {"finalActiveSlices", r.finalActiveSlices}});
+        spans_->finish(eq_.now());
     }
     return r;
 }

@@ -175,15 +175,9 @@ class System
     /** Tenant ownership, or nullptr for single-tenant runs. */
     TenantMap *tenantMap() { return tenants_.get(); }
 
-    /** Telemetry façade, or nullptr when telemetry is disabled. */
-    Telemetry *telemetry() { return telemetry_.get(); }
-
     /** Events executed on this system's event queue (a
      *  deterministic work counter, read by simbench). */
     std::uint64_t totalEventsExecuted() const { return eq_.eventsExecuted(); }
-
-    /** Span-trace journal, or nullptr when tracing is disabled. */
-    PageJournal *spanTrace() { return spans_.get(); }
 
     /** Zero every statistic (called at the warmup boundary). */
     void resetAllStats();

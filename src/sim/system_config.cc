@@ -150,10 +150,9 @@ SystemConfig::withDramQos(Cycle epochCycles, Cycle readAgeCap,
 }
 
 SystemConfig &
-SystemConfig::withTelemetry(std::string path, Cycle epochCycles)
+SystemConfig::withTelemetry(Cycle epochCycles)
 {
     telemetry.enabled = true;
-    telemetry.path = std::move(path);
     if (epochCycles > 0)
         telemetry.epochCycles = epochCycles;
     return *this;

@@ -172,12 +172,13 @@ struct SystemConfig
                               std::uint32_t writeDrainLow = 0);
 
     /**
-     * Enable epoch-resolved telemetry: metric time series, latency
-     * histograms and a structured JSONL event trace appended to
-     * @p path. @p epochCycles 0 keeps the default sampling cadence
-     * (the ResizeController's 20 us epoch).
+     * Enable epoch-resolved telemetry: metric samples and latency
+     * histograms (RunResult::histograms). With a span trace as well,
+     * every sample is written into the run's trace file.
+     * @p epochCycles 0 keeps the default sampling cadence (the
+     * ResizeController's 20 us epoch).
      */
-    SystemConfig &withTelemetry(std::string path, Cycle epochCycles = 0);
+    SystemConfig &withTelemetry(Cycle epochCycles = 0);
 
     /**
      * Enable causal page/request span tracing: 1/2^sampleShift of

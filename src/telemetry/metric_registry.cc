@@ -4,7 +4,7 @@ namespace banshee {
 
 void
 MetricRegistry::start(EventQueue &eq, Cycle epochCycles,
-                      std::function<void(const Sample &)> onSample)
+                      SampleFn onSample)
 {
     sim_assert(epochCycles > 0, "telemetry epoch must be > 0 cycles");
     onSample_ = std::move(onSample);
@@ -23,7 +23,7 @@ MetricRegistry::tick()
     eq_->scheduleAfter(tickEvent_, epochCycles_);
 }
 
-const MetricRegistry::Sample &
+MetricRegistry::Sample
 MetricRegistry::sample(Cycle now)
 {
     Sample s;
@@ -41,10 +41,9 @@ MetricRegistry::sample(Cycle now)
         snap.buckets = h->bucketCounts();
         s.hists.push_back(std::move(snap));
     }
-    series_.push_back(std::move(s));
     if (onSample_)
-        onSample_(series_.back());
-    return series_.back();
+        onSample_(s);
+    return s;
 }
 
 } // namespace banshee

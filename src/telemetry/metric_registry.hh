@@ -8,10 +8,12 @@
  * power-cap hysteresis, per-tenant queueing under co-location). The
  * MetricRegistry closes that gap: gauges (arbitrary double-valued
  * callbacks), existing Counters / whole StatSets, and Histograms are
- * registered once at system build, then snapshotted on an epoch clock
- * into an in-memory time series. Values are cumulative-as-of-sample;
- * per-epoch rates are deltas between adjacent samples (computed by
- * consumers, e.g. scripts/telemetry_summary.py).
+ * registered once at system build, then snapshotted on an epoch clock;
+ * each sample goes to the onSample hook (Telemetry writes it into the
+ * run's trace file) and is not kept. Values are cumulative-as-of-
+ * sample; per-epoch rates are deltas between adjacent samples
+ * (computed by consumers, e.g. scripts/spans_to_perfetto.py
+ * --timeline).
  *
  * The registry is dormant until start(): nothing is scheduled on the
  * event queue and no callback runs, so a disabled-telemetry system
@@ -55,6 +57,8 @@ class MetricRegistry
         std::vector<HistSnapshot> hists;
     };
 
+    using SampleFn = std::function<void(const Sample &)>;
+
     /** Register a gauge: evaluated at every sample. */
     void
     addGauge(std::string name, GaugeFn fn)
@@ -92,10 +96,10 @@ class MetricRegistry
     /**
      * Start the epoch clock: one sample every @p epochCycles on
      * @p eq, until stop(). @p onSample (optional) observes each
-     * sample as it is taken (the trace sink hook).
+     * sample as it is taken, including those taken by sample().
      */
     void start(EventQueue &eq, Cycle epochCycles,
-               std::function<void(const Sample &)> onSample = nullptr);
+               SampleFn onSample = nullptr);
 
     /** Stop sampling; the pending clock event is cancelled. */
     void
@@ -106,14 +110,13 @@ class MetricRegistry
     }
 
     /** Take one sample now (the epoch clock calls this). */
-    const Sample &sample(Cycle now);
+    Sample sample(Cycle now);
 
     const std::vector<std::string> &metricNames() const
     {
         return metricNames_;
     }
     const std::vector<std::string> &histNames() const { return histNames_; }
-    const std::vector<Sample> &series() const { return series_; }
 
     std::size_t numHistograms() const { return hists_.size(); }
     const Histogram &histogramAt(std::size_t i) const { return *hists_[i]; }
@@ -130,14 +133,13 @@ class MetricRegistry
     std::vector<std::string> histNames_;
     std::vector<const Histogram *> hists_;
 
-    std::vector<Sample> series_;
     std::uint64_t nextEpoch_ = 0;
     bool running_ = false;
     EventQueue *eq_ = nullptr;   ///< set by start()
     Cycle epochCycles_ = 0;
     /** The sampling clock; self-rearms in tick() while running. */
     TickEvent tickEvent_{[this] { tick(); }};
-    std::function<void(const Sample &)> onSample_;
+    SampleFn onSample_;
 };
 
 } // namespace banshee

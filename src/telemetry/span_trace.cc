@@ -38,14 +38,12 @@ fmtUs(double us)
 PageJournal::PageJournal(const SpanTraceConfig &config,
                          std::uint32_t pageBits, std::uint64_t seed)
     : config_(config), pageBits_(pageBits), seed_(seed),
-      path_(resolveTracePath(config.path, config.runLabel, ".trace.json",
-                             /*perRun=*/true)),
-      writer_(path_)
+      writer_(resolveTracePath(config.path, config.runLabel))
 {
     emitMeta(kPagesPid, 0, "process_name", "pages");
     emitMeta(kChannelsPid, 0, "process_name", "channels");
     emitMeta(kControlPid, 0, "process_name", "control");
-    addControlTrack("run");
+    addControlTrack("run"); // kRunTrack
 }
 
 PageJournal::~PageJournal() { finish(lastCycle_); }
@@ -124,18 +122,14 @@ PageJournal::ensurePage(PageNum page)
 }
 
 void
-PageJournal::runInfo(std::initializer_list<TraceField> args)
+PageJournal::epochSample(Cycle now, const std::string &gauges,
+                         const std::string &epochArgs)
 {
-    emit(head("run_info", "i", kControlPid, 0, 0) + ", \"s\": \"t\"",
-         args);
-}
-
-void
-PageJournal::tenantInfo(std::uint32_t id, const std::string &name,
-                        double weight)
-{
-    emit(head("tenant", "i", kControlPid, 0, 0) + ", \"s\": \"t\"",
-         {{"id", id}, {"name", name}, {"weight", weight}});
+    lastCycle_ = std::max(lastCycle_, now);
+    writer_.event(head("metrics", "C", kControlPid, kRunTrack, now) +
+                  ", \"args\": {" + gauges + "}}");
+    writer_.event(head("epoch", "i", kControlPid, kRunTrack, now) +
+                  ", \"s\": \"t\", \"args\": {" + epochArgs + "}}");
 }
 
 void

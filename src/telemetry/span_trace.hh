@@ -1,7 +1,8 @@
 /**
  * @file
- * Causal page/request tracing: sampled lifecycle spans exported as
- * Chrome trace-event JSON (loadable in Perfetto / chrome://tracing).
+ * A run's one trace file: sampled lifecycle spans, run metadata,
+ * resize decisions and epoch telemetry samples, exported as Chrome
+ * trace-event JSON (loadable in Perfetto / chrome://tracing).
  *
  * Epoch telemetry (telemetry.hh) shows aggregates; the PageJournal
  * answers *why a specific page behaved that way*: a deterministic
@@ -26,17 +27,23 @@
  *   pid 2 "channels" — one tid per DRAM channel: async "queue" +
  *                      "service" slices per request touching a
  *                      sampled page (arrival->busStart->complete).
- *   pid 3 "control"  — resize decisions (instants) and
- *                      resize/reassign transitions (B/E), migration
- *                      drain batches (X), per-tenant quota instants.
+ *   pid 3 "control"  — the "run" track: run_info and tenant
+ *                      metadata, measure_start, run_end and one
+ *                      "epoch" instant per telemetry sample, whose
+ *                      gauges ride a "metrics" counter (C) event;
+ *                      resize decisions (instants) and resize/reassign
+ *                      transitions (B/E), migration drain batches (X),
+ *                      per-tenant quota instants.
  *
- * scripts/spans_to_perfetto.py validates and summarizes the output.
+ * scripts/spans_to_perfetto.py validates the file and renders its
+ * summary and epoch timeline.
  */
 
 #ifndef BANSHEE_TELEMETRY_SPAN_TRACE_HH
 #define BANSHEE_TELEMETRY_SPAN_TRACE_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <vector>
@@ -55,7 +62,7 @@ struct SpanTraceConfig
     /** Output path: a directory (trailing '/' or an existing dir)
      *  writes one `<label>.trace.json` per run; a file path gets the
      *  run label spliced in before its extension when the label is
-     *  set. Each System owns its file exclusively — no shared sink. */
+     *  set. Each System owns its file exclusively; none is shared. */
     std::string path;
 
     /** Sample 1/2^sampleShift of all pages (0 = every page). */
@@ -75,6 +82,10 @@ struct SpanTraceConfig
 class PageJournal
 {
   public:
+    /** The control "run" track: run metadata (run_info, tenant,
+     *  measure_start, run_end) and epoch samples. */
+    static constexpr std::uint32_t kRunTrack = 0;
+
     PageJournal(const SpanTraceConfig &config, std::uint32_t pageBits,
                 std::uint64_t seed);
     ~PageJournal();
@@ -105,14 +116,14 @@ class PageJournal
     /** Scheme-granularity page size used for sampling (12 or 21). */
     std::uint32_t pageBits() const { return pageBits_; }
 
-    const std::string &path() const { return path_; }
-
-    /** One-time run metadata instant on the control "run" track. */
-    void runInfo(std::initializer_list<TraceField> args);
-
-    /** Tenant id -> name mapping for the summary script. */
-    void tenantInfo(std::uint32_t id, const std::string &name,
-                    double weight);
+    /**
+     * One telemetry epoch sample: a "metrics" counter event on the
+     * control process (Perfetto plots each gauge as a counter track)
+     * and an "epoch" instant on the run track. @p gauges and
+     * @p epochArgs are the rendered bodies of their args objects.
+     */
+    void epochSample(Cycle now, const std::string &gauges,
+                     const std::string &epochArgs);
 
     // ----------------------------------------------------- page tracks
 
@@ -199,7 +210,6 @@ class PageJournal
     SpanTraceConfig config_;
     std::uint32_t pageBits_;
     std::uint64_t seed_;
-    std::string path_;
     ChromeTraceWriter writer_;
 
     std::map<PageNum, PageState> pages_;

@@ -3,32 +3,20 @@
 #include <cstdio>
 
 #include "common/log.hh"
+#include "telemetry/span_trace.hh"
 
 namespace banshee {
 
 Telemetry::Telemetry(EventQueue &eq, const TelemetryConfig &config)
-    : eq_(eq), config_(config),
-      runLabel_(config.runLabel.empty() ? "run" : config.runLabel)
+    : eq_(eq), config_(config)
 {
     sim_assert(config.enabled, "Telemetry built while disabled");
-    // An empty path keeps the in-memory side (histograms,
-    // summaries()) without a JSONL sink — benches that only want
-    // end-of-run percentiles use this to skip the file.
-    const std::string resolved = resolveTracePath(
-        config.path, config.runLabel, ".jsonl", /*perRun=*/false);
-    if (!resolved.empty())
-        sink_ = TraceSink::shared(resolved);
 }
 
 Histogram &
 Telemetry::histogram(const std::string &name)
 {
-    for (std::size_t i = 0; i < ownedNames_.size(); ++i) {
-        if (ownedNames_[i] == name)
-            return *owned_[i];
-    }
     owned_.push_back(std::make_unique<Histogram>());
-    ownedNames_.push_back(name);
     registry_.addHistogram(name, *owned_.back());
     return *owned_.back();
 }
@@ -54,14 +42,6 @@ Telemetry::nameTenantQueueLatency(std::size_t bucket,
 }
 
 void
-Telemetry::event(const char *type,
-                 std::initializer_list<TraceField> fields)
-{
-    if (sink_)
-        sink_->event(runLabel_, eq_.now(), type, fields);
-}
-
-void
 Telemetry::resetHistograms()
 {
     for (auto &h : owned_)
@@ -77,13 +57,18 @@ Telemetry::resetHistograms()
 }
 
 void
-Telemetry::startEpochs()
+Telemetry::startEpochs(PageJournal *journal)
 {
-    registry_.start(eq_, config_.epochCycles,
-                    [this](const MetricRegistry::Sample &s) {
-                        if (sink_)
-                            sink_->writeLine(epochJson(s));
-                    });
+    // In-memory mode keeps the clock too: the energy gauge's reads are
+    // integration points of the power model, so results must not
+    // depend on whether a trace file is written.
+    MetricRegistry::SampleFn onSample;
+    if (journal) {
+        onSample = [this, journal](const MetricRegistry::Sample &s) {
+            writeSample(*journal, s);
+        };
+    }
+    registry_.start(eq_, config_.epochCycles, std::move(onSample));
     // Baseline sample at the measure boundary: epoch 0 carries the
     // post-reset cumulative state, so every later epoch (including the
     // first timed one) has a predecessor to delta against.
@@ -95,7 +80,7 @@ Telemetry::finishEpochs()
 {
     registry_.stop();
     // One closing sample so the last (partial) epoch's activity is
-    // still visible in the timeline (traced via the onSample hook).
+    // still visible in the timeline (written via the onSample hook).
     registry_.sample(eq_.now());
 }
 
@@ -113,40 +98,42 @@ Telemetry::summaries() const
     return out;
 }
 
-std::string
-Telemetry::epochJson(const MetricRegistry::Sample &s) const
+void
+Telemetry::writeSample(PageJournal &journal,
+                       const MetricRegistry::Sample &s) const
 {
-    std::string json = "{\"run\": \"" + jsonEscape(runLabel_) +
-                       "\", \"cycle\": " + std::to_string(s.cycle) +
-                       ", \"event\": \"epoch\", \"epoch\": " +
-                       std::to_string(s.epoch) + ", \"metrics\": {";
+    // Gauges print with %.6f: cumulative counts pass 10^6 within an
+    // epoch or two and must stay exact for the per-epoch deltas.
+    std::string gauges;
     const auto &names = registry_.metricNames();
     for (std::size_t i = 0; i < names.size(); ++i) {
         if (i > 0)
-            json += ", ";
+            gauges += ", ";
         char buf[64];
         std::snprintf(buf, sizeof(buf), "%.6f", s.values[i]);
-        json += "\"" + jsonEscape(names[i]) + "\": " + buf;
+        gauges += "\"" + jsonEscape(names[i]) + "\": " + buf;
     }
-    json += "}, \"hists\": {";
+    std::string args = "\"epoch\": " + std::to_string(s.epoch) +
+                       ", \"cycle\": " + std::to_string(s.cycle) +
+                       ", \"hists\": {";
     const auto &hnames = registry_.histNames();
     for (std::size_t i = 0; i < hnames.size(); ++i) {
         if (i > 0)
-            json += ", ";
+            args += ", ";
         const MetricRegistry::HistSnapshot &h = s.hists[i];
-        json += "\"" + jsonEscape(hnames[i]) +
+        args += "\"" + jsonEscape(hnames[i]) +
                 "\": {\"count\": " + std::to_string(h.count) +
                 ", \"sum\": " + std::to_string(h.sum) +
                 ", \"max\": " + std::to_string(h.max) + ", \"buckets\": [";
         for (std::size_t b = 0; b < h.buckets.size(); ++b) {
             if (b > 0)
-                json += ", ";
-            json += std::to_string(h.buckets[b]);
+                args += ", ";
+            args += std::to_string(h.buckets[b]);
         }
-        json += "]}";
+        args += "]}";
     }
-    json += "}}";
-    return json;
+    args += "}";
+    journal.epochSample(s.cycle, gauges, args);
 }
 
 } // namespace banshee

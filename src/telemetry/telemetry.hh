@@ -1,15 +1,17 @@
 /**
  * @file
  * The per-run telemetry facade: one MetricRegistry (epoch-sampled
- * time series), the owned histograms hot paths record
- * into, and the shared TraceSink the run's structured events go to.
+ * gauges and histogram states) and the owned histograms hot paths
+ * record into.
  *
  * A System builds one Telemetry instance when its TelemetryConfig is
- * enabled and wires the hooks (DRAM channels, migration engines, the
- * resize controller); everything stays null/dormant otherwise. Epoch
- * samples are serialized into the trace as "epoch" events, so the
- * JSONL file carries the full timeline: metrics, histogram states,
- * and the decision events interleaved between them.
+ * enabled and wires the hooks (DRAM channels, migration engines);
+ * everything stays null/dormant otherwise. When the run also has a
+ * span trace, each epoch sample is written into that one trace file
+ * as a "metrics" counter event plus an "epoch" instant, so gauges,
+ * histogram states and the resize decisions share one timeline.
+ * Without a trace, telemetry is in-memory only: its histograms feed
+ * RunResult::histograms.
  */
 
 #ifndef BANSHEE_TELEMETRY_TELEMETRY_HH
@@ -25,24 +27,19 @@
 #include "telemetry/histogram.hh"
 #include "telemetry/metric_registry.hh"
 #include "telemetry/telemetry_config.hh"
-#include "telemetry/trace_sink.hh"
 
 namespace banshee {
+
+class PageJournal; // telemetry/span_trace.hh
 
 class Telemetry
 {
   public:
     Telemetry(EventQueue &eq, const TelemetryConfig &config);
 
-    const std::string &runLabel() const { return runLabel_; }
-
     MetricRegistry &registry() { return registry_; }
 
-    /** The JSONL sink, or null when the config path is empty (the
-     *  in-memory-only mode: histograms and summaries() still work). */
-    TraceSink *sink() { return sink_.get(); }
-
-    /** Create (or fetch) an owned histogram registered as @p name. */
+    /** Create an owned histogram registered as @p name. */
     Histogram &histogram(const std::string &name);
 
     /** Create the telemetry block for one DRAM channel; its
@@ -57,16 +54,13 @@ class Telemetry
     void nameTenantQueueLatency(std::size_t bucket,
                                 const std::string &metricName);
 
-    /** Emit one structured event stamped with run label + cycle. */
-    void event(const char *type,
-               std::initializer_list<TraceField> fields = {});
-
     /** Warmup boundary: clear histograms so measured-phase
      *  distributions start clean. */
     void resetHistograms();
 
-    /** Begin epoch sampling; each sample is also traced. */
-    void startEpochs();
+    /** Begin epoch sampling; each sample is also written to
+     *  @p journal when one is given. */
+    void startEpochs(PageJournal *journal);
 
     /** Final sample + stop the clock (end of the measured phase). */
     void finishEpochs();
@@ -75,16 +69,15 @@ class Telemetry
     std::vector<HistogramSummary> summaries() const;
 
   private:
-    std::string epochJson(const MetricRegistry::Sample &s) const;
+    /** Render @p s as the journal's "metrics" and "epoch" events. */
+    void writeSample(PageJournal &journal,
+                     const MetricRegistry::Sample &s) const;
 
     EventQueue &eq_;
     TelemetryConfig config_;
-    std::string runLabel_;
-    std::shared_ptr<TraceSink> sink_;
     MetricRegistry registry_;
 
     std::vector<std::unique_ptr<Histogram>> owned_;
-    std::vector<std::string> ownedNames_;
     std::vector<std::unique_ptr<ChannelTelemetry>> channels_;
     std::array<Histogram, kTenantBuckets> tenantQlat_{};
 };

@@ -5,13 +5,13 @@
  * Disabled by default: with enabled == false the System builds no
  * registry, schedules no sampling events and attaches no histogram
  * hooks, so the simulated machine (and every bench's --json output)
- * is bit-identical to a build without telemetry.
+ * is bit-identical to a build without telemetry. Enabled without a
+ * span trace it is in-memory only (RunResult::histograms); with one,
+ * every epoch sample is also written into the run's trace file.
  */
 
 #ifndef BANSHEE_TELEMETRY_TELEMETRY_CONFIG_HH
 #define BANSHEE_TELEMETRY_TELEMETRY_CONFIG_HH
-
-#include <string>
 
 #include "common/types.hh"
 #include "common/units.hh"
@@ -22,21 +22,12 @@ struct TelemetryConfig
 {
     bool enabled = false;
 
-    /** JSONL trace output path. Several concurrent runs may share one
-     *  path (bench sweeps): they append through one shared sink and
-     *  every event line carries its run's label. */
-    std::string path;
-
     /**
      * Sampling epoch in core cycles. Defaults to the resize
      * subsystem's policy epoch so metric samples line up with resize /
      * power-cap / QoS decisions in the trace.
      */
     Cycle epochCycles = usToCycles(20.0);
-
-    /** Label identifying this run in a shared trace (the experiment
-     *  label; stamped by the runner when left empty). */
-    std::string runLabel;
 };
 
 } // namespace banshee

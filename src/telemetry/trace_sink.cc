@@ -4,7 +4,6 @@
 #include <sys/types.h>
 
 #include <cerrno>
-#include <map>
 
 #include "common/log.hh"
 
@@ -106,9 +105,9 @@ isDirectory(const std::string &path)
 } // namespace
 
 std::string
-resolveTracePath(const std::string &path, const std::string &label,
-                 const std::string &ext, bool perRun)
+resolveTracePath(const std::string &path, const std::string &label)
 {
+    static const std::string ext = ".trace.json";
     if (path.empty())
         return path;
     const std::string name =
@@ -121,13 +120,13 @@ resolveTracePath(const std::string &path, const std::string &label,
             fatal("trace: cannot create directory '%s'", dir.c_str());
         return dir + "/" + name + ext;
     }
-    if (!perRun || label.empty())
+    if (label.empty())
         return path;
     // Splice "-<label>" before the file extension (if any) so each
     // experiment of a sweep gets a private file. Prefer the full
     // canonical extension ("x.trace.json" -> "x-<label>.trace.json"),
     // falling back to the last dot for other suffixes.
-    if (!ext.empty() && path.size() > ext.size() &&
+    if (path.size() > ext.size() &&
         path.compare(path.size() - ext.size(), ext.size(), ext) == 0) {
         return path.substr(0, path.size() - ext.size()) + "-" + name +
                ext;
@@ -138,64 +137,6 @@ resolveTracePath(const std::string &path, const std::string &label,
         (slash != std::string::npos && dot < slash))
         return path + "-" + name;
     return path.substr(0, dot) + "-" + name + path.substr(dot);
-}
-
-std::shared_ptr<TraceSink>
-TraceSink::shared(const std::string &path)
-{
-    // Sinks live for the rest of the process so a path reopened by a
-    // later experiment batch appends instead of truncating the
-    // earlier batch's events.
-    static std::mutex mapMutex;
-    static std::map<std::string, std::shared_ptr<TraceSink>> sinks;
-    std::lock_guard<std::mutex> lock(mapMutex);
-    auto it = sinks.find(path);
-    if (it == sinks.end())
-        it = sinks.emplace(path, std::make_shared<TraceSink>(path)).first;
-    return it->second;
-}
-
-TraceSink::TraceSink(const std::string &path)
-    : path_(path), file_(std::fopen(path.c_str(), "w"))
-{
-    if (file_ == nullptr)
-        fatal("telemetry: cannot open '%s' for writing", path.c_str());
-}
-
-TraceSink::~TraceSink()
-{
-    if (file_)
-        std::fclose(file_);
-}
-
-void
-TraceSink::event(const std::string &run, Cycle cycle, const char *type,
-                 std::initializer_list<TraceField> fields)
-{
-    std::string line = "{\"run\": \"" + jsonEscape(run) +
-                       "\", \"cycle\": " + std::to_string(cycle) +
-                       ", \"event\": \"" + jsonEscape(type) + "\"";
-    for (const TraceField &f : fields) {
-        line += ", ";
-        line += f.json();
-    }
-    line += "}";
-    writeLine(line);
-}
-
-void
-TraceSink::writeLine(const std::string &json)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (std::fprintf(file_, "%s\n", json.c_str()) < 0) {
-        warn_once("telemetry: write to '%s' failed; further failures "
-                  "are silent",
-                  path_.c_str());
-        return;
-    }
-    // Flush per line: concurrent runs interleave whole lines and a
-    // crashed run still leaves a parseable trace.
-    std::fflush(file_);
 }
 
 ChromeTraceWriter::ChromeTraceWriter(const std::string &path)

@@ -2,8 +2,8 @@
  * @file
  * The bench binaries' shared command line (bench/bench_util.hh): the
  * preset is picked before any other flag applies, so flag order never
- * drops --quick, --telemetry or --spans; malformed flags exit with a
- * usage message.
+ * drops --quick or --spans; malformed flags and unknown workloads exit
+ * with a usage message.
  */
 
 #include <gtest/gtest.h>
@@ -54,17 +54,6 @@ TEST(BenchArgs, QuickQuartersTheScaledDefault)
               scaled.measureInstrPerCore / 4);
 }
 
-TEST(BenchArgs, TelemetrySurvivesFullInEitherOrder)
-{
-    for (const auto &args :
-         {std::vector<std::string>{"--telemetry", "t.jsonl", "--full"},
-          std::vector<std::string>{"--full", "--telemetry", "t.jsonl"}}) {
-        const BenchOptions opt = parse(args);
-        EXPECT_TRUE(opt.base.telemetry.enabled) << args[0];
-        EXPECT_EQ(opt.base.telemetry.path, "t.jsonl");
-    }
-}
-
 TEST(BenchArgs, SpansSurviveFullInEitherOrder)
 {
     for (const auto &args :
@@ -72,6 +61,8 @@ TEST(BenchArgs, SpansSurviveFullInEitherOrder)
           std::vector<std::string>{"--full", "--spans=3"}}) {
         const BenchOptions opt = parse(args);
         EXPECT_TRUE(opt.base.spans.enabled) << args[0];
+        // Every trace carries its epoch timeline.
+        EXPECT_TRUE(opt.base.telemetry.enabled) << args[0];
         EXPECT_EQ(opt.base.spans.sampleShift, 3u);
         EXPECT_EQ(opt.base.spans.path, "SPANS_bench/");
         EXPECT_EQ(opt.spansDir, "SPANS_bench");
@@ -102,6 +93,10 @@ TEST(BenchArgsDeathTest, MalformedFlagsPrintUsage)
                 "--spans needs a sample shift");
     EXPECT_EXIT(parse({"--workloads", ","}), ::testing::ExitedWithCode(1),
                 "--workloads needs at least one");
+    EXPECT_EXIT(parse({"--workloads", "mcf,nosuch"}),
+                ::testing::ExitedWithCode(1), "unknown workload 'nosuch'");
+    EXPECT_EXIT(parse({"--telemetry", "x"}), ::testing::ExitedWithCode(1),
+                "unknown or incomplete argument '--telemetry'");
     EXPECT_EXIT(parse({"--json"}), ::testing::ExitedWithCode(1),
                 "unknown or incomplete argument '--json'");
     EXPECT_EXIT(parse({"--bogus"}), ::testing::ExitedWithCode(1),

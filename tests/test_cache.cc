@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the SRAM cache and the three-level hierarchy:
- * replacement policies, dirty handling, inclusion/back-invalidation,
+ * LRU replacement, dirty handling, inclusion/back-invalidation,
  * MSHR merging and LLC writeback generation.
  */
 
@@ -17,13 +17,12 @@ namespace banshee {
 namespace {
 
 CacheParams
-smallCache(std::uint32_t ways, ReplPolicy policy = ReplPolicy::Lru)
+smallCache(std::uint32_t ways)
 {
     CacheParams p;
     p.name = "t";
     p.sizeBytes = 64ull * 8 * ways; // 8 sets
     p.ways = ways;
-    p.policy = policy;
     return p;
 }
 
@@ -49,17 +48,6 @@ TEST(Cache, LruEvictsLeastRecentlyUsed)
     EXPECT_EQ(victim.line, 8u);
     EXPECT_TRUE(c.contains(0));
     EXPECT_TRUE(c.contains(16));
-}
-
-TEST(Cache, FifoIgnoresHits)
-{
-    Cache c(smallCache(2, ReplPolicy::Fifo));
-    c.insert(0, false);
-    c.insert(8, false);
-    c.lookup(0, false); // should NOT refresh under FIFO
-    const auto victim = c.insert(16, false);
-    ASSERT_TRUE(victim.valid);
-    EXPECT_EQ(victim.line, 0u);
 }
 
 TEST(Cache, DirtyBitOnWriteAndEviction)

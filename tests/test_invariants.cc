@@ -115,7 +115,7 @@ sweepCases()
         c.resize.policy.minSlicesPerTenant = 1;
         c.withDramQos();
         c.enableBatman = true;
-        c.withTelemetry("");
+        c.withTelemetry();
         c.withSpanTrace(testing::TempDir() + "invariants_all.trace.json",
                         /*sampleShift=*/2);
         cases.push_back({"Banshee_all_features", c, 4});

@@ -333,31 +333,18 @@ TEST(PowerEndToEnd, PowerCapShedsSlicesOnFullMachine)
     s.resizeController()->verifyResidencyConsistent();
 }
 
-/** Text of @p line between the end of @p open and its last '}'. */
-std::string
-between(const std::string &line, const std::string &open)
-{
-    const std::size_t from = line.find(open);
-    const std::size_t to = line.rfind('}');
-    if (from == std::string::npos || to == std::string::npos)
-        return "";
-    return line.substr(from + open.size(), to - from - open.size());
-}
-
 TEST(PowerEndToEnd, PowerCapLogsOneDecisionPerStartedTransition)
 {
     // The capped run of PowerCapShedsSlicesOnFullMachine, traced. A
     // decision is logged once, on the epoch the controller adopts it:
-    // epochs that settle after a transition log nothing, and both
-    // sinks carry the same decisions with the same fields.
+    // epochs that settle after a transition log nothing, so the
+    // trace's resize track holds one decision per started resize.
     const RunResult un = System(powerBase("omnetpp")).run();
-    const std::string jsonl = ::testing::TempDir() + "powercap.jsonl";
-    const std::string chrome =
-        ::testing::TempDir() + "powercap.trace.json";
+    const std::string path = ::testing::TempDir() + "powercap.trace.json";
     SystemConfig capped = powerBase("omnetpp");
     capped.withPowerCap(0.75 * un.inPkgAvgPowerWatts, /*minSlices=*/6);
-    capped.withTelemetry(jsonl);
-    capped.withSpanTrace(chrome);
+    capped.withTelemetry();
+    capped.withSpanTrace(path);
     std::uint64_t started = 0;
     {
         System s(capped);
@@ -365,35 +352,24 @@ TEST(PowerEndToEnd, PowerCapLogsOneDecisionPerStartedTransition)
     }
     ASSERT_GE(started, 1u);
 
-    // Every JSONL record that is not run metadata or an epoch sample
-    // is a decision, a transition start or a commit.
-    std::vector<std::string> logged;
-    std::ifstream telem(jsonl);
-    for (std::string line; std::getline(telem, line);) {
-        const std::string event = between(line, "\"event\": \"");
-        const std::string name = event.substr(0, event.find('"'));
-        if (name == "run_start" || name == "measure_start" ||
-            name == "epoch" || name == "run_end" ||
-            name == "resize_start" || name == "resize_commit") {
-            continue;
+    std::uint64_t decisions = 0;
+    std::uint64_t begins = 0;
+    std::ifstream trace(path);
+    for (std::string line; std::getline(trace, line);) {
+        if (line.find("{\"name\": \"decision\", \"ph\": \"i\"") !=
+            std::string::npos) {
+            ++decisions;
+            EXPECT_NE(line.find("\"reason\": \"cap_shed\""),
+                      std::string::npos)
+                << line;
         }
-        EXPECT_EQ(name, "decision") << line;
-        logged.push_back(between(line, "\"event\": \"decision\", "));
+        if (line.find("{\"name\": \"resize\", \"ph\": \"B\"") !=
+            std::string::npos)
+            ++begins;
     }
-    EXPECT_EQ(logged.size(), started);
-
-    // The Chrome control track carries the same decisions.
-    std::vector<std::string> marked;
-    std::ifstream spans(chrome);
-    for (std::string line; std::getline(spans, line);) {
-        if (line.find("\"name\": \"decision\"") == std::string::npos)
-            continue;
-        const std::string args = between(line, "\"args\": {");
-        marked.push_back(args.substr(0, args.rfind('}')));
-    }
-    EXPECT_EQ(marked, logged);
-    std::remove(jsonl.c_str());
-    std::remove(chrome.c_str());
+    EXPECT_EQ(decisions, started);
+    EXPECT_EQ(begins, started);
+    std::remove(path.c_str());
 }
 
 } // namespace

@@ -5,7 +5,8 @@
  * leaves simulation results bit-identical, sweeps route each
  * experiment to its own trace file whose bytes do not depend on the
  * worker-thread count, and the emitted files are well-formed Chrome
- * trace-event JSON.
+ * trace-event JSON that carries the run metadata and every telemetry
+ * epoch sample.
  */
 
 #include <gtest/gtest.h>
@@ -83,20 +84,18 @@ TEST(SpanTracePath, LabelSanitizedAndDirectoriesCreated)
     EXPECT_EQ(sanitizeRunLabel("a/b c:d"), "a_b_c_d");
     EXPECT_EQ(sanitizeRunLabel("ok-1.2_x"), "ok-1.2_x");
 
-    // Plain file + perRun: the label splices in before the extension.
-    EXPECT_EQ(resolveTracePath("out.trace.json", "w/x", ".trace.json",
-                               true),
+    // Plain file: the label splices in before the extension; without
+    // a label the path is used as given.
+    EXPECT_EQ(resolveTracePath("out.trace.json", "w/x"),
               "out-w_x.trace.json");
-    // Non-perRun file paths pass through untouched (shared sinks).
-    EXPECT_EQ(resolveTracePath("out.jsonl", "w/x", ".jsonl", false),
-              "out.jsonl");
-    EXPECT_EQ(resolveTracePath("", "w", ".jsonl", false), "");
+    EXPECT_EQ(resolveTracePath("out.json", "w/x"), "out-w_x.json");
+    EXPECT_EQ(resolveTracePath("out.trace.json", ""), "out.trace.json");
+    EXPECT_EQ(resolveTracePath("", "w"), "");
 
     // Directory path: created on demand, one file per label.
     const std::string dir = ::testing::TempDir() + "span_path_dir";
     std::remove((dir + "/lbl.trace.json").c_str());
-    const std::string p =
-        resolveTracePath(dir + "/", "lbl", ".trace.json", true);
+    const std::string p = resolveTracePath(dir + "/", "lbl");
     EXPECT_EQ(p, dir + "/lbl.trace.json");
     std::FILE *f = std::fopen(p.c_str(), "w");
     ASSERT_NE(f, nullptr) << "directory was not created";
@@ -138,6 +137,7 @@ TEST(SpanTrace, WellFormedAndCausallyComplete)
     const std::string path =
         ::testing::TempDir() + "span_wellformed.trace.json";
     SystemConfig c = tinyConfig();
+    c.withTelemetry(usToCycles(2.0));
     c.withSpanTrace(path, /*sampleShift=*/2);
     {
         System sys(c);
@@ -164,7 +164,34 @@ TEST(SpanTrace, WellFormedAndCausallyComplete)
     EXPECT_GT(countOccurrences(trace, "\"name\": \"service\""), 0u);
     EXPECT_GT(countOccurrences(trace, "\"name\": \"resident\""), 0u);
     EXPECT_GT(countOccurrences(trace, "\"name\": \"thread_name\""), 0u);
-    EXPECT_GT(countOccurrences(trace, "\"name\": \"run_info\""), 0u);
+
+    // One file per run: its run records once each, and every epoch
+    // sample the registry numbered (0, 1, ...) as an "epoch" instant
+    // in order, each with its "metrics" counter.
+    for (const char *once : {"run_info", "measure_start", "run_end"}) {
+        EXPECT_EQ(countOccurrences(trace, std::string("\"name\": \"") +
+                                              once + "\", \"ph\": \"i\""),
+                  1u)
+            << once;
+    }
+    const std::string epochHead = "\"name\": \"epoch\", \"ph\": \"i\"";
+    std::size_t epochs = 0;
+    for (std::size_t pos = trace.find(epochHead); pos != std::string::npos;
+         pos = trace.find(epochHead, pos + 1)) {
+        const std::string want =
+            "\"args\": {\"epoch\": " + std::to_string(epochs) + ", ";
+        EXPECT_EQ(trace.compare(trace.find("\"args\": {", pos), want.size(),
+                                want),
+                  0)
+            << "epoch instant " << epochs << " out of order";
+        ++epochs;
+    }
+    EXPECT_GE(epochs, 3u); // baseline + at least one tick + closing
+    EXPECT_EQ(countOccurrences(trace, "\"name\": \"metrics\", \"ph\": \"C\""),
+              epochs);
+    // run_end closes the run before the journal's truncation tail.
+    EXPECT_LT(trace.find("\"name\": \"run_end\""),
+              trace.find("\"truncated\""));
     std::remove(path.c_str());
 }
 

@@ -211,6 +211,42 @@ TEST(SystemIntegration, LargePagesWithUndividableSlicesFailFast)
                 "divide into 8 slices");
 }
 
+TEST(SystemIntegration, BadWorkloadsFailFastNamingTheFix)
+{
+    EXPECT_EXIT(System s(tiny(SchemeKind::Banshee, "nosuch")),
+                ::testing::ExitedWithCode(1),
+                "unknown workload 'nosuch' — use a name from");
+
+    // Tenants run per-core workloads inside their own address regions.
+    auto tenants = [](const std::string &workload) {
+        SystemConfig c = tiny(SchemeKind::Banshee);
+        c.withTenants({{"a", "mcf", 1.0, 0}, {"b", workload, 1.0, 0}});
+        return c;
+    };
+    EXPECT_EXIT(System s(tenants("nosuch")), ::testing::ExitedWithCode(1),
+                "tenant 'b': unknown workload 'nosuch' — use a per-core");
+    EXPECT_EXIT(System s(tenants("pagerank")),
+                ::testing::ExitedWithCode(1),
+                "tenant 'b': graph workload 'pagerank' .* per-core");
+    EXPECT_EXIT(System s(tenants("trace:/dev/null")),
+                ::testing::ExitedWithCode(1),
+                "tenant 'b': trace replay .* single-tenant run");
+}
+
+TEST(SystemIntegration, BadResizeConfigsFailFastNamingTheFix)
+{
+    SystemConfig weights = tiny(SchemeKind::Banshee);
+    weights.withTenants({{"a", "mcf", 1.0, 0}, {"b", "omnetpp", 1.0, 0}});
+    weights.resize.tenantWeights.push_back(1.0);
+    EXPECT_EXIT(System s(weights), ::testing::ExitedWithCode(1),
+                "3 entries for 2 tenants — give one weight per tenant");
+
+    SystemConfig unison = tiny(SchemeKind::Unison);
+    unison.withResizeStep(1, 4);
+    EXPECT_EXIT(System s(unison), ::testing::ExitedWithCode(1),
+                "scheme 'Unison' cannot resize — use the Banshee scheme");
+}
+
 TEST(SystemIntegration, LargePagesWithResizeRunValidlyConfigured)
 {
     // The positive path the two fail-fast checks guard: one MC keeps

@@ -1,9 +1,10 @@
 /**
  * @file
  * Unit tests for src/telemetry: histogram bucket math and
- * percentiles, the epoch sampler's cadence, the JSONL trace schema,
- * and the off-by-default guarantee (telemetry must not perturb a
- * run's results).
+ * percentiles, the epoch sampler's cadence, trace field rendering,
+ * the epoch records written into the run's trace file, and the
+ * off-by-default guarantee (telemetry must not perturb a run's
+ * results).
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "sim/system.hh"
 #include "telemetry/histogram.hh"
 #include "telemetry/metric_registry.hh"
+#include "telemetry/span_trace.hh"
 #include "telemetry/telemetry.hh"
 #include "telemetry/trace_sink.hh"
 
@@ -139,25 +141,25 @@ TEST(MetricRegistry, EpochSamplerCadence)
     MetricRegistry reg;
     reg.addGauge("now", [&eq] { return static_cast<double>(eq.now()); });
 
-    std::vector<Cycle> sampleCycles;
-    reg.start(eq, 100, [&sampleCycles](const MetricRegistry::Sample &s) {
-        sampleCycles.push_back(s.cycle);
+    std::vector<MetricRegistry::Sample> samples;
+    reg.start(eq, 100, [&samples](const MetricRegistry::Sample &s) {
+        samples.push_back(s);
     });
     eq.run(1000); // the sampler self-reschedules; bound the clock
 
-    ASSERT_GE(sampleCycles.size(), 5u);
-    for (std::size_t i = 0; i < sampleCycles.size(); ++i) {
-        EXPECT_EQ(sampleCycles[i], 100 * (i + 1));
-        EXPECT_DOUBLE_EQ(reg.series()[i].values[0],
-                         static_cast<double>(sampleCycles[i]));
-        EXPECT_EQ(reg.series()[i].epoch, i);
+    ASSERT_GE(samples.size(), 5u);
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+        EXPECT_EQ(samples[i].cycle, 100 * (i + 1));
+        EXPECT_DOUBLE_EQ(samples[i].values[0],
+                         static_cast<double>(samples[i].cycle));
+        EXPECT_EQ(samples[i].epoch, i);
     }
 
     // stop() disarms the pending clock event.
-    const std::size_t taken = sampleCycles.size();
+    const std::size_t taken = samples.size();
     reg.stop();
     eq.run(2000);
-    EXPECT_EQ(sampleCycles.size(), taken);
+    EXPECT_EQ(samples.size(), taken);
 }
 
 TEST(MetricRegistry, CountersAndStatSets)
@@ -169,70 +171,87 @@ TEST(MetricRegistry, CountersAndStatSets)
     set.counter("writes") += 2;
     reg.addStatSet(set, "dev.");
 
-    const auto &s = reg.sample(eq.now());
+    const MetricRegistry::Sample s = reg.sample(eq.now());
     ASSERT_EQ(reg.metricNames().size(), 2u);
     EXPECT_EQ(reg.metricNames()[0], "dev.reads");
     EXPECT_DOUBLE_EQ(s.values[0], 7.0);
     EXPECT_DOUBLE_EQ(s.values[1], 2.0);
 }
 
-TEST(TraceSink, JsonlSchemaRoundTrip)
+TEST(TraceField, RendersAndEscapesJson)
 {
-    const std::string path = tempPath("trace_roundtrip.jsonl");
-    {
-        TraceSink sink(path);
-        sink.event("runA", 42, "resize_start",
-                   {{"from", 8u}, {"to", 6u}, {"strategy", "ch"},
-                    {"frac", 0.75}});
-        sink.event("run\"B\\", 43, "plain", {});
-    }
+    EXPECT_EQ(TraceField("from", 8u).json(), "\"from\": 8");
+    EXPECT_EQ(TraceField("strategy", "ch").json(), "\"strategy\": \"ch\"");
+    EXPECT_EQ(TraceField("frac", 0.75).json(), "\"frac\": 0.75");
+    // Quotes, backslashes and control characters must be escaped.
+    EXPECT_EQ(TraceField("run", std::string("a\"B\\\n")).json(),
+              "\"run\": \"a\\\"B\\\\\\u000a\"");
+}
 
-    const auto lines = readLines(path);
-    ASSERT_EQ(lines.size(), 2u);
-    EXPECT_EQ(lines[0],
-              "{\"run\": \"runA\", \"cycle\": 42, "
-              "\"event\": \"resize_start\", \"from\": 8, \"to\": 6, "
-              "\"strategy\": \"ch\", \"frac\": 0.75}");
-    // Quotes and backslashes in labels must be escaped.
-    EXPECT_EQ(lines[1],
-              "{\"run\": \"run\\\"B\\\\\", \"cycle\": 43, "
-              "\"event\": \"plain\"}");
+/** Lines of @p lines that hold a @p ph event named @p name. */
+std::vector<std::string>
+eventsNamed(const std::vector<std::string> &lines, const char *name,
+            const char *ph)
+{
+    const std::string head = std::string("{\"name\": \"") + name +
+                             "\", \"ph\": \"" + ph + "\"";
+    std::vector<std::string> out;
+    for (const auto &line : lines) {
+        if (line.find(head) != std::string::npos)
+            out.push_back(line);
+    }
+    return out;
 }
 
 TEST(Telemetry, EpochEventsCarryMetricsAndHistograms)
 {
-    const std::string path = tempPath("trace_epochs.jsonl");
+    const std::string path = tempPath("trace_epochs.trace.json");
     {
         EventQueue eq;
         TelemetryConfig config;
         config.enabled = true;
-        config.path = path;
         config.epochCycles = 50;
-        config.runLabel = "unit";
         Telemetry telem(eq, config);
+        SpanTraceConfig spans;
+        spans.enabled = true;
+        spans.path = path;
+        PageJournal journal(spans, kPageBits, 1);
 
         Histogram &lat = telem.histogram("lat");
         telem.registry().addGauge("g", [] { return 1.5; });
         lat.record(3);
-        telem.startEpochs();
+        telem.startEpochs(&journal);
         eq.run(120);
         telem.finishEpochs();
+        journal.finish(eq.now());
     }
 
     const auto lines = readLines(path);
-    // Baseline sample + two epochs + the closing sample.
-    ASSERT_EQ(lines.size(), 4u);
-    for (const auto &line : lines) {
-        EXPECT_NE(line.find("\"run\": \"unit\""), std::string::npos);
-        EXPECT_NE(line.find("\"event\": \"epoch\""), std::string::npos);
-        EXPECT_NE(line.find("\"g\": 1.500000"), std::string::npos);
-        EXPECT_NE(line.find("\"lat\": {\"count\": 1, \"sum\": 3, "
-                            "\"max\": 3, \"buckets\": [0, 0, 1]}"),
-                  std::string::npos);
+    // Baseline sample + two epochs + the closing sample, each a
+    // "metrics" counter plus an "epoch" instant on the run track.
+    const auto metrics = eventsNamed(lines, "metrics", "C");
+    const auto epochs = eventsNamed(lines, "epoch", "i");
+    ASSERT_EQ(metrics.size(), 4u);
+    ASSERT_EQ(epochs.size(), 4u);
+    for (const auto &line : metrics)
+        EXPECT_NE(line.find("\"args\": {\"g\": 1.500000}"),
+                  std::string::npos)
+            << line;
+    for (const auto &line : epochs) {
+        EXPECT_NE(line.find("\"pid\": 3, \"tid\": 0"), std::string::npos);
+        EXPECT_NE(line.find("\"hists\": {\"lat\": {\"count\": 1, "
+                            "\"sum\": 3, \"max\": 3, "
+                            "\"buckets\": [0, 0, 1]}}"),
+                  std::string::npos)
+            << line;
     }
-    EXPECT_NE(lines[0].find("\"epoch\": 0"), std::string::npos);
-    EXPECT_NE(lines[1].find("\"cycle\": 50"), std::string::npos);
-    EXPECT_NE(lines[2].find("\"cycle\": 100"), std::string::npos);
+    EXPECT_NE(epochs[0].find("\"epoch\": 0, \"cycle\": 0"),
+              std::string::npos);
+    EXPECT_NE(epochs[1].find("\"epoch\": 1, \"cycle\": 50"),
+              std::string::npos);
+    EXPECT_NE(epochs[2].find("\"epoch\": 2, \"cycle\": 100"),
+              std::string::npos);
+    std::remove(path.c_str());
 }
 
 TEST(Telemetry, DisabledByDefaultLeavesResultsIdentical)
@@ -246,7 +265,7 @@ TEST(Telemetry, DisabledByDefaultLeavesResultsIdentical)
     EXPECT_FALSE(off.telemetry.enabled);
 
     SystemConfig on = off;
-    on.withTelemetry(tempPath("trace_identity.jsonl"), usToCycles(5.0));
+    on.withTelemetry(usToCycles(5.0));
     EXPECT_TRUE(on.telemetry.enabled);
 
     System offSys(off);
