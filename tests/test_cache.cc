@@ -12,6 +12,7 @@
 #include "cache/cache.hh"
 #include "cache/hierarchy.hh"
 #include "common/event_queue.hh"
+#include "common/rng.hh"
 
 namespace banshee {
 namespace {
@@ -280,6 +281,117 @@ TEST(Hierarchy, FetchPathUsesL1I)
     EXPECT_EQ(r.level, CacheHierarchy::Level::L1);
     EXPECT_TRUE(h.l1i(0).contains(lineOf(0x4000)));
     EXPECT_FALSE(h.l1d(0).contains(lineOf(0x4000)));
+}
+
+//
+// Pinned hierarchy behaviour under a randomized multi-core stream.
+//
+
+/** FNV-1a step over the eight bytes of @p v, low byte first. */
+std::uint64_t
+fnv1a(std::uint64_t h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** Completes each fetch after a seeded random delay on an event queue
+ *  and records fetch and writeback order. */
+class DelayedBackend : public MemBackend
+{
+  public:
+    explicit DelayedBackend(EventQueue &eq) : eq_(eq), rng_(77) {}
+
+    void
+    fetchLine(LineAddr line, const MappingInfo &, CoreId,
+              MissDoneFn done) override
+    {
+        fetches.push_back(line);
+        eq_.schedule(eq_.now() + 1 + rng_.nextBelow(300), std::move(done));
+    }
+
+    void
+    writebackLine(LineAddr line) override
+    {
+        writebacks.push_back(line);
+    }
+
+    std::vector<LineAddr> fetches;
+    std::vector<LineAddr> writebacks;
+
+  private:
+    EventQueue &eq_;
+    Rng rng_;
+};
+
+TEST(Hierarchy, RandomStreamIsPinnedAndInclusive)
+{
+    // Four cores over a 1 KB L1 / 4 KB L2 / 16 KB L3 hierarchy and a
+    // 768-line universe, so every level evicts. Fills land after a
+    // random delay, so concurrent misses merge in the MSHRs; every
+    // 40th step a core loads and fetches one line in the same cycle,
+    // which parks a load and a fetch of one core on one MSHR.
+    EventQueue eq;
+    DelayedBackend backend(eq);
+    CacheHierarchy h(tinyHierarchy(4), backend);
+    constexpr std::uint64_t kUniverse = 768;
+    Rng rng(31);
+    std::uint64_t levels = 0xcbf29ce484222325ull;
+    Cycle at = 0;
+    for (int i = 0; i < 20000; ++i) {
+        at += rng.nextBelow(4);
+        const CoreId core = static_cast<CoreId>(rng.nextBelow(4));
+        const Addr addr = rng.nextBelow(kUniverse) * kLineBytes;
+        const std::uint64_t kind = i % 40 == 0 ? 3 : rng.nextBelow(3);
+        eq.schedule(at, [&h, &levels, core, addr, kind] {
+            auto record = [&levels](CacheHierarchy::AccessResult r) {
+                levels = fnv1a(levels, static_cast<std::uint64_t>(r.level));
+            };
+            if (kind == 0 || kind == 1 || kind == 3)
+                record(h.access(core, addr, kind == 1, MappingInfo{},
+                                nullptr));
+            if (kind == 2 || kind == 3)
+                record(h.fetch(core, addr, MappingInfo{}, nullptr));
+        });
+    }
+    eq.run();
+    EXPECT_GT(h.stats().value("mshrMerges"), 0u);
+
+    std::uint64_t d = 0xcbf29ce484222325ull;
+    for (LineAddr l : backend.fetches)
+        d = fnv1a(d, l);
+    d = fnv1a(d, ~0ull);
+    for (LineAddr l : backend.writebacks)
+        d = fnv1a(d, l);
+    auto digestCache = [&d](const Cache &c) {
+        d = fnv1a(d, c.hits());
+        d = fnv1a(d, c.misses());
+        d = fnv1a(d, c.stats().value("evictions"));
+        d = fnv1a(d, c.stats().value("dirtyEvictions"));
+    };
+    for (CoreId c = 0; c < 4; ++c) {
+        digestCache(h.l1d(c));
+        digestCache(h.l1i(c));
+        digestCache(h.l2(c));
+    }
+    digestCache(h.l3());
+    EXPECT_EQ(d, 0xe4260e1e86a29bfdull);
+    EXPECT_EQ(levels, 0x185a38c017a23d47ull);
+
+    // Inclusion: an L1 line is in its core's L2, an L2 line in L3.
+    for (LineAddr line = 0; line < kUniverse; ++line) {
+        for (CoreId c = 0; c < 4; ++c) {
+            if (h.l1d(c).contains(line) || h.l1i(c).contains(line)) {
+                EXPECT_TRUE(h.l2(c).contains(line)) << line;
+            }
+            if (h.l2(c).contains(line)) {
+                EXPECT_TRUE(h.l3().contains(line)) << line;
+            }
+        }
+    }
 }
 
 } // namespace

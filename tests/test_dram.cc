@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/event_queue.hh"
+#include "common/rng.hh"
 #include "dram/dram_model.hh"
 
 namespace banshee {
@@ -496,6 +497,89 @@ TEST_F(DramTest, QosDrainWatermarkOverridesSplitTheDrain)
     };
     EXPECT_EQ(runBatch(false), 0);
     EXPECT_EQ(runBatch(true), 24 - 8);
+}
+
+/** FNV-1a step over the eight bytes of @p v, low byte first. */
+std::uint64_t
+fnv1a(std::uint64_t h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/**
+ * Run one seeded read/write stream through a channel configured with
+ * @p sc and digest every completion cycle (in push order) and each
+ * tenant's QoS grants and defers. Requests cover all eight banks and
+ * four rows per bank, come from two tenants, and arrive through the
+ * event queue at random gaps short enough that both queues back up.
+ */
+std::uint64_t
+pickOrderDigest(const DramSchedConfig &sc, bool shares)
+{
+    EventQueue eq;
+    const DramTiming t;
+    DramModel dram(eq, t, 1, "d");
+    dram.setSchedConfig(sc);
+    if (shares) {
+        std::array<double, kMaxTenants> s{};
+        s[0] = 0.75;
+        s[1] = 0.25;
+        dram.setQosShares(s);
+    }
+    Rng rng(2024);
+    std::vector<Cycle> done;
+    done.reserve(2400);
+    Cycle at = 0;
+    for (int i = 0; i < 2400; ++i) {
+        const std::uint64_t bank = rng.nextBelow(t.numBanks);
+        const std::uint64_t row = rng.nextBelow(4) * t.numBanks + bank;
+        const Addr addr = row * t.rowBytes + rng.nextBelow(128) * 64;
+        const bool isWrite = rng.nextBool(0.35);
+        const TenantId tenant = static_cast<TenantId>(rng.nextBelow(2));
+        at += rng.nextBelow(14);
+        eq.schedule(at, [&dram, &done, addr, isWrite, tenant] {
+            enqueue(dram, addr, isWrite, done, tenant);
+        });
+    }
+    eq.run();
+    EXPECT_EQ(done.size(), 2400u);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (Cycle c : done) {
+        EXPECT_GT(c, 0u);
+        h = fnv1a(h, c);
+    }
+    for (TenantId tn = 0; tn < 2; ++tn) {
+        h = fnv1a(h, dram.traffic().qosGrants(tn));
+        h = fnv1a(h, dram.traffic().qosDefers(tn));
+    }
+    return h;
+}
+
+TEST_F(DramTest, PickOrderIsPinned)
+{
+    // The exact completion cycle of every request under four selector
+    // configs. Any change to the scheduler's pick order or timing
+    // moves a digest; a host-speed change to the channel must not.
+    const DramSchedConfig stock;
+    DramSchedConfig tenantQos = qosSched(); // the tenant-qos preset
+    tenantQos.readAgeCap = 4096;
+    tenantQos.writeAgeCap = 16384;
+    tenantQos.writeDrainHigh = 24;
+    tenantQos.writeDrainLow = 8;
+    DramSchedConfig narrow;
+    narrow.window = 1;
+    DramSchedConfig shortDrain;
+    shortDrain.writeDrainHigh = 4;
+    shortDrain.writeDrainLow = 2;
+
+    EXPECT_EQ(pickOrderDigest(stock, false), 0xc169e86213b614a2ull);
+    EXPECT_EQ(pickOrderDigest(tenantQos, true), 0x563f064f5e5bc375ull);
+    EXPECT_EQ(pickOrderDigest(narrow, false), 0xaa42c2237b1170f3ull);
+    EXPECT_EQ(pickOrderDigest(shortDrain, false), 0xf02cb7f0500c0159ull);
 }
 
 } // namespace
