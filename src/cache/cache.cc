@@ -14,136 +14,115 @@ Cache::Cache(const CacheParams &params)
     sim_assert(params.ways > 0, "cache needs at least one way");
     const std::uint64_t numLines = params.sizeBytes / params.lineBytes;
     sim_assert(numLines % params.ways == 0, "lines not divisible by ways");
+    sim_assert(numLines < (1ull << 32), "%s: too many lines for a slot",
+               params.name.c_str());
     numSets_ = static_cast<std::uint32_t>(numLines / params.ways);
     sim_assert(isPow2(numSets_), "%s: number of sets must be a power of two",
                params.name.c_str());
-    lines_.assign(numLines, Line{});
+    tags_.assign(numLines, kNoLine);
+    stamps_.assign(numLines, 0);
+    meta_.assign(numLines, 0);
+    dirty_.assign(numLines, 0);
 }
 
 std::uint32_t
-Cache::setIndex(LineAddr line) const
+Cache::setBase(LineAddr line) const
 {
-    return static_cast<std::uint32_t>(line & (numSets_ - 1));
+    return static_cast<std::uint32_t>(line & (numSets_ - 1)) * ways_;
 }
 
-Cache::Line *
-Cache::findLine(LineAddr line)
+inline Cache::Slot
+Cache::find(LineAddr line) const
 {
-    Line *set = &lines_[static_cast<std::uint64_t>(setIndex(line)) * ways_];
+    const std::uint32_t base = setBase(line);
+    const LineAddr *set = &tags_[base];
     for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (set[w].valid && set[w].tag == line)
-            return &set[w];
+        if (set[w] == line)
+            return Slot(base + w);
     }
-    return nullptr;
+    return Slot();
 }
 
-const Cache::Line *
-Cache::findLine(LineAddr line) const
-{
-    return const_cast<Cache *>(this)->findLine(line);
-}
-
-bool
+Cache::Slot
 Cache::lookup(LineAddr line, bool isWrite)
 {
-    Line *l = findLine(line);
-    if (!l) {
+    const Slot s = find(line);
+    if (!s) {
         ++statMisses_;
-        return false;
+        return s;
     }
     ++statHits_;
-    l->stamp = stampCounter_++;
+    stamps_[s.index()] = stampCounter_++;
     if (isWrite)
-        l->dirty = true;
-    return true;
+        dirty_[s.index()] = 1;
+    return s;
 }
 
-bool
+Cache::Slot
 Cache::contains(LineAddr line) const
 {
-    return findLine(line) != nullptr;
+    return find(line);
 }
 
-Cache::Victim
+Cache::Placement
 Cache::insert(LineAddr line, bool dirty, std::uint64_t meta)
 {
-    sim_assert(!findLine(line), "double insert of line %llx",
-               static_cast<unsigned long long>(line));
-    Line *set = &lines_[static_cast<std::uint64_t>(setIndex(line)) * ways_];
-
-    Line *slot = nullptr;
+    // One pass over the tags: the double-insert check and the first
+    // free way.
+    const std::uint32_t base = setBase(line);
+    const LineAddr *set = &tags_[base];
+    std::uint32_t way = ways_;
     for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (!set[w].valid) {
-            slot = &set[w];
-            break;
-        }
+        sim_assert(set[w] != line, "double insert of line %llx",
+                   static_cast<unsigned long long>(line));
+        if (way == ways_ && set[w] == kNoLine)
+            way = w;
     }
 
-    Victim victim;
-    if (!slot) {
-        // Evict the least recently used way (smallest stamp).
-        slot = &set[0];
+    Placement out;
+    if (way == ways_) {
+        // Set full: evict the least recently used way (smallest stamp).
+        const std::uint64_t *stamps = &stamps_[base];
+        way = 0;
         for (std::uint32_t w = 1; w < ways_; ++w) {
-            if (set[w].stamp < slot->stamp)
-                slot = &set[w];
+            if (stamps[w] < stamps[way])
+                way = w;
         }
-        victim.valid = true;
-        victim.dirty = slot->dirty;
-        victim.line = slot->tag;
-        victim.meta = slot->meta;
+        const std::uint32_t v = base + way;
+        out.victim.valid = true;
+        out.victim.dirty = dirty_[v] != 0;
+        out.victim.line = tags_[v];
+        out.victim.meta = meta_[v];
         ++statEvictions_;
-        if (slot->dirty)
+        if (dirty_[v])
             ++statDirtyEvictions_;
     }
 
-    slot->tag = line;
-    slot->valid = true;
-    slot->dirty = dirty;
-    slot->meta = meta;
-    slot->stamp = stampCounter_++;
-    return victim;
+    const std::uint32_t i = base + way;
+    tags_[i] = line;
+    dirty_[i] = dirty ? 1 : 0;
+    meta_[i] = meta;
+    stamps_[i] = stampCounter_++;
+    out.slot = Slot(i);
+    return out;
 }
 
 Cache::Victim
 Cache::invalidate(LineAddr line)
 {
     Victim out;
-    Line *l = findLine(line);
-    if (!l)
+    const Slot s = find(line);
+    if (!s)
         return out;
+    const std::uint32_t i = s.index();
     out.valid = true;
-    out.dirty = l->dirty;
-    out.line = l->tag;
-    out.meta = l->meta;
-    l->valid = false;
-    l->dirty = false;
-    l->meta = 0;
+    out.dirty = dirty_[i] != 0;
+    out.line = line;
+    out.meta = meta_[i];
+    tags_[i] = kNoLine;
+    dirty_[i] = 0;
+    meta_[i] = 0;
     return out;
-}
-
-void
-Cache::setDirty(LineAddr line)
-{
-    Line *l = findLine(line);
-    sim_assert(l, "setDirty on absent line %llx",
-               static_cast<unsigned long long>(line));
-    l->dirty = true;
-}
-
-std::uint64_t
-Cache::meta(LineAddr line) const
-{
-    const Line *l = findLine(line);
-    sim_assert(l, "meta on absent line");
-    return l->meta;
-}
-
-void
-Cache::setMeta(LineAddr line, std::uint64_t meta)
-{
-    Line *l = findLine(line);
-    sim_assert(l, "setMeta on absent line");
-    l->meta = meta;
 }
 
 } // namespace banshee

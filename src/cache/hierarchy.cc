@@ -35,6 +35,16 @@ CacheHierarchy::CacheHierarchy(const HierarchyParams &params,
     p3.sizeBytes = params.l3Size;
     p3.ways = params.l3Ways;
     l3_ = std::make_unique<Cache>(p3);
+
+    // Room for 16 outstanding misses per core before the MSHR table
+    // grows (a core allows 10 by default).
+    std::uint32_t buckets = 64;
+    while (buckets < 32 * params.numCores)
+        buckets *= 2;
+    mshrIndex_.resize(buckets);
+    mshrShift_ = 64 - log2i(buckets);
+    mshrPool_.reserve(buckets / 2);
+    mshrFree_.reserve(buckets / 2);
 }
 
 CacheHierarchy::AccessResult
@@ -68,17 +78,18 @@ CacheHierarchy::accessInternal(CoreId core, Addr addr, bool isWrite,
         return res;
     }
 
-    if (l2_[core]->lookup(line, false)) {
-        fillPrivate(core, line, isWrite, isFetch);
+    // From here on the lookups prove the line absent from every level
+    // they missed, so the fills below insert without re-probing.
+    if (const Cache::Slot s2 = l2_[core]->lookup(line, false)) {
+        fillL1(core, line, s2, isWrite, isFetch);
         res.level = Level::L2;
         res.latency = params_.l2Latency;
         return res;
     }
 
-    if (l3_->lookup(line, false)) {
-        l3_->setMeta(line, l3_->meta(line) |
-                               1ull << core);
-        fillPrivate(core, line, isWrite, isFetch);
+    if (const Cache::Slot s3 = l3_->lookup(line, false)) {
+        l3_->setMeta(s3, l3_->meta(s3) | 1ull << core);
+        fillL1(core, line, fillL2(core, line), isWrite, isFetch);
         res.level = Level::L3;
         res.latency = params_.l3Latency;
         return res;
@@ -89,56 +100,58 @@ CacheHierarchy::accessInternal(CoreId core, Addr addr, bool isWrite,
     res.latency = params_.l1Latency + params_.l2Latency + params_.l3Latency;
     res.pending = true;
 
-    auto it = mshrs_.find(line);
-    if (it != mshrs_.end()) {
+    const std::uint32_t bucket = mshrFind(line);
+    if (bucket != kNoMshr) {
         ++statMshrMerges_;
-        it->second.waiters.push_back(
+        mshrPool_[mshrIndex_[bucket].entry].waiters.push_back(
             MshrWaiter{core, isWrite, isFetch, std::move(done)});
         return res;
     }
 
     ++statLlcMisses_;
-    MshrEntry entry;
-    entry.mapping = mapping;
-    entry.waiters.push_back(
+    mshrPool_[mshrAllocate(line)].waiters.push_back(
         MshrWaiter{core, isWrite, isFetch, std::move(done)});
-    mshrs_.emplace(line, std::move(entry));
 
     backend_.fetchLine(line, mapping, core,
                        [this, line](Cycle when) { fillComplete(line, when); });
     return res;
 }
 
-void
-CacheHierarchy::fillPrivate(CoreId core, LineAddr line, bool isWrite,
-                            bool isFetch)
+Cache::Slot
+CacheHierarchy::fillL2(CoreId core, LineAddr line)
 {
-    Cache &l1 = isFetch ? *l1i_[core] : *l1d_[core];
-    if (!l2_[core]->contains(line)) {
-        handleL2Victim(core, l2_[core]->insert(line, false));
-    }
-    if (!l1.contains(line)) {
-        handleL1Victim(core, l1.insert(line, isWrite));
-    } else if (isWrite) {
-        l1.setDirty(line);
-    }
+    const Cache::Placement p = l2_[core]->insert(line, false);
+    handleL2Victim(core, p.victim);
+    return p.slot;
 }
 
 void
-CacheHierarchy::handleL1Victim(CoreId core, const Cache::Victim &victim)
+CacheHierarchy::fillL1(CoreId core, LineAddr line, Cache::Slot l2Slot,
+                       bool isWrite, bool isFetch)
 {
-    if (!victim.valid || !victim.dirty)
+    Cache &l1 = isFetch ? *l1i_[core] : *l1d_[core];
+    const std::uint64_t bit = isFetch ? kInL1i : kInL1d;
+    Cache &l2 = *l2_[core];
+    l2.setMeta(l2Slot, l2.meta(l2Slot) | bit);
+    handleL1Victim(core, bit, l1.insert(line, isWrite, l2Slot.index()).victim);
+}
+
+void
+CacheHierarchy::handleL1Victim(CoreId core, std::uint64_t bit,
+                               const Cache::Victim &victim)
+{
+    if (!victim.valid)
         return;
-    // Inclusive L2: the line must still be there; merge the dirty data.
-    if (l2_[core]->contains(victim.line)) {
-        l2_[core]->setDirty(victim.line);
-    } else if (l3_->contains(victim.line)) {
-        // Possible if the L2 copy was evicted while L1 kept the line.
-        l3_->setDirty(victim.line);
-    } else {
-        backend_.writebackLine(victim.line);
-        ++statLlcWritebacks_;
-    }
+    // Inclusive L2: the victim's L2 copy is still in the slot its
+    // metadata names (an L2 eviction would have invalidated it).
+    Cache &l2 = *l2_[core];
+    const Cache::Slot s2(static_cast<std::uint32_t>(victim.meta));
+    sim_assert(l2.holds(s2, victim.line),
+               "inclusion: L1 victim %llx is not in L2 slot %u",
+               static_cast<unsigned long long>(victim.line), s2.index());
+    l2.setMeta(s2, l2.meta(s2) & ~bit);
+    if (victim.dirty)
+        l2.setDirty(s2);
 }
 
 void
@@ -146,18 +159,18 @@ CacheHierarchy::handleL2Victim(CoreId core, const Cache::Victim &victim)
 {
     if (!victim.valid)
         return;
-    // Back-invalidate the L1 copies (inclusive L2).
+    // Back-invalidate the L1 copies its presence bits name.
     bool dirty = victim.dirty;
-    dirty |= l1d_[core]->invalidate(victim.line).dirty;
-    l1i_[core]->invalidate(victim.line);
+    if (victim.meta & kInL1d)
+        dirty |= l1d_[core]->invalidate(victim.line).dirty;
+    if (victim.meta & kInL1i)
+        l1i_[core]->invalidate(victim.line);
     if (!dirty)
         return;
-    if (l3_->contains(victim.line)) {
-        l3_->setDirty(victim.line);
-    } else {
-        backend_.writebackLine(victim.line);
-        ++statLlcWritebacks_;
-    }
+    const Cache::Slot s3 = l3_->contains(victim.line);
+    sim_assert(s3, "inclusion: L2 victim %llx is not in L3",
+               static_cast<unsigned long long>(victim.line));
+    l3_->setDirty(s3);
 }
 
 void
@@ -166,13 +179,18 @@ CacheHierarchy::handleL3Victim(const Cache::Victim &victim)
     if (!victim.valid)
         return;
     bool dirty = victim.dirty;
-    const std::uint64_t sharers = victim.meta;
-    for (std::uint32_t c = 0; c < params_.numCores; ++c) {
-        if (!(sharers & (1ull << c)))
+    for (std::uint64_t sharers = victim.meta; sharers != 0;
+         sharers &= sharers - 1) {
+        const CoreId c = static_cast<CoreId>(__builtin_ctzll(sharers));
+        // No L2 copy means no L1 copy either (inclusive L2).
+        const Cache::Victim v2 = l2_[c]->invalidate(victim.line);
+        if (!v2.valid)
             continue;
-        dirty |= l1d_[c]->invalidate(victim.line).dirty;
-        l1i_[c]->invalidate(victim.line);
-        dirty |= l2_[c]->invalidate(victim.line).dirty;
+        dirty |= v2.dirty;
+        if (v2.meta & kInL1d)
+            dirty |= l1d_[c]->invalidate(victim.line).dirty;
+        if (v2.meta & kInL1i)
+            l1i_[c]->invalidate(victim.line);
     }
     if (dirty) {
         backend_.writebackLine(victim.line);
@@ -183,29 +201,126 @@ CacheHierarchy::handleL3Victim(const Cache::Victim &victim)
 void
 CacheHierarchy::fillComplete(LineAddr line, Cycle when)
 {
-    auto it = mshrs_.find(line);
-    sim_assert(it != mshrs_.end(), "fill for unknown MSHR line %llx",
+    const std::uint32_t bucket = mshrFind(line);
+    sim_assert(bucket != kNoMshr, "fill for unknown MSHR line %llx",
                static_cast<unsigned long long>(line));
-    // Move waiters out before erasing; callbacks may re-enter.
-    std::vector<MshrWaiter> waiters = std::move(it->second.waiters);
-    mshrs_.erase(it);
+    // Unindex before the fills and callbacks: a callback that misses
+    // on this line again starts a new miss. The entry itself returns
+    // to the free list only after its waiters are done.
+    const std::uint32_t e = mshrIndex_[bucket].entry;
+    mshrUnindex(bucket);
 
     std::uint64_t sharers = 0;
-    for (const auto &w : waiters)
+    for (const auto &w : mshrPool_[e].waiters)
         sharers |= 1ull << w.core;
 
-    if (!l3_->contains(line))
-        handleL3Victim(l3_->insert(line, false, sharers));
-    else
-        l3_->setMeta(line, l3_->meta(line) | sharers);
+    // The line was absent from L3 when the miss was allocated, and
+    // every later access to it merged here.
+    handleL3Victim(l3_->insert(line, false, sharers).victim);
 
-    for (auto &w : waiters)
-        fillPrivate(w.core, line, w.isWrite, w.isFetch);
-
-    for (auto &w : waiters) {
-        if (w.done)
-            w.done(when);
+    // Two waiters of one core can share the line's private copies,
+    // so each private level is probed once per waiter.
+    const std::size_t n = mshrPool_[e].waiters.size();
+    for (std::size_t k = 0; k < n; ++k) {
+        const MshrWaiter &w = mshrPool_[e].waiters[k];
+        const CoreId core = w.core;
+        const bool isWrite = w.isWrite;
+        const bool isFetch = w.isFetch;
+        Cache::Slot s2 = l2_[core]->contains(line);
+        if (!s2)
+            s2 = fillL2(core, line);
+        Cache &l1 = isFetch ? *l1i_[core] : *l1d_[core];
+        if (const Cache::Slot s1 = l1.contains(line)) {
+            if (isWrite)
+                l1.setDirty(s1);
+        } else {
+            fillL1(core, line, s2, isWrite, isFetch);
+        }
     }
+
+    for (std::size_t k = 0; k < n; ++k) {
+        // Move the callback out: it may re-enter and grow the pool.
+        MissDoneFn done = std::move(mshrPool_[e].waiters[k].done);
+        if (done)
+            done(when);
+    }
+    mshrPool_[e].waiters.clear();
+    mshrFree_.push_back(e);
+}
+
+std::uint32_t
+CacheHierarchy::mshrFind(LineAddr line) const
+{
+    const std::uint32_t mask =
+        static_cast<std::uint32_t>(mshrIndex_.size() - 1);
+    for (std::uint32_t b = mshrHome(line);; b = (b + 1) & mask) {
+        const MshrBucket &bk = mshrIndex_[b];
+        if (bk.entry == kNoMshr)
+            return kNoMshr;
+        if (bk.line == line)
+            return b;
+    }
+}
+
+std::uint32_t
+CacheHierarchy::mshrAllocate(LineAddr line)
+{
+    if (2 * (mshrCount_ + 1) > mshrIndex_.size()) {
+        // Keep the index at most half full: rehash into twice the
+        // buckets.
+        std::vector<MshrBucket> old(mshrIndex_.size() * 2);
+        old.swap(mshrIndex_);
+        --mshrShift_;
+        const std::uint32_t mask =
+            static_cast<std::uint32_t>(mshrIndex_.size() - 1);
+        for (const MshrBucket &bk : old) {
+            if (bk.entry == kNoMshr)
+                continue;
+            std::uint32_t b = mshrHome(bk.line);
+            while (mshrIndex_[b].entry != kNoMshr)
+                b = (b + 1) & mask;
+            mshrIndex_[b] = bk;
+        }
+    }
+
+    std::uint32_t e;
+    if (mshrFree_.empty()) {
+        e = static_cast<std::uint32_t>(mshrPool_.size());
+        mshrPool_.emplace_back();
+    } else {
+        e = mshrFree_.back();
+        mshrFree_.pop_back();
+    }
+
+    const std::uint32_t mask =
+        static_cast<std::uint32_t>(mshrIndex_.size() - 1);
+    std::uint32_t b = mshrHome(line);
+    while (mshrIndex_[b].entry != kNoMshr)
+        b = (b + 1) & mask;
+    mshrIndex_[b] = MshrBucket{line, e};
+    ++mshrCount_;
+    return e;
+}
+
+void
+CacheHierarchy::mshrUnindex(std::uint32_t bucket)
+{
+    // Backward-shift deletion: pull each later bucket of the probe
+    // run into the hole unless its home lies cyclically in
+    // (hole, bucket], where moving it would break its own probe run.
+    const std::uint32_t mask =
+        static_cast<std::uint32_t>(mshrIndex_.size() - 1);
+    std::uint32_t hole = bucket;
+    for (std::uint32_t b = (hole + 1) & mask;
+         mshrIndex_[b].entry != kNoMshr; b = (b + 1) & mask) {
+        const std::uint32_t home = mshrHome(mshrIndex_[b].line);
+        if (((b - home) & mask) >= ((b - hole) & mask)) {
+            mshrIndex_[hole] = mshrIndex_[b];
+            hole = b;
+        }
+    }
+    mshrIndex_[hole].entry = kNoMshr;
+    --mshrCount_;
 }
 
 bool

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -43,6 +42,20 @@ struct HierarchyParams
  * sharer masks), so every dirty line eventually reaches the backend
  * as an LLC writeback — the traffic Banshee's Tag Buffer must probe
  * for.
+ *
+ * Line metadata keeps inclusion exact and cheap:
+ *  - an L3 line's meta is its sharer mask (bit c: core c's L2 may
+ *    hold it; a superset, never cleared on L2 eviction);
+ *  - an L2 line's meta holds presence bits (kInL1d, kInL1i) naming
+ *    which of its core's L1s hold the line, set on L1 fill and
+ *    cleared on L1 eviction;
+ *  - an L1 line's meta is the index of its L2 copy's slot.
+ * An L1 eviction so merges its dirty bit into L2 and clears the
+ * presence bit in O(1), after an always-on check that the slot still
+ * holds the line. An L2 eviction back-invalidates only the flagged
+ * L1s; an L3 eviction invalidates each sharer's L2 copy and then only
+ * the L1s flagged in it. Inclusion (L1 within its core's L2, L2
+ * within L3) is an asserted invariant, not a fallback path.
  */
 class CacheHierarchy
 {
@@ -87,6 +100,10 @@ class CacheHierarchy
     std::uint64_t llcMisses() const { return statLlcMisses_.value(); }
 
   private:
+    /** L2 line presence bits: which of the core's L1s hold the line. */
+    static constexpr std::uint64_t kInL1d = 1;
+    static constexpr std::uint64_t kInL1i = 2;
+
     struct MshrWaiter
     {
         CoreId core;
@@ -95,21 +112,39 @@ class CacheHierarchy
         MissDoneFn done;
     };
 
+    /** One outstanding LLC miss. Pool entries are reused, and their
+     *  waiter vectors keep their capacity across misses. */
     struct MshrEntry
     {
         std::vector<MshrWaiter> waiters;
-        MappingInfo mapping;
     };
+
+    /** A bucket of the MSHR index; entry == kNoMshr when empty. */
+    struct MshrBucket
+    {
+        LineAddr line = 0;
+        std::uint32_t entry = kNoMshr;
+    };
+
+    static constexpr std::uint32_t kNoMshr = ~0u;
 
     AccessResult accessInternal(CoreId core, Addr addr, bool isWrite,
                                 bool isFetch, const MappingInfo &mapping,
                                 MissDoneFn done);
 
-    /** Install @p line into core-private levels after an L3 hit/fill. */
-    void fillPrivate(CoreId core, LineAddr line, bool isWrite, bool isFetch);
+    /** Insert @p line into @p core's L2 (must be absent); the L2 victim
+     *  is handled. Returns the new line's slot. */
+    Cache::Slot fillL2(CoreId core, LineAddr line);
 
-    /** L1 -> L2 eviction handling (inclusive: dirty merges into L2). */
-    void handleL1Victim(CoreId core, const Cache::Victim &victim);
+    /** Insert @p line into @p core's L1d or L1i (must be absent) and
+     *  flag it in its L2 copy at @p l2Slot. */
+    void fillL1(CoreId core, LineAddr line, Cache::Slot l2Slot,
+                bool isWrite, bool isFetch);
+
+    /** L1 -> L2 eviction: clear the victim's presence bit @p bit and
+     *  merge its dirty data into the L2 copy. */
+    void handleL1Victim(CoreId core, std::uint64_t bit,
+                        const Cache::Victim &victim);
 
     /** L2 -> L3 eviction handling (back-invalidate L1s, dirty to L3). */
     void handleL2Victim(CoreId core, const Cache::Victim &victim);
@@ -120,6 +155,22 @@ class CacheHierarchy
     /** Called by the backend when an LLC miss completes. */
     void fillComplete(LineAddr line, Cycle when);
 
+    /** MSHR index bucket holding @p line, or kNoMshr. */
+    std::uint32_t mshrFind(LineAddr line) const;
+
+    /** Allocate a pool entry for @p line and index it. */
+    std::uint32_t mshrAllocate(LineAddr line);
+
+    /** Remove index bucket @p bucket (backward-shift deletion). */
+    void mshrUnindex(std::uint32_t bucket);
+
+    std::uint32_t
+    mshrHome(LineAddr line) const
+    {
+        return static_cast<std::uint32_t>(
+            (line * 0x9e3779b97f4a7c15ull) >> mshrShift_);
+    }
+
     HierarchyParams params_;
     MemBackend &backend_;
 
@@ -128,7 +179,17 @@ class CacheHierarchy
     std::vector<std::unique_ptr<Cache>> l2_;
     std::unique_ptr<Cache> l3_;
 
-    std::unordered_map<LineAddr, MshrEntry> mshrs_;
+    /**
+     * MSHR table: a flat open-addressed index (line -> pool entry,
+     * linear probing, at most half full) over a pool of entries with a
+     * free list. Both only grow, so a miss allocates nothing once the
+     * table has seen the run's peak of outstanding misses.
+     */
+    std::vector<MshrBucket> mshrIndex_;
+    std::uint32_t mshrShift_ = 64; ///< 64 - log2(index size)
+    std::uint32_t mshrCount_ = 0;  ///< indexed entries
+    std::vector<MshrEntry> mshrPool_;
+    std::vector<std::uint32_t> mshrFree_;
 
     StatSet stats_;
     Counter &statAccesses_;

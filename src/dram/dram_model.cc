@@ -17,12 +17,19 @@ DramChannel::DramChannel(EventQueue &eq, const DramTiming &timing,
                          StatSet &stats, std::string name)
     : eq_(eq), timing_(timing), traffic_(traffic), power_(power),
       name_(std::move(name)), banks_(timing.numBanks),
+      casCycles_(timing.toCore(timing.scaledCAS())),
+      rcdCycles_(timing.toCore(timing.scaledRCD())),
+      rpCycles_(timing.toCore(timing.scaledRP())),
+      rasCycles_(timing.toCore(timing.scaledRAS())),
+      closedReady_(rcdCycles_ + casCycles_),
+      conflictReady_(rpCycles_ + rcdCycles_ + casCycles_),
       kickEvent_([this] { kick(); }),
       statReqs_(stats.counter(name_ + ".requests")),
       statRowHits_(stats.counter(name_ + ".rowHits")),
       statRowConflicts_(stats.counter(name_ + ".rowConflicts")),
       statTotalLatency_(stats.counter(name_ + ".totalLatencyCycles"))
 {
+    slab_.reserve(128);
 }
 
 void
@@ -31,16 +38,54 @@ DramChannel::push(DramRequest req)
     if (telem_) {
         // Queue depth this request finds on arrival.
         if (req.isWrite)
-            telem_->writeOccupancy.record(writeQ_.size());
+            telem_->writeOccupancy.record(writeQ_.size);
         else
-            telem_->readOccupancy.record(readQ_.size());
+            telem_->readOccupancy.record(readQ_.size);
     }
-    Pending p{std::move(req), eq_.now()};
-    if (p.req.isWrite)
-        writeQ_.push_back(std::move(p));
-    else
-        readQ_.push_back(std::move(p));
+    std::uint32_t n = freeHead_;
+    if (n != kNil) {
+        freeHead_ = slab_[n].next;
+    } else {
+        n = static_cast<std::uint32_t>(slab_.size());
+        slab_.emplace_back();
+    }
+    Pending &p = slab_[n];
+    p.row = req.addr / timing_.rowBytes;
+    p.bank = static_cast<std::uint32_t>(p.row % banks_.size());
+    p.req = std::move(req);
+    p.arrival = eq_.now();
+    p.qosMark = 0;
+    link(p.req.isWrite ? writeQ_ : readQ_, n);
     armKick(eq_.now());
+}
+
+void
+DramChannel::link(Queue &q, std::uint32_t n)
+{
+    Pending &p = slab_[n];
+    p.prev = q.tail;
+    p.next = kNil;
+    if (q.tail != kNil)
+        slab_[q.tail].next = n;
+    else
+        q.head = n;
+    q.tail = n;
+    ++q.size;
+}
+
+void
+DramChannel::unlink(Queue &q, std::uint32_t n)
+{
+    const Pending &p = slab_[n];
+    if (p.prev != kNil)
+        slab_[p.prev].next = p.next;
+    else
+        q.head = p.next;
+    if (p.next != kNil)
+        slab_[p.next].prev = p.prev;
+    else
+        q.tail = p.prev;
+    --q.size;
 }
 
 void
@@ -78,26 +123,20 @@ DramChannel::bankReadyCycle(const Pending &p) const
     // bank accepts the next column access one burst after the
     // previous one issued, so back-to-back row hits are bus-limited,
     // not tCAS-limited.
-    const std::uint64_t row = p.req.addr / timing_.rowBytes;
-    const Bank &bank = banks_[row % banks_.size()];
+    const Bank &bank = banks_[p.bank];
     const Cycle start = std::max(eq_.now(), bank.readyCycle);
 
-    if (bank.openRow == row) {
+    if (bank.openRow == p.row) {
         // Row-buffer hit: only the column access.
-        return start + timing_.toCore(timing_.scaledCAS());
+        return start + casCycles_;
     }
     if (bank.openRow == ~0ull) {
         // Bank closed: activate then access.
-        return start + timing_.toCore(timing_.scaledRCD() +
-                                      timing_.scaledCAS());
+        return start + closedReady_;
     }
     // Conflict: precharge (respecting tRAS) + activate + access.
-    const Cycle rasDone =
-        bank.lastActStart + timing_.toCore(timing_.scaledRAS());
-    const Cycle preStart = std::max(start, rasDone);
-    return preStart + timing_.toCore(timing_.scaledRP() +
-                                     timing_.scaledRCD() +
-                                     timing_.scaledCAS());
+    const Cycle preStart = std::max(start, bank.lastActStart + rasCycles_);
+    return preStart + conflictReady_;
 }
 
 void
@@ -155,7 +194,7 @@ DramChannel::qosCharge(const Pending &p)
 }
 
 bool
-DramChannel::selectNext(Pending &out)
+DramChannel::selectNext(std::uint32_t &out)
 {
     const Cycle now = eq_.now();
     if (sched_.qos)
@@ -170,17 +209,17 @@ DramChannel::selectNext(Pending &out)
     // that keeps the read queue nonempty can park another tenant's
     // writes below the high watermark for a long time.
     const bool writeOverAge =
-        sched_.writeAgeCap > 0 && !writeQ_.empty() &&
-        now - writeQ_.front().arrival > sched_.writeAgeCap;
+        sched_.writeAgeCap > 0 && writeQ_.size > 0 &&
+        now - slab_[writeQ_.head].arrival > sched_.writeAgeCap;
     const bool readOverAge =
-        sched_.readAgeCap > 0 && !readQ_.empty() &&
-        now - readQ_.front().arrival > sched_.readAgeCap;
+        sched_.readAgeCap > 0 && readQ_.size > 0 &&
+        now - slab_[readQ_.head].arrival > sched_.readAgeCap;
     if (!drainingWrites_) {
-        if (writeQ_.size() >= sched_.writeDrainHigh ||
-            (readQ_.empty() && !writeQ_.empty()) || writeOverAge) {
+        if (writeQ_.size >= sched_.writeDrainHigh ||
+            (readQ_.size == 0 && writeQ_.size > 0) || writeOverAge) {
             drainingWrites_ = true;
         }
-    } else if (writeQ_.size() <= sched_.writeDrainLow && !readQ_.empty() &&
+    } else if (writeQ_.size <= sched_.writeDrainLow && readQ_.size > 0 &&
                !writeOverAge) {
         drainingWrites_ = false;
     }
@@ -193,23 +232,22 @@ DramChannel::selectNext(Pending &out)
     // both sides stay bounded.
     const bool readPreempts =
         drainingWrites_ && readOverAge && !writeOverAge;
-    std::deque<Pending> &q =
-        (drainingWrites_ && !writeQ_.empty() && !readPreempts)
-            ? writeQ_
-            : readQ_;
-    if (q.empty())
+    Queue &q = (drainingWrites_ && writeQ_.size > 0 && !readPreempts)
+                   ? writeQ_
+                   : readQ_;
+    if (q.size == 0)
         return false;
 
-    // Age-bounded FR-FCFS: the oldest request (queue front — FIFO
+    // Age-bounded FR-FCFS: the oldest request (queue head — FIFO
     // push order) beats any row hit once its wait exceeds the cap.
     const Cycle ageCap =
         &q == &writeQ_ ? sched_.writeAgeCap : sched_.readAgeCap;
-    if (ageCap > 0 && now - q.front().arrival > ageCap) {
-        out = std::move(q.front());
-        q.pop_front();
-        out.qosMark = kQosAged;
+    if (ageCap > 0 && now - slab_[q.head].arrival > ageCap) {
+        out = q.head;
+        unlink(q, out);
+        slab_[out].qosMark = kQosAged;
         if (sched_.qos)
-            qosCharge(out);
+            qosCharge(slab_[out]);
         return true;
     }
 
@@ -220,73 +258,73 @@ DramChannel::selectNext(Pending &out)
     // Work conserving: with no eligible contender the overall best
     // issues anyway.
     const bool credits = sched_.qos && qosSharesSet_;
-    const std::size_t window =
-        std::min<std::size_t>(q.size(), sched_.window);
-    std::size_t best = 0;
-    Cycle bestReady = bankReadyCycle(q[0]);
-    std::size_t bestElig =
-        !credits || qosEligible(q[0]) ? 0 : window; // window = none
+    const std::uint32_t window = std::min(q.size, sched_.window);
+    std::uint32_t n = q.head;
+    std::uint32_t best = n;
+    Cycle bestReady = bankReadyCycle(slab_[n]);
+    std::uint32_t bestElig = !credits || qosEligible(slab_[n]) ? n : kNil;
     Cycle bestEligReady = bestReady;
-    for (std::size_t i = 1; i < window; ++i) {
-        const Cycle r = bankReadyCycle(q[i]);
+    for (std::uint32_t i = 1; i < window; ++i) {
+        n = slab_[n].next;
+        const Pending &p = slab_[n];
+        const Cycle r = bankReadyCycle(p);
         if (r < bestReady) {
             bestReady = r;
-            best = i;
+            best = n;
         }
-        if ((!credits || qosEligible(q[i])) &&
-            (bestElig == window || r < bestEligReady)) {
+        if ((!credits || qosEligible(p)) &&
+            (bestElig == kNil || r < bestEligReady)) {
             bestEligReady = r;
-            bestElig = i;
+            bestElig = n;
         }
     }
-    const std::size_t pick = bestElig != window ? bestElig : best;
+    const std::uint32_t pick = bestElig != kNil ? bestElig : best;
     if (pick != best) {
         // Credit arbitration bypassed the bandwidth-optimal request:
         // its tenant exhausted this epoch's entitlement.
-        Pending &bypassed = q[best];
+        Pending &bypassed = slab_[best];
         bypassed.qosMark = kQosDeferred;
         traffic_.addQosDefer(bypassed.req.tenant);
         if (telem_)
             telem_->qosDeferAge.record(now - bypassed.arrival);
     }
-    out = std::move(q[pick]);
-    q.erase(q.begin() + static_cast<std::ptrdiff_t>(pick));
+    out = pick;
+    unlink(q, pick);
     if (sched_.qos)
-        qosCharge(out);
+        qosCharge(slab_[pick]);
     return true;
 }
 
 void
-DramChannel::issue(Pending p)
+DramChannel::issue(std::uint32_t n)
 {
-    const std::uint64_t row = p.req.addr / timing_.rowBytes;
-    Bank &bank = banks_[row % banks_.size()];
+    Pending &p = slab_[n];
+    Bank &bank = banks_[p.bank];
     const Cycle start = std::max(eq_.now(), bank.readyCycle);
 
     Cycle casTime;
-    if (bank.openRow == row) {
+    if (bank.openRow == p.row) {
         casTime = start;
         ++statRowHits_;
     } else if (bank.openRow == ~0ull) {
-        casTime = start + timing_.toCore(timing_.scaledRCD());
+        casTime = start + rcdCycles_;
         bank.lastActStart = start;
-        bank.openRow = row;
+        bank.openRow = p.row;
         power_.onActivate(p.req.cat, p.req.tenant);
     } else {
-        const Cycle rasDone =
-            bank.lastActStart + timing_.toCore(timing_.scaledRAS());
-        const Cycle preStart = std::max(start, rasDone);
-        const Cycle actStart = preStart + timing_.toCore(timing_.scaledRP());
-        casTime = actStart + timing_.toCore(timing_.scaledRCD());
+        const Cycle preStart =
+            std::max(start, bank.lastActStart + rasCycles_);
+        const Cycle actStart = preStart + rpCycles_;
+        casTime = actStart + rcdCycles_;
         bank.lastActStart = actStart;
-        bank.openRow = row;
+        bank.openRow = p.row;
         ++statRowConflicts_;
         power_.onActivate(p.req.cat, p.req.tenant);
     }
     power_.onBurst(p.req.bytes, p.req.tagBytes, p.req.isWrite, p.req.cat,
                    p.req.tenant);
 
-    const Cycle dataReady = casTime + timing_.toCore(timing_.scaledCAS());
+    const Cycle dataReady = casTime + casCycles_;
     const Cycle transfer =
         timing_.toCore(p.req.bytes / timing_.busBytesPerCycle);
     const Cycle busStart = std::max(busFree_, dataReady);
@@ -330,6 +368,9 @@ DramChannel::issue(Pending p)
         // node with no wrapper closure.
         eq_.schedule(complete, std::move(p.req.done));
     }
+    p.req.done = nullptr;
+    p.next = freeHead_;
+    freeHead_ = n;
 }
 
 void
@@ -341,18 +382,18 @@ DramChannel::kick()
         eq_.now() + timing_.toCore(kReserveAheadDramCycles);
     bool issuedAny = false;
     while (busFree_ <= horizon) {
-        Pending p;
-        if (!selectNext(p)) {
+        std::uint32_t n;
+        if (!selectNext(n)) {
             lastNoopKickCycle_ = issuedAny ? ~0ull : eq_.now();
             return;
         }
-        issue(std::move(p));
+        issue(n);
         issuedAny = true;
     }
     // Remember no-op rounds so armKick can collapse same-cycle
     // repeats; any issue invalidates the memo (busFree_ moved).
     lastNoopKickCycle_ = issuedAny ? ~0ull : eq_.now();
-    if (!readQ_.empty() || !writeQ_.empty()) {
+    if (readQ_.size > 0 || writeQ_.size > 0) {
         // Re-arm once the reserved bus time has drained.
         armKick(busFree_ - timing_.toCore(kReserveAheadDramCycles / 2));
     }

@@ -23,7 +23,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -78,9 +77,6 @@ class DramChannel
     /** Data-bus busy cycles so far (core cycles), for utilization. */
     Cycle busBusyCycles() const { return busBusyCycles_; }
 
-    std::size_t queuedReads() const { return readQ_.size(); }
-    std::size_t queuedWrites() const { return writeQ_.size(); }
-
     /** Attach (or detach with nullptr) telemetry distributions; null
      *  keeps the scheduler free of telemetry work. */
     void setTelemetry(ChannelTelemetry *telem) { telem_ = telem; }
@@ -106,13 +102,29 @@ class DramChannel
     void resetStats() { busBusyCycles_ = 0; }
 
   private:
+    /** Slab index meaning "no node". */
+    static constexpr std::uint32_t kNil = ~0u;
+
+    /** A queued request: one slab node, linked into its queue. */
     struct Pending
     {
         DramRequest req;
-        Cycle arrival; ///< queues are FIFO in arrival order
+        Cycle arrival = 0; ///< queues are FIFO in arrival order
+        std::uint64_t row = 0; ///< decoded once, at push
+        std::uint32_t bank = 0;
+        std::uint32_t prev = kNil; ///< queue neighbours (slab indices)
+        std::uint32_t next = kNil; ///< also links the free list
         /** QoS annotation for span tracing: how scheduling treated
          *  this request (0 none, kQosAged, kQosDeferred). */
         std::uint8_t qosMark = 0;
+    };
+
+    /** An intrusive FIFO list of slab nodes, oldest at the head. */
+    struct Queue
+    {
+        std::uint32_t head = kNil;
+        std::uint32_t tail = kNil;
+        std::uint32_t size = 0;
     };
 
     static constexpr std::uint8_t kQosAged = 1;
@@ -137,16 +149,24 @@ class DramChannel
      */
     Cycle bankReadyCycle(const Pending &p) const;
 
-    /** Issue one request: update bank/bus state, schedule completion. */
-    void issue(Pending p);
+    /** Issue slab node @p n (already unlinked from its queue): update
+     *  bank/bus state, schedule completion, free the node. */
+    void issue(std::uint32_t n);
 
     /**
      * The one selector: drain hysteresis picks a queue, an over-age
      * request pops first, then FR-FCFS over the window (preferring a
-     * credit-eligible pick while credits bind). Returns false if both
-     * queues are empty.
+     * credit-eligible pick while credits bind). Unlinks the pick and
+     * returns its slab node in @p out; returns false if both queues
+     * are empty.
      */
-    bool selectNext(Pending &out);
+    bool selectNext(std::uint32_t &out);
+
+    /** Append slab node @p n at @p q's tail. */
+    void link(Queue &q, std::uint32_t n);
+
+    /** Remove slab node @p n from @p q, wherever it sits. */
+    void unlink(Queue &q, std::uint32_t n);
 
     /** Lazy credit replenish on the epoch clock (no extra events, so
      *  enabling credits never perturbs event ordering). */
@@ -174,8 +194,31 @@ class DramChannel
     std::string name_;
 
     std::vector<Bank> banks_;
-    std::deque<Pending> readQ_;
-    std::deque<Pending> writeQ_;
+
+    /**
+     * Queue layout: every queued request lives in one slab node. The
+     * read and write queues are doubly linked FIFO lists threaded
+     * through the slab in arrival order, and free nodes form a singly
+     * linked free list. The FR-FCFS window scan walks @c window nodes
+     * from a queue's head; the pick unlinks in O(1) and the others
+     * keep their order. The slab only grows, so once it has reached
+     * the deepest queue of the run, a push allocates nothing.
+     */
+    std::vector<Pending> slab_;
+    std::uint32_t freeHead_ = kNil;
+    Queue readQ_;
+    Queue writeQ_;
+
+    /** Bank timings in core cycles, precomputed from the (scaled)
+     *  DRAM timing: tCAS (a row hit's data-ready offset), tRCD, tRP,
+     *  tRAS, and the data-ready offsets of a closed bank
+     *  (tRCD + tCAS) and a row conflict (tRP + tRCD + tCAS). */
+    Cycle casCycles_;
+    Cycle rcdCycles_;
+    Cycle rpCycles_;
+    Cycle rasCycles_;
+    Cycle closedReady_;
+    Cycle conflictReady_;
 
     Cycle busFree_ = 0;          ///< cycle the data bus becomes free
     Cycle busBusyCycles_ = 0;

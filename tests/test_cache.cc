@@ -44,7 +44,7 @@ TEST(Cache, LruEvictsLeastRecentlyUsed)
     c.insert(0, false);
     c.insert(8, false);
     c.lookup(0, false); // refresh 0
-    const auto victim = c.insert(16, false);
+    const auto victim = c.insert(16, false).victim;
     ASSERT_TRUE(victim.valid);
     EXPECT_EQ(victim.line, 8u);
     EXPECT_TRUE(c.contains(0));
@@ -56,7 +56,7 @@ TEST(Cache, DirtyBitOnWriteAndEviction)
     Cache c(smallCache(1));
     c.insert(0, false);
     c.lookup(0, true); // store
-    const auto victim = c.insert(8, false);
+    const auto victim = c.insert(8, false).victim;
     ASSERT_TRUE(victim.valid);
     EXPECT_TRUE(victim.dirty);
 }
@@ -76,16 +76,48 @@ TEST(Cache, MetaRoundTrip)
 {
     Cache c(smallCache(2));
     c.insert(8, false, 0xBEEF);
-    EXPECT_EQ(c.meta(8), 0xBEEF);
-    c.setMeta(8, 0x1234);
-    EXPECT_EQ(c.meta(8), 0x1234);
+    const Cache::Slot s = c.contains(8);
+    ASSERT_TRUE(s);
+    EXPECT_EQ(c.meta(s), 0xBEEF);
+    c.setMeta(s, 0x1234);
+    EXPECT_EQ(c.meta(c.contains(8)), 0x1234);
+}
+
+TEST(Cache, SlotHandlesNameTheLine)
+{
+    // insert, lookup and contains agree on the way holding a line; the
+    // slot accessors act on that way, and a slot stops holding its
+    // line once the line is invalidated or evicted.
+    Cache c(smallCache(2));
+    const Cache::Slot s = c.insert(8, false).slot;
+    ASSERT_TRUE(s);
+    EXPECT_EQ(c.lookup(8, false).index(), s.index());
+    EXPECT_EQ(c.contains(8).index(), s.index());
+    EXPECT_TRUE(c.holds(s, 8));
+    EXPECT_FALSE(c.holds(s, 16));
+    EXPECT_FALSE(c.holds(Cache::Slot(1u << 20), 8)); // out of range
+    EXPECT_TRUE(c.holds(Cache::Slot(s.index()), 8)); // rebuilt handle
+
+    c.setDirty(s);
+    EXPECT_TRUE(c.invalidate(8).dirty);
+    EXPECT_FALSE(c.holds(s, 8));
+    EXPECT_FALSE(c.lookup(8, false));
+    EXPECT_FALSE(c.contains(8));
+
+    // One way: inserting 16 evicts 8 from the same slot.
+    Cache one(smallCache(1));
+    const Cache::Slot s8 = one.insert(8, false).slot;
+    const Cache::Placement p = one.insert(16, false);
+    EXPECT_EQ(p.slot.index(), s8.index());
+    EXPECT_EQ(p.victim.line, 8u);
+    EXPECT_FALSE(one.holds(s8, 8));
 }
 
 TEST(Cache, InsertPrefersInvalidWays)
 {
     Cache c(smallCache(4));
     c.insert(0, false);
-    const auto v = c.insert(8, false);
+    const auto v = c.insert(8, false).victim;
     EXPECT_FALSE(v.valid); // three ways were still empty
 }
 
@@ -105,12 +137,13 @@ TEST_P(CacheGeometryTest, FillsToCapacityWithoutEvicting)
     // Insert exactly capacity distinct lines mapping evenly to sets.
     std::uint64_t evictions = 0;
     for (std::uint32_t i = 0; i < sets * ways; ++i) {
-        if (c.insert(i, false).valid)
+        if (c.insert(i, false).victim.valid)
             ++evictions;
     }
     EXPECT_EQ(evictions, 0u);
     // One more per set must evict.
-    if (c.insert(sets * static_cast<std::uint32_t>(ways), false).valid)
+    if (c.insert(sets * static_cast<std::uint32_t>(ways), false)
+            .victim.valid)
         ++evictions;
     EXPECT_EQ(evictions, 1u);
 }
