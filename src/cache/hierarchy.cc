@@ -103,13 +103,13 @@ CacheHierarchy::accessInternal(CoreId core, Addr addr, bool isWrite,
     const std::uint32_t bucket = mshrFind(line);
     if (bucket != kNoMshr) {
         ++statMshrMerges_;
-        mshrPool_[mshrIndex_[bucket].entry].waiters.push_back(
+        mshrPool_[mshrIndex_[bucket].entry].push_back(
             MshrWaiter{core, isWrite, isFetch, std::move(done)});
         return res;
     }
 
     ++statLlcMisses_;
-    mshrPool_[mshrAllocate(line)].waiters.push_back(
+    mshrPool_[mshrAllocate(line)].push_back(
         MshrWaiter{core, isWrite, isFetch, std::move(done)});
 
     backend_.fetchLine(line, mapping, core,
@@ -211,7 +211,7 @@ CacheHierarchy::fillComplete(LineAddr line, Cycle when)
     mshrUnindex(bucket);
 
     std::uint64_t sharers = 0;
-    for (const auto &w : mshrPool_[e].waiters)
+    for (const MshrWaiter &w : mshrPool_[e])
         sharers |= 1ull << w.core;
 
     // The line was absent from L3 when the miss was allocated, and
@@ -220,9 +220,9 @@ CacheHierarchy::fillComplete(LineAddr line, Cycle when)
 
     // Two waiters of one core can share the line's private copies,
     // so each private level is probed once per waiter.
-    const std::size_t n = mshrPool_[e].waiters.size();
+    const std::size_t n = mshrPool_[e].size();
     for (std::size_t k = 0; k < n; ++k) {
-        const MshrWaiter &w = mshrPool_[e].waiters[k];
+        const MshrWaiter &w = mshrPool_[e][k];
         const CoreId core = w.core;
         const bool isWrite = w.isWrite;
         const bool isFetch = w.isFetch;
@@ -240,11 +240,11 @@ CacheHierarchy::fillComplete(LineAddr line, Cycle when)
 
     for (std::size_t k = 0; k < n; ++k) {
         // Move the callback out: it may re-enter and grow the pool.
-        MissDoneFn done = std::move(mshrPool_[e].waiters[k].done);
+        MissDoneFn done = std::move(mshrPool_[e][k].done);
         if (done)
             done(when);
     }
-    mshrPool_[e].waiters.clear();
+    mshrPool_[e].clear();
     mshrFree_.push_back(e);
 }
 
@@ -271,15 +271,9 @@ CacheHierarchy::mshrAllocate(LineAddr line)
         std::vector<MshrBucket> old(mshrIndex_.size() * 2);
         old.swap(mshrIndex_);
         --mshrShift_;
-        const std::uint32_t mask =
-            static_cast<std::uint32_t>(mshrIndex_.size() - 1);
         for (const MshrBucket &bk : old) {
-            if (bk.entry == kNoMshr)
-                continue;
-            std::uint32_t b = mshrHome(bk.line);
-            while (mshrIndex_[b].entry != kNoMshr)
-                b = (b + 1) & mask;
-            mshrIndex_[b] = bk;
+            if (bk.entry != kNoMshr)
+                mshrPlace(bk);
         }
     }
 
@@ -291,15 +285,20 @@ CacheHierarchy::mshrAllocate(LineAddr line)
         e = mshrFree_.back();
         mshrFree_.pop_back();
     }
-
-    const std::uint32_t mask =
-        static_cast<std::uint32_t>(mshrIndex_.size() - 1);
-    std::uint32_t b = mshrHome(line);
-    while (mshrIndex_[b].entry != kNoMshr)
-        b = (b + 1) & mask;
-    mshrIndex_[b] = MshrBucket{line, e};
+    mshrPlace(MshrBucket{line, e});
     ++mshrCount_;
     return e;
+}
+
+void
+CacheHierarchy::mshrPlace(const MshrBucket &bk)
+{
+    const std::uint32_t mask =
+        static_cast<std::uint32_t>(mshrIndex_.size() - 1);
+    std::uint32_t b = mshrHome(bk.line);
+    while (mshrIndex_[b].entry != kNoMshr)
+        b = (b + 1) & mask;
+    mshrIndex_[b] = bk;
 }
 
 void

@@ -112,13 +112,6 @@ class CacheHierarchy
         MissDoneFn done;
     };
 
-    /** One outstanding LLC miss. Pool entries are reused, and their
-     *  waiter vectors keep their capacity across misses. */
-    struct MshrEntry
-    {
-        std::vector<MshrWaiter> waiters;
-    };
-
     /** A bucket of the MSHR index; entry == kNoMshr when empty. */
     struct MshrBucket
     {
@@ -161,9 +154,13 @@ class CacheHierarchy
     /** Allocate a pool entry for @p line and index it. */
     std::uint32_t mshrAllocate(LineAddr line);
 
+    /** Put @p bk in the first empty bucket of its probe run. */
+    void mshrPlace(const MshrBucket &bk);
+
     /** Remove index bucket @p bucket (backward-shift deletion). */
     void mshrUnindex(std::uint32_t bucket);
 
+    /** Home bucket of @p line (Fibonacci hashing). */
     std::uint32_t
     mshrHome(LineAddr line) const
     {
@@ -181,14 +178,17 @@ class CacheHierarchy
 
     /**
      * MSHR table: a flat open-addressed index (line -> pool entry,
-     * linear probing, at most half full) over a pool of entries with a
-     * free list. Both only grow, so a miss allocates nothing once the
-     * table has seen the run's peak of outstanding misses.
+     * linear probing, at most half full, backward-shift deletion) over
+     * a pool of waiter lists with a free list. One entry is one
+     * outstanding LLC miss, its waiters in arrival order. Reused
+     * entries keep their capacity, and the index and pool only grow,
+     * so a miss allocates nothing once the table has seen the run's
+     * peak of outstanding misses.
      */
     std::vector<MshrBucket> mshrIndex_;
     std::uint32_t mshrShift_ = 64; ///< 64 - log2(index size)
     std::uint32_t mshrCount_ = 0;  ///< indexed entries
-    std::vector<MshrEntry> mshrPool_;
+    std::vector<std::vector<MshrWaiter>> mshrPool_;
     std::vector<std::uint32_t> mshrFree_;
 
     StatSet stats_;

@@ -13,6 +13,11 @@
  * scheduler's knobs (window, drain watermarks, QoS age caps and
  * credits) live in one DramSchedConfig; see dram/sched_config.hh.
  *
+ * A request's row and bank are decoded once, when it is queued, and
+ * each channel precomputes its bank timings in core cycles, so
+ * scoring a candidate costs no division. Queued requests live in one
+ * slab per channel (see DramChannel's queue layout).
+ *
  * Large transfers must be chopped by the caller (schemes move pages
  * as a train of chunk requests); a single request may move at most
  * kMaxRequestBytes so the bus is never monopolized.

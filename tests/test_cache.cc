@@ -246,6 +246,46 @@ TEST(Hierarchy, MshrMergesConcurrentMisses)
     EXPECT_EQ(completions, 2); // both waiters complete
 }
 
+TEST(Hierarchy, MshrTableGrowsAndFillsOutOfOrder)
+{
+    // 2,000 outstanding misses, far past the MSHR table's initial
+    // size, each with a second waiter from the other core, complete in
+    // a shuffled order; the first callback of each line starts a new
+    // miss while the table is mid-fill. Every line is fetched once and
+    // every waiter completes once.
+    RecordingBackend backend;
+    CacheHierarchy h(tinyHierarchy(2), backend);
+    constexpr int kLines = 2000;
+    std::vector<int> completions(kLines, 0);
+    for (int i = 0; i < kLines; ++i) {
+        const Addr addr = static_cast<Addr>(i) * kLineBytes;
+        auto cb = [&h, &completions, i](Cycle) {
+            if (++completions[i] == 1) {
+                h.access(1, static_cast<Addr>(kLines + i) * kLineBytes,
+                         false, MappingInfo{}, nullptr);
+            }
+        };
+        h.access(0, addr, false, MappingInfo{}, cb);
+        h.access(1, addr, true, MappingInfo{}, cb);
+    }
+    EXPECT_EQ(backend.fetches.size(), static_cast<std::size_t>(kLines));
+    EXPECT_EQ(h.stats().value("mshrMerges"),
+              static_cast<std::uint64_t>(kLines));
+
+    auto pending = std::move(backend.pending);
+    backend.pending.clear();
+    Rng rng(5);
+    for (std::size_t i = pending.size(); i > 1; --i)
+        std::swap(pending[i - 1], pending[rng.nextBelow(i)]);
+    for (auto &[line, done] : pending)
+        done(100);
+    for (int c : completions)
+        EXPECT_EQ(c, 2);
+    EXPECT_EQ(backend.fetches.size(), static_cast<std::size_t>(2 * kLines));
+    backend.completeAll();
+    EXPECT_TRUE(backend.pending.empty());
+}
+
 TEST(Hierarchy, DirtyLineEventuallyWrittenBack)
 {
     RecordingBackend backend;
