@@ -109,8 +109,10 @@ class Cache
     /** A resident line's metadata word. */
     std::uint64_t meta(Slot slot) const { return meta_[slot.index()]; }
 
+    /** Update a resident line's metadata word. */
     void setMeta(Slot slot, std::uint64_t meta) { meta_[slot.index()] = meta; }
 
+    /** Mark a resident line dirty. */
     void setDirty(Slot slot) { dirty_[slot.index()] = 1; }
 
     std::uint32_t numSets() const { return numSets_; }

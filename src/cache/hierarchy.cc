@@ -223,18 +223,15 @@ CacheHierarchy::fillComplete(LineAddr line, Cycle when)
     const std::size_t n = mshrPool_[e].size();
     for (std::size_t k = 0; k < n; ++k) {
         const MshrWaiter &w = mshrPool_[e][k];
-        const CoreId core = w.core;
-        const bool isWrite = w.isWrite;
-        const bool isFetch = w.isFetch;
-        Cache::Slot s2 = l2_[core]->contains(line);
+        Cache::Slot s2 = l2_[w.core]->contains(line);
         if (!s2)
-            s2 = fillL2(core, line);
-        Cache &l1 = isFetch ? *l1i_[core] : *l1d_[core];
+            s2 = fillL2(w.core, line);
+        Cache &l1 = w.isFetch ? *l1i_[w.core] : *l1d_[w.core];
         if (const Cache::Slot s1 = l1.contains(line)) {
-            if (isWrite)
+            if (w.isWrite)
                 l1.setDirty(s1);
         } else {
-            fillL1(core, line, s2, isWrite, isFetch);
+            fillL1(w.core, line, s2, w.isWrite, w.isFetch);
         }
     }
 
@@ -304,9 +301,9 @@ CacheHierarchy::mshrPlace(const MshrBucket &bk)
 void
 CacheHierarchy::mshrUnindex(std::uint32_t bucket)
 {
-    // Backward-shift deletion: pull each later bucket of the probe
-    // run into the hole unless its home lies cyclically in
-    // (hole, bucket], where moving it would break its own probe run.
+    // Backward-shift deletion: pull each later bucket b of the probe
+    // run into the hole unless its home lies cyclically in (hole, b],
+    // where moving it would break its own probe run.
     const std::uint32_t mask =
         static_cast<std::uint32_t>(mshrIndex_.size() - 1);
     std::uint32_t hole = bucket;

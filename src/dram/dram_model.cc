@@ -29,6 +29,7 @@ DramChannel::DramChannel(EventQueue &eq, const DramTiming &timing,
       statRowConflicts_(stats.counter(name_ + ".rowConflicts")),
       statTotalLatency_(stats.counter(name_ + ".totalLatencyCycles"))
 {
+    // Typical queue depths fit; deeper queues grow the slab once.
     slab_.reserve(128);
 }
 
