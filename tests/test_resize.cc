@@ -16,7 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "core/banshee.hh"
@@ -127,6 +129,7 @@ class FakeHost : public ResizeHost
     bool allowEvict = true;
     int commitRequests = 0;
     int evictions = 0;
+    std::vector<PageNum> evictionOrder;
 
     std::uint32_t numSets() const override { return 16; }
 
@@ -158,6 +161,7 @@ class FakeHost : public ResizeHost
         Frame &f = frames.at({set, way});
         f.resident = false;
         ++evictions;
+        evictionOrder.push_back(f.page);
         return f.dirty;
     }
 
@@ -335,6 +339,189 @@ TEST(MigrationEngine, DeferredScheduledStepIsRetriedNotDropped)
     EXPECT_GT(rc.stats().value("decisionsDeferred"), 0u);
     EXPECT_EQ(rc.resizesCompleted(), 2u);
     EXPECT_EQ(rc.activeSlices(), 8u);
+}
+
+// ------------------------------------------------------------------
+// ResizeController control plane, pinned
+// ------------------------------------------------------------------
+
+/** FNV-1a step over the eight bytes of @p v, low byte first. */
+std::uint64_t
+fnv1a(std::uint64_t h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** A FakeHost whose pages belong to tenant (page parity). */
+class ParityHost : public FakeHost
+{
+  public:
+    TenantId
+    pageTenant(PageNum page) const override
+    {
+        return static_cast<TenantId>(page & 1);
+    }
+};
+
+/** The in-slice offset hash the test hands to ResizeDomain::setOf. */
+std::uint64_t
+offsetHash(PageNum page)
+{
+    return (page * 0x9e3779b97f4a7c15ull) >> 32;
+}
+
+/**
+ * One controller over four parity-tenant hosts, each filled with two
+ * frames in every set, at their pages' home sets. step() runs the
+ * queue dry after a request, folds the outcome into a running FNV-1a
+ * digest and re-inserts every drained page at its new home set, the
+ * way a later demand miss would refetch it.
+ */
+class PinnedRig
+{
+  public:
+    explicit PinnedRig(const ResizeConfig &cfg) : rc(eq, os, cfg)
+    {
+        for (std::size_t h = 0; h < hosts.size(); ++h)
+            rc.addHost(hosts[h], "rc" + std::to_string(h));
+        for (std::size_t h = 0; h < hosts.size(); ++h) {
+            FakeHost &host = hosts[h];
+            for (PageNum p = (h + 1) << 20;
+                 host.frames.size() < 2 * host.numSets(); ++p) {
+                const std::uint32_t set =
+                    rc.domain(h).setOf(p, offsetHash(p));
+                if (!host.frames.count({set, 1}))
+                    host.frames[{set, host.frames.count({set, 0})}] = {
+                        p, p % 3 == 0};
+            }
+        }
+    }
+
+    void
+    step(bool accepted)
+    {
+        digest = fnv1a(digest, accepted);
+        eq.run();
+        EXPECT_FALSE(rc.resizeInProgress());
+        digest = fnv1a(digest, rc.activeSlices());
+        digest = fnv1a(digest, rc.slicesOwnedBy(0));
+        digest = fnv1a(digest, rc.slicesOwnedBy(1));
+        digest = fnv1a(digest, rc.pagesMigrated());
+        for (std::size_t h = 0; h < hosts.size(); ++h) {
+            for (PageNum p = 0; p < 512; ++p)
+                digest = fnv1a(digest, rc.domain(h).setOf(p, offsetHash(p)));
+            refill(h);
+        }
+    }
+
+    /** Fold every host's eviction order into the digest. */
+    std::uint64_t
+    finish()
+    {
+        for (const ParityHost &host : hosts) {
+            for (PageNum p : host.evictionOrder)
+                digest = fnv1a(digest, p);
+            digest = fnv1a(digest, ~0ull);
+        }
+        return digest;
+    }
+
+    EventQueue eq;
+    PageTableManager pt;
+    OsServices os{eq, pt};
+    std::array<ParityHost, 4> hosts;
+    ResizeController rc;
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+
+  private:
+    void
+    refill(std::size_t h)
+    {
+        FakeHost &host = hosts[h];
+        std::vector<PageNum> gone;
+        for (auto it = host.frames.begin(); it != host.frames.end();) {
+            if (it->second.resident) {
+                ++it;
+                continue;
+            }
+            gone.push_back(it->second.page);
+            it = host.frames.erase(it);
+        }
+        for (PageNum p : gone) {
+            const std::uint32_t set = rc.domain(h).setOf(p, offsetHash(p));
+            std::uint32_t way = 0;
+            while (host.frames.count({set, way}))
+                ++way;
+            host.frames[{set, way}] = {p, p % 3 == 0};
+        }
+    }
+};
+
+TEST(ResizeController, TransitionsArePinned)
+{
+    // 8 slices over weights {3, 1}: tenant 0 owns slices 0-5, tenant
+    // 1 owns 6-7.
+    ResizeConfig cfg;
+    cfg.enabled = true;
+    cfg.tenantWeights = {3.0, 1.0};
+    cfg.policy.minSlicesPerTenant = 1;
+    PinnedRig a(cfg);
+    ResizeController &rc = a.rc;
+    ASSERT_EQ(rc.slicesOwnedBy(0), 6u);
+    ASSERT_EQ(rc.slicesOwnedBy(1), 2u);
+
+    // Donor shrink 8 -> 5 from tenant 1: its pass stops at tenant 1's
+    // last slice, and the tenant-blind pass takes slices 5 and 4.
+    a.step(rc.requestResize(5, /*donor=*/1));
+    EXPECT_EQ(rc.slicesOwnedBy(0), 4u);
+    EXPECT_EQ(rc.slicesOwnedBy(1), 1u);
+    EXPECT_GT(rc.pagesMigrated(), 0u);
+
+    // A tenant-blind shrink to 1 stops short at one slice per tenant.
+    ASSERT_TRUE(rc.requestResize(1));
+    EXPECT_TRUE(rc.resizeInProgress());
+    EXPECT_FALSE(rc.requestResize(8));     // busy
+    EXPECT_FALSE(rc.requestReassign(0, 1)); // busy
+    a.step(true);
+    EXPECT_EQ(rc.activeSlices(), 2u);
+
+    // A grow hands the reactivated slices 1-4 to tenant 1.
+    a.step(rc.requestResize(6, kNoTenant, /*receiver=*/1));
+    EXPECT_EQ(rc.slicesOwnedBy(0), 1u);
+    EXPECT_EQ(rc.slicesOwnedBy(1), 5u);
+
+    // Requests the controller refuses leave everything as it is.
+    EXPECT_FALSE(rc.requestResize(6));
+    EXPECT_FALSE(rc.requestResize(0));
+    EXPECT_FALSE(rc.requestResize(9));
+    EXPECT_FALSE(rc.requestReassign(0, 0));
+    EXPECT_FALSE(rc.requestReassign(kNoTenant, 0));
+    EXPECT_FALSE(rc.requestReassign(0, kNoTenant));
+
+    // Handovers from tenant 1 until its slice floor refuses.
+    int handovers = 0;
+    while (rc.requestReassign(1, 0)) {
+        ++handovers;
+        a.step(true);
+    }
+    EXPECT_EQ(handovers, 4);
+    EXPECT_EQ(rc.slicesOwnedBy(0), 5u);
+    EXPECT_EQ(rc.slicesOwnedBy(1), 1u);
+    EXPECT_EQ(rc.reassignsCompleted(), 4u);
+
+    // A second controller: one FlushAll shrink drains every page.
+    cfg.strategy = ResizeStrategy::FlushAll;
+    PinnedRig b(cfg);
+    b.step(b.rc.requestResize(6));
+    EXPECT_EQ(b.rc.pagesMigrated(), 4u * 16u * 2u);
+
+    std::uint64_t d = a.finish();
+    d = fnv1a(d, b.finish());
+    EXPECT_EQ(d, 0xe99108954c954a8eull);
 }
 
 // ------------------------------------------------------------------
