@@ -469,9 +469,9 @@ BansheeScheme::verifyResidencyConsistent()
     dir_.forEachValid([this](std::uint32_t setIdx, std::uint32_t way,
                              const FbrDirectory::CachedEntry &e) {
         if (resizeDomain_) {
-            sim_assert(
-                resizeDomain_->sliceActive(resizeDomain_->sliceOfSet(setIdx)),
-                "resident frame in an inactive slice (set %u)", setIdx);
+            sim_assert(resizeDomain_->layout().isActive(
+                           resizeDomain_->sliceOfSet(setIdx)),
+                       "resident frame in an inactive slice (set %u)", setIdx);
         }
         sim_assert(setOf(e.tag) == setIdx,
                    "frame not at its page's home set (page %llx)",

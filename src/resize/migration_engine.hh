@@ -52,7 +52,6 @@ class MigrationEngine
     void kick();
 
     bool active() const { return active_; }
-    std::size_t backlog() const { return pending_.size(); }
 
     std::uint64_t pagesDrained() const { return statDrained_.value(); }
     std::uint64_t dirtyPagesDrained() const { return statDirty_.value(); }

@@ -12,7 +12,7 @@ namespace banshee {
 ResizeController::ResizeController(EventQueue &eq, OsServices &os,
                                    const ResizeConfig &config)
     : eq_(eq), os_(os), config_(config), policy_(config.policy),
-      stats_("resize"),
+      layout_(config.hash), stats_("resize"),
       statStarted_(stats_.counter("resizesStarted")),
       statCompleted_(stats_.counter("resizesCompleted")),
       statEpochs_(stats_.counter("epochsEvaluated")),
@@ -20,6 +20,18 @@ ResizeController::ResizeController(EventQueue &eq, OsServices &os,
       statReassigns_(stats_.counter("slicesReassigned"))
 {
     sim_assert(config.enabled, "controller built with resize disabled");
+    // Multi-tenant layout: apportion the slices over the quota
+    // weights (largest remainder, one-slice floor), handed out in
+    // contiguous id runs.
+    if (partitioned()) {
+        const auto counts =
+            apportionSlices(config.tenantWeights, config.hash.numSlices);
+        std::uint32_t next = 0;
+        for (std::size_t t = 0; t < counts.size(); ++t) {
+            for (std::uint32_t i = 0; i < counts[t]; ++i)
+                layout_.setSliceTenant(next++, static_cast<TenantId>(t));
+        }
+    }
     // When the batch PTE update finishes, remap slots have been
     // harvested from every tag buffer: resume stalled drains now.
     os_.registerUpdateListener([this] {
@@ -32,7 +44,7 @@ void
 ResizeController::addHost(ResizeHost &host, const std::string &name)
 {
     domains_.push_back(
-        std::make_unique<ResizeDomain>(eq_, host, config_, name));
+        std::make_unique<ResizeDomain>(eq_, host, layout_, config_, name));
     host.attachResizeDomain(domains_.back().get());
 }
 
@@ -77,18 +89,6 @@ ResizeController::attachSpanTrace(PageJournal *spans)
                 tenants_->config(static_cast<TenantId>(t)).name));
         }
     }
-}
-
-void
-ResizeController::setTenantWeights(const std::vector<double> &weights)
-{
-    sim_assert(tenants_ != nullptr &&
-                   config_.policy.kind == ResizePolicyConfig::Kind::Qos,
-               "weight update without a QoS arbiter");
-    sim_assert(weights.size() == tenants_->numTenants(),
-               "weight update changes the tenant count");
-    for (std::uint32_t t = 0; t < tenants_->numTenants(); ++t)
-        tenants_->setWeight(static_cast<TenantId>(t), weights[t]);
 }
 
 void
@@ -270,16 +270,13 @@ ResizeController::trace(Mark mark, const char *name,
 }
 
 void
-ResizeController::startTransition(
-    const char *kind, Counter &completions,
-    std::initializer_list<TraceField> fields,
-    const std::function<void(ResizeDomain &, std::function<void()>)>
-        &startDomain)
+ResizeController::startTransition(const char *kind, Counter &completions,
+                                  std::initializer_list<TraceField> fields)
 {
     trace(Mark::Begin, kind, fields);
     pendingDomains_ = static_cast<std::uint32_t>(domains_.size());
     for (auto &d : domains_) {
-        startDomain(*d, [this, &completions, kind] {
+        d->drain([this, &completions, kind] {
             sim_assert(pendingDomains_ > 0, "stray drain completion");
             if (--pendingDomains_ == 0)
                 commitTransition(completions, kind);
@@ -323,32 +320,64 @@ bool
 ResizeController::requestResize(std::uint32_t targetSlices, TenantId donor,
                                 TenantId receiver)
 {
-    if (resizeInProgress() || targetSlices == activeSlices() ||
-        targetSlices < 1 || targetSlices > totalSlices()) {
+    const std::uint32_t from = activeSlices();
+    if (resizeInProgress() || targetSlices == from || targetSlices < 1 ||
+        targetSlices > totalSlices()) {
         return false;
     }
     ++statStarted_;
-    inform("resize: %u -> %u active slices (%s)", activeSlices(),
-           targetSlices, resizeStrategyName(config_.strategy));
+    inform("resize: %u -> %u active slices (%s)", from, targetSlices,
+           resizeStrategyName(config_.strategy));
 
-    // Growing? The incoming slices must power up (and refresh) before
-    // any data lands in them. Shrinking slices stay powered until the
-    // drain finishes — they hold live data throughout.
-    if (power_ && targetSlices > activeSlices()) {
-        power_->setGatedSliceFraction(gatedFractionFor(targetSlices),
-                                      eq_.now());
+    if (targetSlices < from) {
+        // Two passes: the donor's slices first (QoS shed), then any
+        // active slice, both highest-id first for determinism. In a
+        // partitioned layout the unrestricted pass still respects a
+        // one-slice floor per tenant: a tenant-blind decision (a
+        // schedule step or a PowerCap shed) composed with quotas must
+        // not deactivate a tenant's last slice — that would silently
+        // void its quota through the sliceOf cross-tenant fallback.
+        // The shrink then simply stops short of the target.
+        auto deactivate = [&](TenantId owner) {
+            for (std::uint32_t s = totalSlices();
+                 s-- > 0 && activeSlices() > targetSlices;) {
+                if (!layout_.isActive(s))
+                    continue;
+                if (owner != kNoTenant && layout_.sliceTenant(s) != owner)
+                    continue;
+                if (partitioned() &&
+                    slicesOwnedBy(layout_.sliceTenant(s)) <= 1)
+                    continue;
+                layout_.setActive(s, false);
+            }
+        };
+        if (donor != kNoTenant)
+            deactivate(donor);
+        deactivate(kNoTenant);
+    } else {
+        // The incoming slices must power up (and refresh) before any
+        // data lands in them. Shrinking slices stay powered until the
+        // drain finishes — they hold live data throughout.
+        if (power_) {
+            power_->setGatedSliceFraction(gatedFractionFor(targetSlices),
+                                          eq_.now());
+        }
+        for (std::uint32_t s = 0;
+             s < totalSlices() && activeSlices() < targetSlices; ++s) {
+            if (!layout_.isActive(s)) {
+                layout_.setActive(s, true);
+                if (partitioned() && receiver != kNoTenant)
+                    layout_.setSliceTenant(s, receiver);
+            }
+        }
     }
 
     startTransition("resize", statCompleted_,
-                    {{"from", activeSlices()},
+                    {{"from", from},
                      {"to", targetSlices},
                      {"strategy", resizeStrategyName(config_.strategy)},
                      {"donor", donor},
-                     {"receiver", receiver}},
-                    [&](ResizeDomain &d, std::function<void()> done) {
-                        d.resizeTo(targetSlices, std::move(done), donor,
-                                   receiver);
-                    });
+                     {"receiver", receiver}});
     return true;
 }
 
@@ -364,22 +393,20 @@ ResizeController::requestReassign(TenantId donor, TenantId receiver)
     // below its slice floor — quota is a guarantee, not a default.
     const std::uint32_t floor =
         std::max<std::uint32_t>(config_.policy.minSlicesPerTenant, 1);
-    if (domains_[0]->slicesOwnedBy(donor) <= floor)
+    if (slicesOwnedBy(donor) <= floor)
         return false;
-    // Domain 0 picks the slice; the layouts are in lockstep, so the
-    // same id is the donor's on every domain.
-    const std::uint32_t slice = domains_[0]->pickDonorSlice(donor);
-    if (slice >= totalSlices())
-        return false;
+    // The donor's highest-id active slice changes hands; it owns more
+    // than the floor, so the walk finds one.
+    std::uint32_t slice = totalSlices() - 1;
+    while (!layout_.isActive(slice) || layout_.sliceTenant(slice) != donor)
+        --slice;
     inform("qos: slice %u moves tenant %u -> %u", slice, donor, receiver);
 
+    layout_.setSliceTenant(slice, receiver);
     startTransition("reassign", statReassigns_,
                     {{"slice", slice},
                      {"donor", donor},
-                     {"receiver", receiver}},
-                    [&](ResizeDomain &d, std::function<void()> done) {
-                        d.reassignSlice(slice, receiver, std::move(done));
-                    });
+                     {"receiver", receiver}});
     return true;
 }
 
@@ -413,15 +440,6 @@ ResizeController::dirtyPagesMigrated() const
     std::uint64_t n = 0;
     for (const auto &d : domains_)
         n += d->engine().dirtyPagesDrained();
-    return n;
-}
-
-std::uint64_t
-ResizeController::pagesSkipped() const
-{
-    std::uint64_t n = 0;
-    for (const auto &d : domains_)
-        n += d->engine().pagesSkipped();
     return n;
 }
 

@@ -2,19 +2,21 @@
  * @file
  * System-wide coordination of DRAM-cache resizing.
  *
- * The controller owns one ResizeDomain per memory controller and an
- * epoch clock on the event queue. Every epoch runs one path: measure
- * (the in-package device's smoothed power when a power model is
- * attached, each tenant's demand delta and slice ownership when
- * tenants are), settle, ask the ResizePolicy for a decision, and
- * apply it — starting the transition on every domain simultaneously
- * (the slice layout must stay identical across controllers because
- * pages stripe over them). Each adopted decision, each transition
- * start and each commit is rendered once, from one field list, to
- * the Chrome "resize" track of the run's trace. It also bridges
- * the OS cooperation loop: when a batch PTE update completes, stalled
- * migration engines are kicked so the drain resumes immediately
- * instead of waiting out its back-off.
+ * The controller owns the cache's one slice layout (the
+ * consistent-hash ring with each slice's activation and owner), one
+ * ResizeDomain per memory controller, and an epoch clock on the event
+ * queue. Pages stripe over the memory controllers, so the layout is
+ * a single fact: every domain maps pages through a const reference
+ * to it. Every epoch runs one path: measure (the in-package device's
+ * smoothed power when a power model is attached, each tenant's demand
+ * delta and slice ownership when tenants are), settle, ask the
+ * ResizePolicy for a decision, and apply it — change the layout once,
+ * then start every domain's drain. Each adopted decision, each
+ * transition start and each commit is rendered once, from one field
+ * list, to the Chrome "resize" track of the run's trace. It also
+ * bridges the OS cooperation loop: when a batch PTE update completes,
+ * stalled migration engines are kicked so the drain resumes
+ * immediately instead of waiting out its back-off.
  *
  * Power gating: the controller drives the power model's gated-slice
  * fraction in both directions — a grow powers its slices up the
@@ -28,7 +30,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
 #include <memory>
 #include <optional>
@@ -74,14 +75,9 @@ class ResizeController
 
     /**
      * Multi-tenant runs: attach the tenant map. Its quota weights are
-     * what Kind::Qos arbitrates toward, read every epoch. Non-const:
-     * runtime quota changes (setTenantWeights) write the map.
+     * what Kind::Qos arbitrates toward, read every epoch.
      */
-    void attachTenants(TenantMap *tenants) { tenants_ = tenants; }
-
-    /** Runtime quota change: Kind::Qos rebalances toward the new
-     *  weights over the following epochs. */
-    void setTenantWeights(const std::vector<double> &weights);
+    void attachTenants(const TenantMap *tenants) { tenants_ = tenants; }
 
     /**
      * Attach the device whose channels run the QoS credit scheduler
@@ -105,11 +101,8 @@ class ResizeController
     std::uint32_t
     slicesOwnedBy(TenantId t) const
     {
-        return domains_.empty() ? 0 : domains_[0]->slicesOwnedBy(t);
+        return layout_.slicesOwnedBy(t);
     }
-
-    /** Smoothed epoch power the cap rule sees (tests). */
-    double epochPowerEwmaWatts() const { return ewmaPowerWatts_; }
 
     std::size_t numDomains() const { return domains_.size(); }
     ResizeDomain &domain(std::size_t i) { return *domains_[i]; }
@@ -121,29 +114,29 @@ class ResizeController
     /** Stop scheduling further epochs (tests drain the queue dry). */
     void stopEpochs() { epochsStopped_ = true; }
 
-    /** Manually trigger a resize (external capacity manager). Returns
-     *  false if one is already in flight or the size would not change.
-     *  @p donor / @p receiver steer whose slices shrink or grow in a
-     *  partitioned layout (kNoTenant = unrestricted). */
+    /**
+     * Manually trigger a resize (external capacity manager). Returns
+     * false if one is already in flight or the size would not change.
+     * Shrinks deactivate the highest-id active slices, grows
+     * reactivate the lowest-id inactive ones, so schedules are
+     * deterministic. In a partitioned layout @p donor's slices shrink
+     * first, no tenant loses its last slice (the shrink stops short
+     * instead), and grown slices go to @p receiver (kNoTenant =
+     * unrestricted).
+     */
     bool requestResize(std::uint32_t targetSlices,
                        TenantId donor = kNoTenant,
                        TenantId receiver = kNoTenant);
 
-    /** Move one of @p donor's slices to @p receiver (QoS decision or
-     *  external quota manager). Returns false when busy or the donor
-     *  is at its slice floor. */
+    /** Move @p donor's highest-id active slice to @p receiver (QoS
+     *  decision or external quota manager). Returns false when busy or
+     *  the donor is at its slice floor. */
     bool requestReassign(TenantId donor, TenantId receiver);
 
     bool resizeInProgress() const { return pendingDomains_ > 0; }
 
-    std::uint32_t
-    activeSlices() const
-    {
-        return domains_.empty() ? config_.hash.numSlices
-                                : domains_[0]->activeSlices();
-    }
-
-    std::uint32_t totalSlices() const { return config_.hash.numSlices; }
+    std::uint32_t activeSlices() const { return layout_.activeSlices(); }
+    std::uint32_t totalSlices() const { return layout_.numSlices(); }
 
     /** Test hook: assert every domain's host is internally consistent. */
     void verifyResidencyConsistent();
@@ -153,7 +146,6 @@ class ResizeController
     // Aggregates over all domains' migration engines.
     std::uint64_t pagesMigrated() const;
     std::uint64_t dirtyPagesMigrated() const;
-    std::uint64_t pagesSkipped() const;
     std::uint64_t tagBufferStalls() const;
 
     std::uint64_t resizesStarted() const { return statStarted_.value(); }
@@ -198,15 +190,12 @@ class ResizeController
                std::initializer_list<TraceField> fields);
 
     /**
-     * Start a transition of @p kind ("resize" or "reassign") on every
-     * domain: trace its start with @p fields, then hand each domain to
-     * @p startDomain with the callback its drain calls when done.
+     * The layout just changed: trace the start of a @p kind
+     * ("resize" or "reassign") transition with @p fields, then start
+     * every domain's drain.
      */
-    void startTransition(
-        const char *kind, Counter &completions,
-        std::initializer_list<TraceField> fields,
-        const std::function<void(ResizeDomain &, std::function<void()>)>
-            &startDomain);
+    void startTransition(const char *kind, Counter &completions,
+                         std::initializer_list<TraceField> fields);
 
     /** The last domain drained: count the commit in @p completions,
      *  trace it, and settle. */
@@ -215,6 +204,9 @@ class ResizeController
     /** Recompute tenant entitlement shares and push them to the QoS
      *  device (no-op without one). */
     void pushQosShares();
+
+    /** True when slices are partitioned between tenants. */
+    bool partitioned() const { return !config_.tenantWeights.empty(); }
 
     /** Fraction of the device to gate for @p active of total slices. */
     double
@@ -228,11 +220,13 @@ class ResizeController
     OsServices &os_;
     ResizeConfig config_;
     ResizePolicy policy_;
+    /** The one slice layout every domain maps pages through. */
+    ConsistentHashMapper layout_;
     DramPowerModel *power_ = nullptr;
     PageJournal *spans_ = nullptr;
     std::uint32_t spanTrack_ = 0;
     std::vector<std::uint32_t> tenantSpanTracks_;
-    TenantMap *tenants_ = nullptr;
+    const TenantMap *tenants_ = nullptr;
     DramModel *qosDev_ = nullptr;
     std::vector<std::unique_ptr<ResizeDomain>> domains_;
 

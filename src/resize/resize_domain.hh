@@ -1,17 +1,22 @@
 /**
  * @file
- * Per-memory-controller resize state: slice-aware set mapping plus
- * the migration engine that executes transitions.
+ * Per-memory-controller resize state: the set mapping over the shared
+ * slice layout, the pins that keep draining pages findable, and the
+ * migration engine that executes transitions.
  *
- * The controller's sets are split into numSlices contiguous groups.
- * A page's home set is (slice base + hash % setsPerSlice) where the
- * slice comes from the consistent-hash ring, so only pages whose
- * slice assignment changes ever move. During a transition, pages
- * queued for migration are *pinned* to their old set — demand hits
- * and LLC writebacks keep finding them at their physical frame until
- * the engine has written them back and published the un-mapping —
- * which is what makes the drain safe to run concurrently with demand
- * traffic instead of stopping the world.
+ * The slice layout (the consistent-hash ring with each slice's
+ * activation and owner) is one fact for the whole cache, because
+ * pages stripe over the controllers: the ResizeController owns it and
+ * every domain reads it through a const reference. What is per
+ * controller lives here. The controller's sets are split into
+ * numSlices contiguous groups. A page's home set is
+ * (slice base + hash % setsPerSlice) where the slice comes from the
+ * layout, so only pages whose slice assignment changes ever move.
+ * During a transition, pages queued for migration are *pinned* to
+ * their old set — demand hits and LLC writebacks keep finding them at
+ * their physical frame until the engine has written them back and
+ * published the un-mapping — which is what makes the drain safe to
+ * run concurrently with demand traffic instead of stopping the world.
  */
 
 #ifndef BANSHEE_RESIZE_RESIZE_DOMAIN_HH
@@ -33,8 +38,9 @@ namespace banshee {
 class ResizeDomain
 {
   public:
-    ResizeDomain(EventQueue &eq, ResizeHost &host, const ResizeConfig &config,
-                 std::string name);
+    ResizeDomain(EventQueue &eq, ResizeHost &host,
+                 const ConsistentHashMapper &layout,
+                 const ResizeConfig &config, std::string name);
 
     /**
      * Resize-aware set index for @p page. @p mixedHash is the
@@ -51,23 +57,10 @@ class ResizeDomain
         if (pin != pinned_.end())
             return pin->second;
         const std::uint32_t slice =
-            mapper_.sliceOf(page, partitioned_ ? host_.pageTenant(page)
+            layout_.sliceOf(page, partitioned_ ? host_.pageTenant(page)
                                                : kNoTenant);
         return slice * setsPerSlice_ +
                static_cast<std::uint32_t>(mixedHash % setsPerSlice_);
-    }
-
-    /** True while a transition's drain is still in flight. */
-    bool migrationActive() const { return engine_.active(); }
-
-    std::uint32_t activeSlices() const { return mapper_.activeSlices(); }
-    std::uint32_t totalSlices() const { return mapper_.numSlices(); }
-    std::uint32_t setsPerSlice() const { return setsPerSlice_; }
-
-    bool
-    sliceActive(std::uint32_t slice) const
-    {
-        return mapper_.isActive(slice);
     }
 
     /** Slice owning set @p setIdx (layout, not ring). */
@@ -77,43 +70,13 @@ class ResizeDomain
         return setIdx / setsPerSlice_;
     }
 
-    /** True when slices are partitioned between tenants. */
-    bool partitioned() const { return partitioned_; }
-
-    /** Active slices owned by tenant @p t (partitioned layouts). */
-    std::uint32_t
-    slicesOwnedBy(TenantId t) const
-    {
-        return mapper_.slicesOwnedBy(t);
-    }
-
     /**
-     * Start a transition to @p targetActive slices; @p onDone fires
-     * when the drain completes. Shrinks deactivate the highest-id
-     * active slices, grows reactivate the lowest-id inactive ones, so
-     * schedules are deterministic. In a partitioned layout @p donor
-     * restricts a shrink to slices owned by that tenant, and a grown
-     * slice is handed to @p receiver (kNoTenant = unrestricted).
+     * The layout just changed: queue every resident page whose home
+     * set moved (every resident page under FlushAll), pin each to the
+     * set it still occupies, and start the drain. @p onDone fires
+     * when the drain completes, possibly before this returns.
      */
-    void resizeTo(std::uint32_t targetActive, std::function<void()> onDone,
-                  TenantId donor = kNoTenant,
-                  TenantId receiver = kNoTenant);
-
-    /**
-     * Highest-id active slice owned by @p donor that a reassignment
-     * or shrink may take, or numSlices when the donor has none. The
-     * controller queries domain 0 and applies the same slice to every
-     * domain so layouts stay in lockstep.
-     */
-    std::uint32_t pickDonorSlice(TenantId donor) const;
-
-    /**
-     * Hand active slice @p slice to tenant @p to and drain every
-     * resident page whose home changed — the donor's pages leave the
-     * slice, and the receiver's pages elsewhere fold into it.
-     */
-    void reassignSlice(std::uint32_t slice, TenantId to,
-                       std::function<void()> onDone);
+    void drain(std::function<void()> onDone);
 
     /** A frame left the cache through normal replacement; drop any
      *  pin so future accesses use the page's new home set. */
@@ -126,29 +89,28 @@ class ResizeDomain
 
     /**
      * Monotone counter bumped on every page->set mapping mutation:
-     * slice activation flips, slice ownership changes, pin inserts at
-     * drain start, and pin drops (drain progress or eviction). A
-     * cached (page, setOf(page)) pair is valid iff the generation it
-     * was computed under still matches — the invalidation contract the
-     * scheme's per-core mapping memo relies on.
+     * once per transition (the layout change plus the pin inserts at
+     * drain start) and on every pin drop (drain progress or
+     * eviction). A cached (page, setOf(page)) pair is valid iff the
+     * generation it was computed under still matches — the
+     * invalidation contract the scheme's per-core mapping memo relies
+     * on.
      */
     std::uint64_t layoutGeneration() const { return layoutGeneration_; }
 
+    /** The shared slice layout (owned by the ResizeController). */
+    const ConsistentHashMapper &layout() const { return layout_; }
+
     MigrationEngine &engine() { return engine_; }
     const MigrationEngine &engine() const { return engine_; }
-    const ConsistentHashMapper &mapper() const { return mapper_; }
     ResizeHost &host() { return host_; }
 
   private:
-    /** Queue every resident page whose home set changed under the
-     *  current layout and start the drain. */
-    void startDrain(std::function<void()> onDone);
-
     ResizeHost &host_;
-    ConsistentHashMapper mapper_;
+    const ConsistentHashMapper &layout_;
     MigrationEngine engine_;
     ResizeStrategy strategy_;
-    bool partitioned_ = false;
+    bool partitioned_;
     std::uint32_t setsPerSlice_;
     /** Pages awaiting migration -> the old set they still occupy. */
     std::unordered_map<PageNum, std::uint32_t> pinned_;

@@ -72,13 +72,6 @@ TenantMap::weightShares() const
 }
 
 void
-TenantMap::setWeight(TenantId t, double weight)
-{
-    sim_assert(t < tenants_.size() && weight > 0.0, "bad weight update");
-    tenants_[t].weight = weight;
-}
-
-void
 TenantMap::addRegion(Addr base, Addr limit, TenantId t)
 {
     sim_assert(base < limit && t < tenants_.size(), "bad tenant region");

@@ -15,9 +15,7 @@
  *    the owner without a core id.
  *
  * Weights double as quota shares for slice apportionment, as the QoS
- * arbiter's entitlement and as the QoS scheduler's bandwidth shares;
- * setWeight models a runtime quota change the arbiter then converges
- * the slice ownership toward.
+ * arbiter's entitlement and as the QoS scheduler's bandwidth shares.
  */
 
 #ifndef BANSHEE_TENANT_TENANT_MAP_HH
@@ -57,9 +55,6 @@ class TenantMap
     /** share() of every tenant, indexed by TenantId (0 past the last
      *  tenant) — the QoS scheduler's bandwidth entitlement. */
     std::array<double, kMaxTenants> weightShares() const;
-
-    /** Runtime quota change; callers re-arbitrate toward it. */
-    void setWeight(TenantId t, double weight);
 
     TenantId
     tenantOfCore(CoreId core) const

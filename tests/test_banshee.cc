@@ -311,7 +311,8 @@ TEST(BansheeScheme, MappingMemoInvalidatesOnResizeCommit)
     BansheeScheme s(h.ctx, neverSample());
     ResizeConfig rc;
     rc.enabled = true;
-    ResizeDomain dom(h.eq, s, rc, "rd");
+    ConsistentHashMapper layout(rc.hash);
+    ResizeDomain dom(h.eq, s, layout, rc, "rd");
     s.attachResizeDomain(&dom);
 
     const PageNum page = 0x42;
@@ -322,7 +323,8 @@ TEST(BansheeScheme, MappingMemoInvalidatesOnResizeCommit)
     // Shrink one slice (empty cache: the drain completes inline).
     const std::uint64_t gen = dom.layoutGeneration();
     bool done = false;
-    dom.resizeTo(dom.activeSlices() - 1, [&done] { done = true; });
+    layout.setActive(layout.numSlices() - 1, false);
+    dom.drain([&done] { done = true; });
     h.drain();
     ASSERT_TRUE(done);
     EXPECT_GT(dom.layoutGeneration(), gen);

@@ -179,11 +179,13 @@ TEST(ResizeDomain, LayoutGenerationBumpsOnResizeAndPinDrops)
 
     ResizeConfig rc;
     rc.enabled = true;
-    ResizeDomain dom(eq, host, rc, "d");
+    ConsistentHashMapper layout(rc.hash);
+    ResizeDomain dom(eq, host, layout, rc, "d");
     const std::uint64_t g0 = dom.layoutGeneration();
 
     bool done = false;
-    dom.resizeTo(dom.activeSlices() - 1, [&done] { done = true; });
+    layout.setActive(layout.numSlices() - 1, false);
+    dom.drain([&done] { done = true; });
     // The activation flip + pin inserts invalidate stale mappings
     // before any drain work runs.
     const std::uint64_t gStart = dom.layoutGeneration();
@@ -194,7 +196,7 @@ TEST(ResizeDomain, LayoutGenerationBumpsOnResizeAndPinDrops)
     // Every drained pin bumps again so memoized pinned mappings die
     // the moment the page's frame is reclaimed.
     EXPECT_GE(dom.layoutGeneration(), gStart);
-    EXPECT_FALSE(dom.migrationActive());
+    EXPECT_FALSE(dom.engine().active());
 }
 
 TEST(ResizeDomain, EvictionOfPinnedPageBumpsGeneration)
@@ -205,7 +207,8 @@ TEST(ResizeDomain, EvictionOfPinnedPageBumpsGeneration)
 
     ResizeConfig rc;
     rc.enabled = true;
-    ResizeDomain dom(eq, host, rc, "d");
+    ConsistentHashMapper layout(rc.hash);
+    ResizeDomain dom(eq, host, layout, rc, "d");
 
     // No pin: eviction notifications are generation-neutral.
     const std::uint64_t g0 = dom.layoutGeneration();
@@ -217,8 +220,8 @@ TEST(ResizeDomain, EvictionOfPinnedPageBumpsGeneration)
     // migration: the pin drop must invalidate memoized mappings.
     host.allowEvict = false;
     rc.strategy = ResizeStrategy::FlushAll;
-    ResizeDomain flushDom(eq, host, rc, "d2");
-    flushDom.resizeTo(flushDom.activeSlices() - 1, [] {});
+    ResizeDomain flushDom(eq, host, layout, rc, "d2");
+    flushDom.drain([] {});
     const std::uint64_t g1 = flushDom.layoutGeneration();
     flushDom.notifyFrameEvicted(100);
     EXPECT_GT(flushDom.layoutGeneration(), g1);

@@ -70,19 +70,16 @@ TEST(TenantMap, AddressRegionsRecoverTheOwner)
     EXPECT_EQ(map.tenantOfAddr(0x7fff), kNoTenant);
 }
 
-TEST(TenantMap, WeightsNormalizeAndUpdate)
+TEST(TenantMap, WeightsNormalize)
 {
     TenantMap map({{"a", "mcf", 3.0, 1}, {"b", "omnetpp", 1.0, 1}}, 2);
+    EXPECT_DOUBLE_EQ(map.weight(0), 3.0);
     EXPECT_DOUBLE_EQ(map.share(0), 0.75);
     EXPECT_DOUBLE_EQ(map.share(1), 0.25);
-
-    map.setWeight(0, 1.0);
-    EXPECT_DOUBLE_EQ(map.weight(0), 1.0);
-    EXPECT_DOUBLE_EQ(map.share(0), 0.5);
     // The QoS scheduler's shares: one per tenant, zero past the last.
     const auto shares = map.weightShares();
-    EXPECT_DOUBLE_EQ(shares[0], 0.5);
-    EXPECT_DOUBLE_EQ(shares[1], 0.5);
+    EXPECT_DOUBLE_EQ(shares[0], 0.75);
+    EXPECT_DOUBLE_EQ(shares[1], 0.25);
     EXPECT_EQ(shares[2], 0.0);
 }
 
