@@ -38,7 +38,6 @@ Tlb::lookup(PageNum page)
     info.valid = true;
     info.cached = m.cached;
     info.way = m.way;
-    info.version = pageTable_.committedVersion(page);
 
     Entry *victim = &set[0];
     for (std::uint32_t w = 1; w < params_.ways; ++w) {

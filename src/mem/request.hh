@@ -16,15 +16,13 @@ namespace banshee {
 /**
  * Page-mapping bits carried by every request through the memory
  * hierarchy (paper Section 3.2): whether the page is resident in the
- * DRAM cache and in which way. @c version lets tests detect whether
- * the information was stale relative to the page table when used.
+ * DRAM cache and in which way.
  */
 struct MappingInfo
 {
     bool valid = false;   ///< mapping bits were attached at all
     bool cached = false;  ///< PTE "cached" bit
     std::uint8_t way = 0; ///< PTE "way" bits
-    std::uint32_t version = 0; ///< page-table version the bits came from
 };
 
 /** Completion callback for an LLC miss, with the finishing cycle. */

@@ -29,7 +29,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace banshee {
@@ -50,8 +49,6 @@ struct PageMapping
 class PageTableManager
 {
   public:
-    PageTableManager() : stats_("pageTable") {}
-
     /** Hardware view (MC + Tag Buffer). */
     PageMapping
     currentMapping(PageNum page) const
@@ -66,21 +63,6 @@ class PageTableManager
     {
         auto it = pages_.find(page);
         return it == pages_.end() ? PageMapping{} : it->second.committed;
-    }
-
-    /** Version of the committed mapping (for staleness tracking). */
-    std::uint32_t
-    committedVersion(PageNum page) const
-    {
-        auto it = pages_.find(page);
-        return it == pages_.end() ? 0 : it->second.committedVersion;
-    }
-
-    std::uint32_t
-    currentVersion(PageNum page) const
-    {
-        auto it = pages_.find(page);
-        return it == pages_.end() ? 0 : it->second.currentVersion;
     }
 
     /** True if PTEs lag the hardware mapping for @p page. */
@@ -99,9 +81,7 @@ class PageTableManager
     void
     setCurrentMapping(PageNum page, PageMapping m)
     {
-        Entry &e = pages_[page];
-        e.current = m;
-        ++e.currentVersion;
+        pages_[page].current = m;
     }
 
     /**
@@ -116,11 +96,7 @@ class PageTableManager
             return 0;
         Entry &e = it->second;
         e.committed = e.current;
-        e.committedVersion = e.currentVersion;
-        const std::uint32_t ptes =
-            1 + static_cast<std::uint32_t>(e.aliases.size());
-        stats_.counter("pteWrites") += ptes;
-        return ptes;
+        return 1 + static_cast<std::uint32_t>(e.aliases.size());
     }
 
     /** Register an extra virtual alias of @p page (for alias tests). */
@@ -147,20 +123,15 @@ class PageTableManager
         return n;
     }
 
-    StatSet &stats() { return stats_; }
-
   private:
     struct Entry
     {
         PageMapping current;
         PageMapping committed;
-        std::uint32_t currentVersion = 0;
-        std::uint32_t committedVersion = 0;
         std::vector<std::uint64_t> aliases;
     };
 
     std::unordered_map<PageNum, Entry> pages_;
-    StatSet stats_;
 };
 
 } // namespace banshee

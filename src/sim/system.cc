@@ -469,7 +469,6 @@ System::resetAllStats()
     mem_->resetStats();
     hierarchy_->resetStats();
     os_->stats().reset();
-    pageTable_->stats().reset();
     if (resize_)
         resize_->resetStats();
     for (auto &core : cores_)

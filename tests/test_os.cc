@@ -39,17 +39,6 @@ TEST(PageTable, RemapMakesPteStaleUntilCommit)
     EXPECT_EQ(pt.staleCount(), 0u);
 }
 
-TEST(PageTable, VersionsAdvanceOnRemapAndCommit)
-{
-    PageTableManager pt;
-    const auto v0 = pt.committedVersion(9);
-    pt.setCurrentMapping(9, PageMapping{true, 0});
-    EXPECT_EQ(pt.committedVersion(9), v0); // commit not yet run
-    EXPECT_GT(pt.currentVersion(9), v0);
-    pt.commit(9);
-    EXPECT_EQ(pt.committedVersion(9), pt.currentVersion(9));
-}
-
 TEST(PageTable, CommitWritesOnePtePerAlias)
 {
     PageTableManager pt;
