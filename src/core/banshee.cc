@@ -333,10 +333,10 @@ BansheeScheme::executeReplacement(PageNum page, std::uint32_t setIdx,
     // Data movement: fetch the page from off-package DRAM and write
     // it into the frame; a dirty victim makes the round trip back,
     // charged to the victim page's own tenant.
-    offPkgBulk(pageAddr(page), pageBytes_, false, TrafficCat::Fill, nullptr,
-               tenant, spanPage);
+    offPkgBulk(pageAddr(page), pageBytes_, false, TrafficCat::Fill, tenant,
+               spanPage);
     inPkgBulk(frameAddr(setIdx, way), pageBytes_, true,
-              TrafficCat::Replacement, nullptr, tenant, spanPage);
+              TrafficCat::Replacement, tenant, spanPage);
 
     const FbrDirectory::CachedEntry victim = dir_.promote(setIdx, way,
                                                           *slot);
@@ -354,11 +354,9 @@ BansheeScheme::executeReplacement(PageNum page, std::uint32_t setIdx,
             ++statDirtyEvictions_;
             const TenantId victimTenant = pageTenant(victim.tag);
             inPkgBulk(frameAddr(setIdx, way), pageBytes_, false,
-                      TrafficCat::Replacement, nullptr, victimTenant,
-                      victimSpan);
+                      TrafficCat::Replacement, victimTenant, victimSpan);
             offPkgBulk(pageAddr(victim.tag), pageBytes_, true,
-                       TrafficCat::Writeback, nullptr, victimTenant,
-                       victimSpan);
+                       TrafficCat::Writeback, victimTenant, victimSpan);
         }
         if (victimSpan != kNoSpanPage) {
             spans_->residentEnd(victim.tag, ctx_.eq->now(), "replaced",
@@ -434,9 +432,9 @@ BansheeScheme::evictFrame(std::uint32_t setIdx, std::uint32_t way)
     if (wasDirty) {
         const TenantId tenant = pageTenant(page);
         inPkgBulk(frameAddr(setIdx, way), pageBytes_, false,
-                  TrafficCat::Migration, nullptr, tenant, spanPage);
+                  TrafficCat::Migration, tenant, spanPage);
         offPkgBulk(pageAddr(page), pageBytes_, true, TrafficCat::Migration,
-                   nullptr, tenant, spanPage);
+                   tenant, spanPage);
     }
     if (spanPage != kNoSpanPage)
         spans_->residentEnd(page, ctx_.eq->now(), "migration", wasDirty);

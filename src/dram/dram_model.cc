@@ -421,16 +421,13 @@ DramModel::DramModel(EventQueue &eq, DramTiming timing,
 
 void
 DramModel::bulkAccess(std::uint32_t channel, Addr addr, std::uint64_t bytes,
-                      bool isWrite, TrafficCat cat, DramDoneFn done,
-                      TenantId tenant, PageNum spanPage)
+                      bool isWrite, TrafficCat cat, TenantId tenant,
+                      PageNum spanPage)
 {
     sim_assert(bytes > 0, "empty bulk access");
     const std::uint32_t chunk = kMaxRequestBytes / 2; // 256 B pieces
     std::uint64_t remaining = bytes;
     Addr cur = addr;
-    // Count-down latch: the callback fires when the last chunk lands.
-    auto outstanding = std::make_shared<std::uint32_t>(
-        static_cast<std::uint32_t>((bytes + chunk - 1) / chunk));
     while (remaining > 0) {
         const std::uint32_t sz =
             static_cast<std::uint32_t>(std::min<std::uint64_t>(
@@ -442,12 +439,6 @@ DramModel::bulkAccess(std::uint32_t channel, Addr addr, std::uint64_t bytes,
         req.cat = cat;
         req.tenant = tenant;
         req.spanPage = spanPage;
-        if (done) {
-            req.done = [outstanding, done](Cycle when) {
-                if (--*outstanding == 0)
-                    done(when);
-            };
-        }
         access(channel, std::move(req));
         cur += sz;
         remaining -= sz;

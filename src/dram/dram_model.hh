@@ -279,11 +279,12 @@ class DramModel
     }
 
     /**
-     * Move @p bytes starting at @p addr as a train of chunk requests
-     * on @p channel; @p done fires when the last chunk completes.
+     * Move @p bytes starting at @p addr as a train of posted chunk
+     * requests on @p channel (page fills, victim writebacks and
+     * migrations: nothing waits on their completion).
      */
     void bulkAccess(std::uint32_t channel, Addr addr, std::uint64_t bytes,
-                    bool isWrite, TrafficCat cat, DramDoneFn done,
+                    bool isWrite, TrafficCat cat,
                     TenantId tenant = kNoTenant,
                     PageNum spanPage = kNoSpanPage);
 

@@ -217,22 +217,21 @@ class DramCacheScheme
     /** Bulk (page-sized) movement on the in-package channel. */
     void
     inPkgBulk(Addr deviceAddr, std::uint64_t bytes, bool isWrite,
-              TrafficCat cat, DramDoneFn done = nullptr,
-              TenantId tenant = kNoTenant, PageNum spanPage = kNoSpanPage)
+              TrafficCat cat, TenantId tenant = kNoTenant,
+              PageNum spanPage = kNoSpanPage)
     {
         ctx_.inPkg->bulkAccess(ctx_.mcId, deviceAddr, bytes, isWrite, cat,
-                               std::move(done), tenant, spanPage);
+                               tenant, spanPage);
     }
 
     /** Bulk movement of a page's worth of off-package data. */
     void
     offPkgBulk(Addr byteAddr, std::uint64_t bytes, bool isWrite,
-               TrafficCat cat, DramDoneFn done = nullptr,
-               TenantId tenant = kNoTenant, PageNum spanPage = kNoSpanPage)
+               TrafficCat cat, TenantId tenant = kNoTenant,
+               PageNum spanPage = kNoSpanPage)
     {
         ctx_.offPkg->bulkAccess(offPkgChannel(lineOf(byteAddr)), byteAddr,
-                                bytes, isWrite, cat, std::move(done), tenant,
-                                spanPage);
+                                bytes, isWrite, cat, tenant, spanPage);
     }
 
     std::uint32_t

@@ -186,15 +186,14 @@ TEST_F(DramTest, ReadsPrioritizedOverWritesUntilHighWatermark)
     EXPECT_GE(after, 4); // most writes finish after the read
 }
 
-TEST_F(DramTest, BulkAccessMovesAllBytesAndFiresOnce)
+TEST_F(DramTest, BulkAccessMovesAllBytesInChunks)
 {
     DramModel dram(eq, DramTiming{}, 1, "d");
-    int fired = 0;
-    dram.bulkAccess(0, 0, 4096, false, TrafficCat::Fill,
-                    [&fired](Cycle) { ++fired; });
+    dram.bulkAccess(0, 0, 4096, false, TrafficCat::Fill);
     eq.run();
-    EXPECT_EQ(fired, 1);
     EXPECT_EQ(dram.traffic().bytes(TrafficCat::Fill), 4096u);
+    // A page moves as 16 posted 256 B chunk requests.
+    EXPECT_EQ(dram.stats().value("ch0.requests"), 16u);
 }
 
 TEST_F(DramTest, TagBytesSplitAccounting)
