@@ -98,16 +98,21 @@ DramChannel::armKick(Cycle when)
     // executing staleness filters).
     if (kickEvent_.armed() && kickEvent_.when() <= when)
         return;
-    // Kick coalescing: collapse back-to-back same-cycle no-op kicks.
-    // Once a kick has already fired this cycle and issued nothing
-    // (lastNoopKickCycle_ == when), a further supersede by a push in
-    // the same cycle would replay the identical round trip: fire,
-    // see the same reserved-past-horizon bus (busFree_ cannot move
-    // without an issue), and re-arm back onto the cycle it is armed
-    // at now. The first no-op of the cycle is deliberately NOT
-    // skipped: its re-arm pins the wheel entry at the re-arm cycle
-    // that the event queue's revival semantics (invariant I5) can
-    // observe; only the redundant repeats are elided.
+    // Kick coalescing: once a kick has fired this cycle and issued
+    // nothing (lastNoopKickCycle_ == when), and is armed at that
+    // no-op's re-arm cycle W with the bus still reserved past the
+    // horizon, a push in the same cycle does not supersede it. The
+    // first no-op of a cycle always runs; only repeats are skipped.
+    // A skipped round trip would issue nothing (busFree_ cannot move
+    // without an issue), but it is not invisible: it would re-arm the
+    // kick onto W a second time and leave a second queue entry at W.
+    // A push at W after the kick has fired there would then revive
+    // that entry at its older FIFO position (invariant I5 in
+    // event_queue.cc), so the kick would run between two same-cycle
+    // pushes and pick from a shorter queue. This guard is therefore
+    // part of the model's event order, not a host-speed shortcut:
+    // deleting it moves simulated results (first seen in
+    // ext_energy --quick mcf/Unison) and regenerates the goldens.
     if (kickEvent_.armed() && lastNoopKickCycle_ == when &&
         kickEvent_.when() + timing_.toCore(kReserveAheadDramCycles / 2) ==
             busFree_ &&

@@ -6,10 +6,10 @@
  *
  * The slice layout (the consistent-hash ring with each slice's
  * activation and owner) is one fact for the whole cache, because
- * pages stripe over the controllers: the ResizeController owns it and
- * every domain reads it through a const reference. What is per
- * controller lives here. The controller's sets are split into
- * numSlices contiguous groups. A page's home set is
+ * pages stripe over the memory controllers: the ResizeController owns
+ * it and every domain reads it through a const reference. What is
+ * per memory controller lives here. Its sets are split into numSlices
+ * contiguous groups, and a page's home set is
  * (slice base + hash % setsPerSlice) where the slice comes from the
  * layout, so only pages whose slice assignment changes ever move.
  * During a transition, pages queued for migration are *pinned* to
@@ -38,6 +38,8 @@ namespace banshee {
 class ResizeDomain
 {
   public:
+    /** @p layout must outlive the domain; the ResizeController owns
+     *  both. */
     ResizeDomain(EventQueue &eq, ResizeHost &host,
                  const ConsistentHashMapper &layout,
                  const ResizeConfig &config, std::string name);
