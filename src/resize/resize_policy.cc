@@ -158,7 +158,7 @@ ResizePolicy::arbitrate(const ResizeEpochStats &epoch,
     }
 
     // -------------------------------------- entitlement rebalance
-    // Ownership drifted from the weights (quota change, uneven cap
+    // Ownership drifted from the weights (stale layout, uneven cap
     // shed): one slice per epoch from max surplus to max deficit.
     double bestDeficit = config_.qosDeficitSlack;
     double bestSurplus = 0.0;

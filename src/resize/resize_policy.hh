@@ -23,10 +23,10 @@
  *       weight-entitled share (never below its slice floor), a grow
  *       goes to the tenant furthest under it;
  *     - entitlement rebalance: when ownership drifts from the weights
- *       (a runtime quota change, or a shed that landed unevenly),
- *       move one slice per epoch from the largest surplus to the
- *       largest deficit until ownership matches within hysteresis
- *       slack;
+ *       (a layout built from stale weights, or a shed that landed
+ *       unevenly), move one slice per epoch from the largest surplus
+ *       to the largest deficit until ownership matches within
+ *       hysteresis slack;
  *     - pressure lending: a tenant thrashing above growMissRate may
  *       borrow one slice beyond its entitlement from a tenant idling
  *       below shrinkMissRate — but a donor never lends below one

@@ -3,8 +3,8 @@
  * Multi-tenant partitioning and QoS arbitration:
  *
  *  - TenantMap unit behavior: core handout (explicit counts and the
- *    equal split of the leftover), address-region ownership, runtime
- *    weight changes;
+ *    equal split of the leftover), address-region ownership, weight
+ *    normalization;
  *  - the Qos resize policy as a pure function: entitlement rebalance
  *    converges after a quota change, pressure lending never takes a
  *    donor below its entitlement floor (quota is a guarantee), and
