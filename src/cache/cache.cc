@@ -5,8 +5,7 @@
 namespace banshee {
 
 Cache::Cache(const CacheParams &params)
-    : ways_(params.ways), stats_(params.name),
-      statHits_(stats_.counter("hits")),
+    : ways_(params.ways), statHits_(stats_.counter("hits")),
       statMisses_(stats_.counter("misses")),
       statEvictions_(stats_.counter("evictions")),
       statDirtyEvictions_(stats_.counter("dirtyEvictions"))

@@ -6,11 +6,9 @@ namespace banshee {
 
 CacheHierarchy::CacheHierarchy(const HierarchyParams &params,
                                MemBackend &backend)
-    : params_(params), backend_(backend), stats_("hierarchy"),
-      statAccesses_(stats_.counter("accesses")),
+    : params_(params), backend_(backend),
       statLlcMisses_(stats_.counter("llcMisses")),
-      statMshrMerges_(stats_.counter("mshrMerges")),
-      statLlcWritebacks_(stats_.counter("llcWritebacks"))
+      statMshrMerges_(stats_.counter("mshrMerges"))
 {
     sim_assert(params.numCores <= 64,
                "sharer mask is 64 bits; %u cores requested",
@@ -67,7 +65,6 @@ CacheHierarchy::accessInternal(CoreId core, Addr addr, bool isWrite,
                                bool isFetch, const MappingInfo &mapping,
                                MissDoneFn done)
 {
-    ++statAccesses_;
     const LineAddr line = lineOf(addr);
     Cache &l1 = isFetch ? *l1i_[core] : *l1d_[core];
 
@@ -192,10 +189,8 @@ CacheHierarchy::handleL3Victim(const Cache::Victim &victim)
         if (v2.meta & kInL1i)
             l1i_[c]->invalidate(victim.line);
     }
-    if (dirty) {
+    if (dirty)
         backend_.writebackLine(victim.line);
-        ++statLlcWritebacks_;
-    }
 }
 
 void

@@ -192,10 +192,8 @@ class CacheHierarchy
     std::vector<std::uint32_t> mshrFree_;
 
     StatSet stats_;
-    Counter &statAccesses_;
     Counter &statLlcMisses_;
     Counter &statMshrMerges_;
-    Counter &statLlcWritebacks_;
 };
 
 } // namespace banshee

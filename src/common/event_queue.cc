@@ -112,7 +112,7 @@ EventQueue::grabNode()
 }
 
 void
-EventQueue::schedule(Cycle when, EventFn fn)
+EventQueue::schedule(Cycle when, CycleFn fn)
 {
     OneShot *n = grabNode();
     n->fn = std::move(fn);
@@ -120,28 +120,15 @@ EventQueue::schedule(Cycle when, EventFn fn)
 }
 
 void
-EventQueue::schedule(Cycle when, CycleFn fn)
-{
-    OneShot *n = grabNode();
-    n->cfn = std::move(fn);
-    schedule(n->ev, when);
-}
-
-void
 EventQueue::fireOneShot(OneShot *n)
 {
-    EventFn fn = std::move(n->fn);
-    CycleFn cfn = std::move(n->cfn);
+    CycleFn fn = std::move(n->fn);
     n->fn = nullptr;
-    n->cfn = nullptr;
     // Recycle before invoking so the callback can schedule into the
-    // freed node; our callables are already moved out.
+    // freed node; our callable is already moved out.
     n->nextFree = freeList_;
     freeList_ = n;
-    if (fn)
-        fn();
-    else
-        cfn(now_);
+    fn(now_);
 }
 
 void

@@ -13,13 +13,11 @@
  *    scheduler kick, a core's activation, an epoch clock). Arming
  *    one allocates nothing; re-arming supersedes the previous arm in
  *    O(1) and the stale queue entry is dropped when it surfaces.
- *  - one-shot closures (the legacy schedule(cycle, fn) interface):
- *    backed by a freelist of pooled event nodes, so steady-state
- *    completion traffic (DRAM done callbacks) recycles nodes instead
- *    of heap-allocating a closure per event. The CycleFn flavor
- *    passes the firing cycle straight to the callback, letting DRAM
- *    completions move their DramDoneFn into the pool without an
- *    extra wrapping lambda.
+ *  - one-shot CycleFn closures (schedule(cycle, fn)), the flavor DRAM
+ *    completions use: the callback receives the cycle it fires at,
+ *    so a completion moves its DramDoneFn straight into a pooled
+ *    event node. Nodes are recycled through a freelist, so
+ *    steady-state completion traffic allocates nothing.
  *
  * Storage is two-level: a timing wheel of kWheelSlots one-cycle
  * buckets covers the near future, where virtually all simulation
@@ -155,18 +153,9 @@ class EventQueue
     // One-shot interface (pooled nodes; see file comment).
     //
 
-    /** Schedule @p fn at absolute cycle @p when. */
-    void schedule(Cycle when, EventFn fn);
-
-    /** Schedule @p fn; it receives the cycle it fires at. */
+    /** Schedule @p fn at absolute cycle @p when; it receives the
+     *  cycle it fires at. */
     void schedule(Cycle when, CycleFn fn);
-
-    /** Schedule @p fn @p delta cycles from now. */
-    void
-    scheduleAfter(Cycle delta, EventFn fn)
-    {
-        schedule(now_ + delta, std::move(fn));
-    }
 
     /** No armed events pending (stale entries do not count). */
     bool empty() const { return pending_ == 0; }
@@ -226,8 +215,7 @@ class EventQueue
     struct OneShot
     {
         TickEvent ev;
-        EventFn fn;
-        CycleFn cfn;
+        CycleFn fn;
         OneShot *nextFree = nullptr;
     };
 

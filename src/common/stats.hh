@@ -2,10 +2,12 @@
  * @file
  * Lightweight statistics registry.
  *
- * Components create named counters inside a StatSet; the simulator
- * resets every StatSet at the warmup boundary and dumps them at the
- * end of the measured region. Counter lookups happen once at
- * construction; updates are plain integer increments.
+ * Components create named counters inside a StatSet, and the
+ * simulator resets every StatSet at the warmup boundary. A counter
+ * exists only when something reads it: a RunResult field, a bench, a
+ * test, a telemetry gauge or simbench. Nothing prints a whole set, so
+ * a counter nobody reads is dead hot-path work. Counter lookups
+ * happen once at construction; updates are plain integer increments.
  */
 
 #ifndef BANSHEE_COMMON_STATS_HH
@@ -14,7 +16,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -38,7 +39,6 @@ class Counter
         return *this;
     }
 
-    void set(std::uint64_t v) { value_ = v; }
     void reset() { value_ = 0; }
     std::uint64_t value() const { return value_; }
 
@@ -47,13 +47,14 @@ class Counter
 };
 
 /**
- * A named collection of counters. Iteration order is the name's
- * lexicographic order (std::map) so dumps are stable.
+ * A collection of named counters. Iteration order is the names'
+ * lexicographic order (std::map), so registering a whole set with
+ * telemetry gives the same metric order on every run.
  */
 class StatSet
 {
   public:
-    explicit StatSet(std::string name = "") : name_(std::move(name)) {}
+    StatSet() = default;
 
     StatSet(const StatSet &) = delete;
     StatSet &operator=(const StatSet &) = delete;
@@ -84,18 +85,6 @@ class StatSet
             kv.second->reset();
     }
 
-    /** Print all counters, prefixed with the set name. */
-    void
-    dump(std::ostream &os) const
-    {
-        for (const auto &kv : counters_) {
-            os << (name_.empty() ? "" : name_ + ".") << kv.first << " = "
-               << kv.second->value() << "\n";
-        }
-    }
-
-    const std::string &name() const { return name_; }
-
     const std::map<std::string, std::unique_ptr<Counter>> &
     all() const
     {
@@ -103,7 +92,6 @@ class StatSet
     }
 
   private:
-    std::string name_;
     std::map<std::string, std::unique_ptr<Counter>> counters_;
 };
 

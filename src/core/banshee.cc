@@ -28,24 +28,14 @@ makeFbrParams(const SchemeContext &ctx, const BansheeConfig &config)
 
 BansheeScheme::BansheeScheme(const SchemeContext &ctx,
                              const BansheeConfig &config)
-    : DramCacheScheme(ctx, "banshee"), config_(config),
-      dir_(makeFbrParams(ctx, config)),
-      tagBuffer_(config.tagBuffer,
-                 "tagBuffer" + std::to_string(ctx.mcId)),
+    : DramCacheScheme(ctx), config_(config),
+      dir_(makeFbrParams(ctx, config)), tagBuffer_(config.tagBuffer),
       missRate_(256, 0.25, 1.0),
       pageBytes_(1u << config.pageBits),
       metaBase_(ctx.cacheBytesPerMc),
-      statSampled_(stats_.counter("sampledAccesses")),
       statInserts_(stats_.counter("pagesInserted")),
-      statEvictions_(stats_.counter("pagesEvicted")),
-      statDirtyEvictions_(stats_.counter("dirtyPagesEvicted")),
       statReplacementsBlocked_(stats_.counter("replacementsBlocked")),
-      statTagProbes_(stats_.counter("writebackTagProbes")),
-      statCandidateTakeovers_(stats_.counter("candidateTakeovers")),
-      statCounterOverflows_(stats_.counter("counterOverflows")),
-      statStaleMappingsServed_(stats_.counter("staleMappingsServed")),
-      statResizeEvictions_(stats_.counter("resizeEvictions")),
-      statResizeDirtyWritebacks_(stats_.counter("resizeDirtyWritebacks"))
+      statCounterOverflows_(stats_.counter("counterOverflows"))
 {
     const double lines = static_cast<double>(pageBytes_) / kLineBytes;
     threshold_ = config.replaceThreshold >= 0.0
@@ -102,8 +92,6 @@ BansheeScheme::resolveMapping(PageNum page, const MappingInfo &carried,
                   static_cast<unsigned long long>(page));
         }
     }
-    if (carried.valid && ctx_.pageTable->isStale(page))
-        ++statStaleMappingsServed_;
 
     if (insertCleanOnMiss)
         tagBuffer_.insertClean(page, fresh);
@@ -173,7 +161,6 @@ BansheeScheme::demandWriteback(LineAddr line)
         // No mapping anywhere on the eviction path: probe the tags in
         // the DRAM cache (32 B read) and stash a clean copy so the
         // next eviction of this page avoids the probe (Section 3.3).
-        ++statTagProbes_;
         tagProbe = true;
         inPkgAccess(metaAddr(setIdx), 32, 32, false, TrafficCat::Tag,
                     nullptr, tenant, spanPage);
@@ -210,7 +197,6 @@ BansheeScheme::fbrSampleAndReplace(PageNum page, std::uint32_t setIdx,
     if (!rng_.nextBool(currentSampleRate()))
         return;
 
-    ++statSampled_;
     const PageNum spanPage = spanPageOf(page);
     chargeMetadataRw(setIdx, TrafficCat::Counter, tenant, spanPage);
 
@@ -263,7 +249,6 @@ BansheeScheme::fbrSampleAndReplace(PageNum page, std::uint32_t setIdx,
         victim.tag = page;
         victim.count = 1;
         victim.valid = true;
-        ++statCandidateTakeovers_;
     }
 }
 
@@ -348,10 +333,8 @@ BansheeScheme::executeReplacement(PageNum page, std::uint32_t setIdx,
                                {"tenant", static_cast<std::uint32_t>(tenant)}});
     }
     if (victim.valid) {
-        ++statEvictions_;
         const PageNum victimSpan = spanPageOf(victim.tag);
         if (victim.dirty) {
-            ++statDirtyEvictions_;
             const TenantId victimTenant = pageTenant(victim.tag);
             inPkgBulk(frameAddr(setIdx, way), pageBytes_, false,
                       TrafficCat::Replacement, victimTenant, victimSpan);
@@ -439,9 +422,6 @@ BansheeScheme::evictFrame(std::uint32_t setIdx, std::uint32_t way)
     if (spanPage != kNoSpanPage)
         spans_->residentEnd(page, ctx_.eq->now(), "migration", wasDirty);
     dir_.invalidate(setIdx, way);
-    ++statResizeEvictions_;
-    if (wasDirty)
-        ++statResizeDirtyWritebacks_;
 
     // Publish the un-mapping exactly like a replacement victim's:
     // hardware view first, then a tag-buffer remap entry so PTEs and
@@ -458,7 +438,7 @@ void
 BansheeScheme::requestMappingCommit()
 {
     if (ctx_.os)
-        ctx_.os->requestResizeCommit();
+        ctx_.os->requestPteUpdate();
 }
 
 void

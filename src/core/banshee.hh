@@ -118,19 +118,27 @@ class BansheeScheme : public DramCacheScheme, public ResizeHost
     double currentSampleRate() const;
 
     TagBuffer &tagBuffer() { return tagBuffer_; }
-    FbrDirectory &directory() { return dir_; }
 
-    bool replacementsLocked() const { return replacementsLocked_; }
-
-    /** Mapping-memo observability (tests/microbenches; plain members,
-     *  not StatSet, so enabling them can't perturb any report). */
+    /** Demand-path set-memo hits (the memo tests read them). */
     std::uint64_t setMemoHits() const { return memoHits_; }
-    std::uint64_t setMemoLookups() const { return memoLookups_; }
 
     /** Freeze/unfreeze replacements (driven by the OS routine). */
     void setReplacementsLocked(bool locked) { replacementsLocked_ = locked; }
 
     std::uint64_t pagesInserted() const { return statInserts_.value(); }
+    std::uint64_t
+    replacementsBlocked() const
+    {
+        return statReplacementsBlocked_.value();
+    }
+
+    /** The Tag Buffer's hit/miss counters restart with the scheme's. */
+    void
+    resetStats() override
+    {
+        DramCacheScheme::resetStats();
+        tagBuffer_.resetStats();
+    }
 
     /**
      * Set index. The page number is mixed with a Fibonacci hash
@@ -173,7 +181,6 @@ class BansheeScheme : public DramCacheScheme, public ResizeHost
         if (core >= setMemo_.size())
             setMemo_.resize(core + 1);
         SetMemoEntry &e = setMemo_[core];
-        ++memoLookups_;
         if (e.page == page && e.generation == gen) {
             ++memoHits_;
             return e.setIdx;
@@ -263,19 +270,10 @@ class BansheeScheme : public DramCacheScheme, public ResizeHost
     /** Per-core MRU page->set memo (grown on first use per core). */
     std::vector<SetMemoEntry> setMemo_;
     std::uint64_t memoHits_ = 0;
-    std::uint64_t memoLookups_ = 0;
 
-    Counter &statSampled_;
     Counter &statInserts_;
-    Counter &statEvictions_;
-    Counter &statDirtyEvictions_;
     Counter &statReplacementsBlocked_;
-    Counter &statTagProbes_;
-    Counter &statCandidateTakeovers_;
     Counter &statCounterOverflows_;
-    Counter &statStaleMappingsServed_;
-    Counter &statResizeEvictions_;
-    Counter &statResizeDirtyWritebacks_;
 };
 
 } // namespace banshee

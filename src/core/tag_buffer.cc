@@ -4,14 +4,9 @@
 
 namespace banshee {
 
-TagBuffer::TagBuffer(const TagBufferParams &params, std::string name)
-    : params_(params), stats_(std::move(name)),
-      statHits_(stats_.counter("hits")),
-      statMisses_(stats_.counter("misses")),
-      statRemapInserts_(stats_.counter("remapInserts")),
-      statCleanInserts_(stats_.counter("cleanInserts")),
-      statHarvests_(stats_.counter("harvests")),
-      statInsertFails_(stats_.counter("insertFails"))
+TagBuffer::TagBuffer(const TagBufferParams &params)
+    : params_(params), statHits_(stats_.counter("hits")),
+      statMisses_(stats_.counter("misses"))
 {
     sim_assert(params.entries % params.ways == 0,
                "tag buffer entries not divisible by ways");
@@ -68,7 +63,6 @@ TagBuffer::insertRemap(PageNum page, PageMapping mapping)
             e->remap = true;
             ++remapCount_;
         }
-        ++statRemapInserts_;
         return true;
     }
 
@@ -84,17 +78,14 @@ TagBuffer::insertRemap(PageNum page, PageMapping mapping)
         if (!s[w].remap && (!victim || s[w].stamp < victim->stamp))
             victim = &s[w];
     }
-    if (!victim || (victim->valid && victim->remap)) {
-        ++statInsertFails_;
+    if (!victim || (victim->valid && victim->remap))
         return false;
-    }
     victim->page = page;
     victim->mapping = mapping;
     victim->stamp = stampCounter_++;
     victim->valid = true;
     victim->remap = true;
     ++remapCount_;
-    ++statRemapInserts_;
     return true;
 }
 
@@ -127,7 +118,6 @@ TagBuffer::insertClean(PageNum page, PageMapping mapping)
     victim->stamp = stampCounter_++;
     victim->valid = true;
     victim->remap = false;
-    ++statCleanInserts_;
 }
 
 bool
@@ -180,7 +170,6 @@ TagBuffer::canAcceptRemaps(std::uint32_t n) const
 std::vector<PageNum>
 TagBuffer::harvest()
 {
-    ++statHarvests_;
     std::vector<PageNum> pages;
     pages.reserve(remapCount_);
     for (auto &e : entries_) {

@@ -34,7 +34,7 @@ struct TagBufferParams
 class TagBuffer
 {
   public:
-    TagBuffer(const TagBufferParams &params, std::string name);
+    explicit TagBuffer(const TagBufferParams &params);
 
     /** Mapping lookup; updates LRU state on hit. */
     std::optional<PageMapping> lookup(PageNum page);
@@ -78,7 +78,6 @@ class TagBuffer
     std::vector<PageNum> harvest();
 
     std::uint32_t remapCount() const { return remapCount_; }
-    std::uint32_t capacity() const { return params_.entries; }
 
     double
     occupancy() const
@@ -86,10 +85,12 @@ class TagBuffer
         return static_cast<double>(remapCount_) / params_.entries;
     }
 
-    StatSet &stats() { return stats_; }
-
+    /** Lookup outcomes since the last resetStats(). */
     std::uint64_t hits() const { return statHits_.value(); }
     std::uint64_t misses() const { return statMisses_.value(); }
+
+    /** Zero the lookup counters (warmup boundary). */
+    void resetStats() { stats_.reset(); }
 
   private:
     struct Entry
@@ -114,10 +115,6 @@ class TagBuffer
     StatSet stats_;
     Counter &statHits_;
     Counter &statMisses_;
-    Counter &statRemapInserts_;
-    Counter &statCleanInserts_;
-    Counter &statHarvests_;
-    Counter &statInsertFails_;
 };
 
 } // namespace banshee

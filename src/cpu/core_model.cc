@@ -15,14 +15,7 @@ CoreModel::CoreModel(CoreId id, const CoreParams &params, EventQueue &eq,
           if (state_ == State::Running)
               run();
       }),
-      codeBase_(codeRegionBase(id, params)),
-      stats_("core" + std::to_string(id)),
-      statInstrs_(stats_.counter("instructions")),
-      statMemOps_(stats_.counter("memOps")),
-      statCyclesRobStall_(stats_.counter("robStallCycles")),
-      statCyclesDepStall_(stats_.counter("depStallCycles")),
-      statCyclesMshrStall_(stats_.counter("mshrStallCycles")),
-      statExternalStall_(stats_.counter("externalStallCycles"))
+      codeBase_(codeRegionBase(id, params))
 {
 }
 
@@ -68,7 +61,6 @@ CoreModel::missDone(Outstanding *entry, Cycle when)
       case State::BlockedRob:
         if (!window_.empty() && entry == &window_.front()) {
             state_ = State::Running;
-            statCyclesRobStall_ += when > curCycle_ ? when - curCycle_ : 0;
             curCycle_ = std::max(curCycle_, when);
             scheduleRun(curCycle_);
         }
@@ -76,14 +68,12 @@ CoreModel::missDone(Outstanding *entry, Cycle when)
       case State::BlockedDep:
         if (entry == lastLoad_) {
             state_ = State::Running;
-            statCyclesDepStall_ += when > curCycle_ ? when - curCycle_ : 0;
             curCycle_ = std::max(curCycle_, when);
             scheduleRun(curCycle_);
         }
         break;
       case State::BlockedMshr:
         state_ = State::Running;
-        statCyclesMshrStall_ += when > curCycle_ ? when - curCycle_ : 0;
         curCycle_ = std::max(curCycle_, when);
         scheduleRun(curCycle_);
         break;
@@ -99,7 +89,6 @@ CoreModel::postedDone(Cycle when)
     --outstandingMisses_;
     if (state_ == State::BlockedMshr) {
         state_ = State::Running;
-        statCyclesMshrStall_ += when > curCycle_ ? when - curCycle_ : 0;
         curCycle_ = std::max(curCycle_, when);
         scheduleRun(curCycle_);
     }
@@ -197,7 +186,6 @@ CoreModel::run()
         const Tlb::LookupResult tr = tlb_.lookup(pageOf(op.addr));
         curCycle_ += tr.latency;
 
-        ++statMemOps_;
         if (op.isWrite) {
             // Stores are posted: they occupy an MSHR while below-L1 but
             // never block retirement.
@@ -223,7 +211,6 @@ CoreModel::run()
         }
 
         instrRetired_ += op.nonMemBefore + 1;
-        statInstrs_ += op.nonMemBefore + 1;
         ++instrSeq_;
         havePendingOp_ = false;
     }

@@ -22,7 +22,6 @@
 #include "cache/hierarchy.hh"
 #include "common/event_queue.hh"
 #include "common/rng.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "cpu/tlb.hh"
 #include "workload/pattern.hh"
@@ -64,12 +63,7 @@ class CoreModel
      * Charge an external stall (interrupt handler, TLB shootdown).
      * Applied at the next instruction boundary.
      */
-    void
-    addStall(Cycle cycles)
-    {
-        pendingStall_ += cycles;
-        statExternalStall_ += cycles;
-    }
+    void addStall(Cycle cycles) { pendingStall_ += cycles; }
 
     CoreId id() const { return id_; }
     std::uint64_t instrRetired() const { return instrRetired_; }
@@ -88,8 +82,6 @@ class CoreModel
         return (0xC0DEull << 40) +
                static_cast<std::uint64_t>(id) * params.codeBytes * 4;
     }
-
-    StatSet &stats() { return stats_; }
 
   private:
     enum class State : std::uint8_t
@@ -158,14 +150,6 @@ class CoreModel
     Addr codePos_ = 0;
 
     std::function<void(CoreId)> onParked_;
-
-    StatSet stats_;
-    Counter &statInstrs_;
-    Counter &statMemOps_;
-    Counter &statCyclesRobStall_;
-    Counter &statCyclesDepStall_;
-    Counter &statCyclesMshrStall_;
-    Counter &statExternalStall_;
 };
 
 } // namespace banshee

@@ -4,9 +4,8 @@
 
 namespace banshee {
 
-Tlb::Tlb(const TlbParams &params, const PageTableManager &pageTable,
-         std::string name)
-    : params_(params), pageTable_(pageTable), stats_(std::move(name)),
+Tlb::Tlb(const TlbParams &params, const PageTableManager &pageTable)
+    : params_(params), pageTable_(pageTable),
       statHits_(stats_.counter("hits")),
       statMisses_(stats_.counter("misses")),
       statShootdowns_(stats_.counter("shootdowns"))

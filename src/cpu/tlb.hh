@@ -30,8 +30,7 @@ struct TlbParams
 class Tlb
 {
   public:
-    Tlb(const TlbParams &params, const PageTableManager &pageTable,
-        std::string name);
+    Tlb(const TlbParams &params, const PageTableManager &pageTable);
 
     struct LookupResult
     {

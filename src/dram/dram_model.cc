@@ -14,9 +14,9 @@ namespace banshee {
 
 DramChannel::DramChannel(EventQueue &eq, const DramTiming &timing,
                          TrafficStats &traffic, DramPowerModel &power,
-                         StatSet &stats, std::string name)
+                         StatSet &stats, const std::string &name)
     : eq_(eq), timing_(timing), traffic_(traffic), power_(power),
-      name_(std::move(name)), banks_(timing.numBanks),
+      banks_(timing.numBanks),
       casCycles_(timing.toCore(timing.scaledCAS())),
       rcdCycles_(timing.toCore(timing.scaledRCD())),
       rpCycles_(timing.toCore(timing.scaledRP())),
@@ -24,10 +24,8 @@ DramChannel::DramChannel(EventQueue &eq, const DramTiming &timing,
       closedReady_(rcdCycles_ + casCycles_),
       conflictReady_(rpCycles_ + rcdCycles_ + casCycles_),
       kickEvent_([this] { kick(); }),
-      statReqs_(stats.counter(name_ + ".requests")),
-      statRowHits_(stats.counter(name_ + ".rowHits")),
-      statRowConflicts_(stats.counter(name_ + ".rowConflicts")),
-      statTotalLatency_(stats.counter(name_ + ".totalLatencyCycles"))
+      statReqs_(stats.counter(name + ".requests")),
+      statRowHits_(stats.counter(name + ".rowHits"))
 {
     // Typical queue depths fit; deeper queues grow the slab once.
     slab_.reserve(128);
@@ -324,7 +322,6 @@ DramChannel::issue(std::uint32_t n)
         casTime = actStart + rcdCycles_;
         bank.lastActStart = actStart;
         bank.openRow = p.row;
-        ++statRowConflicts_;
         power_.onActivate(p.req.cat, p.req.tenant);
     }
     power_.onBurst(p.req.bytes, p.req.tagBytes, p.req.isWrite, p.req.cat,
@@ -346,7 +343,6 @@ DramChannel::issue(std::uint32_t n)
     bank.readyCycle = casTime + transfer;
 
     ++statReqs_;
-    statTotalLatency_ += complete - p.arrival;
     if (telem_) {
         const Cycle sojourn = complete - p.arrival;
         telem_->queueLatency.record(sojourn);
@@ -369,9 +365,9 @@ DramChannel::issue(std::uint32_t n)
     }
 
     if (p.req.done) {
-        // The CycleFn overload passes the firing cycle (== complete)
-        // straight through: the DramDoneFn moves into a pooled event
-        // node with no wrapper closure.
+        // The one-shot passes the firing cycle (== complete) straight
+        // through: the DramDoneFn moves into a pooled event node with
+        // no wrapper closure.
         eq_.schedule(complete, std::move(p.req.done));
     }
     p.req.done = nullptr;
@@ -410,10 +406,8 @@ DramChannel::kick()
 //
 
 DramModel::DramModel(EventQueue &eq, DramTiming timing,
-                     std::uint32_t numChannels, std::string name,
-                     DramPowerParams powerParams)
-    : eq_(eq), timing_(timing), name_(std::move(name)), stats_(name_),
-      power_(powerParams, timing_, numChannels, stats_)
+                     std::uint32_t numChannels, DramPowerParams powerParams)
+    : eq_(eq), timing_(timing), power_(powerParams, timing_, numChannels)
 {
     sim_assert(numChannels > 0, "DRAM device needs >= 1 channel");
     channels_.reserve(numChannels);

@@ -73,8 +73,11 @@ struct DramRequest
 class DramChannel
 {
   public:
+    /** @p name prefixes the channel's counters in the device's
+     *  StatSet ("ch0.requests", "ch0.rowHits"). */
     DramChannel(EventQueue &eq, const DramTiming &timing, TrafficStats &traffic,
-                DramPowerModel &power, StatSet &stats, std::string name);
+                DramPowerModel &power, StatSet &stats,
+                const std::string &name);
 
     /** Enqueue a request; it becomes eligible immediately. */
     void push(DramRequest req);
@@ -196,7 +199,6 @@ class DramChannel
     ChannelTelemetry *telem_ = nullptr;
     PageJournal *spans_ = nullptr;
     std::uint32_t spanTrack_ = 0;
-    std::string name_;
 
     std::vector<Bank> banks_;
 
@@ -248,8 +250,6 @@ class DramChannel
 
     Counter &statReqs_;
     Counter &statRowHits_;
-    Counter &statRowConflicts_;
-    Counter &statTotalLatency_;
 };
 
 /**
@@ -260,7 +260,6 @@ class DramModel
 {
   public:
     DramModel(EventQueue &eq, DramTiming timing, std::uint32_t numChannels,
-              std::string name,
               DramPowerParams powerParams = DramPowerParams::inPackage());
 
     /** Issue a request on an explicit channel. */
@@ -339,7 +338,6 @@ class DramModel
   private:
     EventQueue &eq_;
     DramTiming timing_;
-    std::string name_;
     TrafficStats traffic_;
     StatSet stats_;
     DramPowerModel power_;

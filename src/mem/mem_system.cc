@@ -5,21 +5,19 @@
 namespace banshee {
 
 MemSystem::MemSystem(EventQueue &eq, const MemSystemParams &params)
-    : eq_(eq), params_(params), stats_("memSystem"),
-      statFetches_(stats_.counter("fetches")),
-      statWritebacks_(stats_.counter("writebacks")),
+    : eq_(eq), params_(params),
       statFetchesCompleted_(stats_.counter("fetchesCompleted")),
       statFetchLatencyTotal_(stats_.counter("fetchLatencyTotal"))
 {
     if (params_.hasInPkg) {
         inPkg_ = std::make_unique<DramModel>(eq_, params_.inPkgTiming,
-                                             params_.numMcs, "inPkg",
+                                             params_.numMcs,
                                              params_.inPkgPower);
         inPkg_->setSchedConfig(params_.inPkgSched);
     }
     if (params_.hasOffPkg) {
         offPkg_ = std::make_unique<DramModel>(
-            eq_, params_.offPkgTiming, params_.numOffPkgChannels, "offPkg",
+            eq_, params_.offPkgTiming, params_.numOffPkgChannels,
             params_.offPkgPower);
     }
     sim_assert(inPkg_ || offPkg_, "memory system needs at least one DRAM");
@@ -51,7 +49,6 @@ void
 MemSystem::fetchLine(LineAddr line, const MappingInfo &mapping, CoreId core,
                      MissDoneFn done)
 {
-    ++statFetches_;
     const Cycle issued = eq_.now();
     // Span tracing: tag the fetch with its (sampled) page so the
     // completion closure can stitch an issue->complete span. The page
@@ -78,7 +75,6 @@ MemSystem::fetchLine(LineAddr line, const MappingInfo &mapping, CoreId core,
 void
 MemSystem::writebackLine(LineAddr line)
 {
-    ++statWritebacks_;
     schemes_[mcOf(line)]->demandWriteback(line);
 }
 
@@ -88,15 +84,6 @@ MemSystem::totalAccesses() const
     std::uint64_t n = 0;
     for (const auto &s : schemes_)
         n += s->accesses();
-    return n;
-}
-
-std::uint64_t
-MemSystem::totalHits() const
-{
-    std::uint64_t n = 0;
-    for (const auto &s : schemes_)
-        n += s->hits();
     return n;
 }
 

@@ -81,25 +81,21 @@ class MemSystem : public MemBackend
     DramCacheScheme &scheme(std::uint32_t mc) { return *schemes_[mc]; }
     std::uint32_t numMcs() const { return params_.numMcs; }
 
-    /** Sum of demand accesses / hits / misses over all MCs. */
+    /** Sum of demand accesses / misses over all MCs. */
     std::uint64_t totalAccesses() const;
-    std::uint64_t totalHits() const;
     std::uint64_t totalMisses() const;
 
     /** Mean LLC-miss service latency (core cycles) this phase. */
     double
     avgFetchLatency() const
     {
-        const std::uint64_t n = stats_.value("fetchesCompleted");
+        const std::uint64_t n = statFetchesCompleted_.value();
         return n == 0 ? 0.0
-                      : static_cast<double>(
-                            stats_.value("fetchLatencyTotal")) /
+                      : static_cast<double>(statFetchLatencyTotal_.value()) /
                             static_cast<double>(n);
     }
 
     void resetStats();
-
-    StatSet &stats() { return stats_; }
 
   private:
     EventQueue &eq_;
@@ -111,8 +107,6 @@ class MemSystem : public MemBackend
     std::vector<std::unique_ptr<DramCacheScheme>> schemes_;
 
     StatSet stats_;
-    Counter &statFetches_;
-    Counter &statWritebacks_;
     Counter &statFetchesCompleted_;
     Counter &statFetchLatencyTotal_;
 };

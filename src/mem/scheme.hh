@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include <array>
 
@@ -54,10 +53,8 @@ struct SchemeContext
 class DramCacheScheme
 {
   public:
-    DramCacheScheme(const SchemeContext &ctx, std::string name)
-        : ctx_(ctx), name_(std::move(name)),
-          rng_(ctx.seed * 0x9e3779b97f4a7c15ull + ctx.mcId),
-          stats_(name_ + std::to_string(ctx.mcId)),
+    explicit DramCacheScheme(const SchemeContext &ctx)
+        : ctx_(ctx), rng_(ctx.seed * 0x9e3779b97f4a7c15ull + ctx.mcId),
           statAccesses_(stats_.counter("accesses")),
           statHits_(stats_.counter("hits")),
           statMisses_(stats_.counter("misses"))
@@ -86,8 +83,6 @@ class DramCacheScheme
     /** Attach span tracing (null = off). Schemes tag the traffic of
      *  sampled pages and emit lifecycle instants/spans. */
     virtual void attachSpanTrace(PageJournal *journal) { spans_ = journal; }
-
-    const std::string &name() const { return name_; }
 
     StatSet &stats() { return stats_; }
 
@@ -143,13 +138,6 @@ class DramCacheScheme
     tenantOfAddr(Addr addr) const
     {
         return ctx_.tenants ? ctx_.tenants->tenantOfAddr(addr) : kNoTenant;
-    }
-
-    /** Page-local index within this MC's stripe. */
-    std::uint64_t
-    localPageIndex(PageNum page) const
-    {
-        return page / ctx_.numMcs;
     }
 
     /**
@@ -242,7 +230,6 @@ class DramCacheScheme
     }
 
     SchemeContext ctx_;
-    std::string name_;
     PageJournal *spans_ = nullptr; ///< span tracing; null = off
     Rng rng_;
     StatSet stats_;

@@ -35,7 +35,7 @@ OsServices::updateDone()
     // reverse map, then shoot down all TLBs.
     for (auto &harvest : harvesters_) {
         for (PageNum page : harvest()) {
-            statPteWrites_ += pageTable_.commit(page);
+            pageTable_.commit(page);
             ++statPagesCommitted_;
         }
     }

@@ -64,12 +64,9 @@ class OsServices
     OsServices(EventQueue &eq, PageTableManager &pageTable,
                OsCosts costs = OsCosts{}, std::uint64_t seed = 7)
         : eq_(eq), pageTable_(pageTable), costs_(costs), rng_(seed),
-          stats_("os"),
           statUpdates_(stats_.counter("pteUpdateRuns")),
           statPagesCommitted_(stats_.counter("pagesCommitted")),
-          statPteWrites_(stats_.counter("pteWrites")),
-          statShootdowns_(stats_.counter("tlbShootdowns")),
-          statResizeCommits_(stats_.counter("resizeCommitRequests"))
+          statShootdowns_(stats_.counter("tlbShootdowns"))
     {
     }
 
@@ -91,23 +88,12 @@ class OsServices
 
     /**
      * Hardware interrupt: a tag buffer crossed its threshold. No-op if
-     * an update is already in flight.
+     * an update is already in flight. Resizing calls it too (the
+     * migration engine, and the resize controller at transition end),
+     * so resize remaps ride the same batch PTE-update/shootdown
+     * routine as replacements instead of paying per-page shootdowns.
      */
     void requestPteUpdate();
-
-    /**
-     * Cache-resize cooperation entry point: the migration engine (or
-     * the resize controller at transition end) asks for the same batch
-     * PTE-update/shootdown routine replacements use, so resize remaps
-     * piggyback on the lazy TLB-coherence machinery instead of paying
-     * per-page shootdowns.
-     */
-    void
-    requestResizeCommit()
-    {
-        ++statResizeCommits_;
-        requestPteUpdate();
-    }
 
     bool updateInProgress() const { return updateInProgress_; }
 
@@ -122,12 +108,10 @@ class OsServices
     /** System-wide shootdown with the Table 3 cost split. */
     void shootdownAll(CoreId initiator);
 
-    const OsCosts &costs() const { return costs_; }
-    void setCosts(const OsCosts &c) { costs_ = c; }
-
     StatSet &stats() { return stats_; }
 
     std::uint64_t updateRuns() const { return statUpdates_.value(); }
+    std::uint64_t tlbShootdowns() const { return statShootdowns_.value(); }
 
   private:
     /** PTE-update routine body: harvest + commit + shootdown. */
@@ -155,9 +139,7 @@ class OsServices
     StatSet stats_;
     Counter &statUpdates_;
     Counter &statPagesCommitted_;
-    Counter &statPteWrites_;
     Counter &statShootdowns_;
-    Counter &statResizeCommits_;
 };
 
 } // namespace banshee

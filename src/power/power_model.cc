@@ -18,8 +18,7 @@ constexpr double kMilliwattToWatt = 1e-3;
 
 DramPowerModel::DramPowerModel(const DramPowerParams &params,
                                const DramTiming &timing,
-                               std::uint32_t numChannels, StatSet &stats)
-    : stats_(stats)
+                               std::uint32_t numChannels)
 {
     sim_assert(numChannels > 0, "power model needs >= 1 channel");
     const double chans = static_cast<double>(numChannels);
@@ -82,22 +81,6 @@ void
 DramPowerModel::finalize(Cycle now)
 {
     integrateTo(now);
-    for (std::size_t c = 0; c < kNumTrafficCats; ++c) {
-        stats_.counter("energy." +
-                       std::string(trafficCatName(
-                           static_cast<TrafficCat>(c))) +
-                       "_pJ")
-            .set(static_cast<std::uint64_t>(
-                energy_.dynamicPJ(static_cast<TrafficCat>(c))));
-    }
-    stats_.counter("energy.background_pJ")
-        .set(static_cast<std::uint64_t>(energy_.backgroundPJ()));
-    stats_.counter("energy.refresh_pJ")
-        .set(static_cast<std::uint64_t>(energy_.refreshPJ()));
-    stats_.counter("energy.activeStandby_pJ")
-        .set(static_cast<std::uint64_t>(energy_.activeStandbyPJ()));
-    stats_.counter("energy.total_pJ")
-        .set(static_cast<std::uint64_t>(energy_.totalPJ()));
 }
 
 double

@@ -28,7 +28,6 @@
 
 #include <cstdint>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "dram/dram_timing.hh"
 #include "dram/traffic.hh"
@@ -41,7 +40,7 @@ class DramPowerModel
 {
   public:
     DramPowerModel(const DramPowerParams &params, const DramTiming &timing,
-                   std::uint32_t numChannels, StatSet &stats);
+                   std::uint32_t numChannels);
 
     // ------------------------------------------------- command hooks
     /** One row activation (and its eventual precharge). */
@@ -86,8 +85,8 @@ class DramPowerModel
     double gatedSliceFraction() const { return gatedFraction_; }
 
     // ------------------------------------------------------- queries
-    /** Integrate background/refresh up to @p now and publish the
-     *  energy counters into the owning device's StatSet. */
+    /** Integrate background/refresh up to @p now, so energy() is
+     *  current at the end of a run. */
     void finalize(Cycle now);
 
     /** Accumulated energy since the last resetStats(). Background and
@@ -137,8 +136,6 @@ class DramPowerModel
     double actStandbyDeltaPJPerCycle_;
     double backgroundFloorWatts_;
     double refreshWatts_;
-
-    StatSet &stats_;
 };
 
 } // namespace banshee

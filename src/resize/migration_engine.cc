@@ -6,9 +6,8 @@
 namespace banshee {
 
 MigrationEngine::MigrationEngine(EventQueue &eq, ResizeHost &host,
-                                 const MigrationParams &params,
-                                 std::string name)
-    : eq_(eq), host_(host), params_(params), stats_(std::move(name)),
+                                 const MigrationParams &params)
+    : eq_(eq), host_(host), params_(params),
       statDrained_(stats_.counter("pagesDrained")),
       statDirty_(stats_.counter("dirtyPagesDrained")),
       statSkipped_(stats_.counter("pagesSkipped")),

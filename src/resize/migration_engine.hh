@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <string>
 
 #include "common/event_queue.hh"
 #include "common/stats.hh"
@@ -34,7 +33,7 @@ class MigrationEngine
 {
   public:
     MigrationEngine(EventQueue &eq, ResizeHost &host,
-                    const MigrationParams &params, std::string name);
+                    const MigrationParams &params);
 
     /** Queue one frame for draining (before start()). */
     void enqueue(std::uint32_t set, std::uint32_t way, PageNum page);

@@ -12,7 +12,7 @@ namespace banshee {
 ResizeController::ResizeController(EventQueue &eq, OsServices &os,
                                    const ResizeConfig &config)
     : eq_(eq), os_(os), config_(config), policy_(config.policy),
-      layout_(config.hash), stats_("resize"),
+      layout_(config.hash),
       statStarted_(stats_.counter("resizesStarted")),
       statCompleted_(stats_.counter("resizesCompleted")),
       statEpochs_(stats_.counter("epochsEvaluated")),
@@ -41,10 +41,10 @@ ResizeController::ResizeController(EventQueue &eq, OsServices &os,
 }
 
 void
-ResizeController::addHost(ResizeHost &host, const std::string &name)
+ResizeController::addHost(ResizeHost &host)
 {
     domains_.push_back(
-        std::make_unique<ResizeDomain>(eq_, host, layout_, config_, name));
+        std::make_unique<ResizeDomain>(eq_, host, layout_, config_));
     host.attachResizeDomain(domains_.back().get());
 }
 
@@ -313,7 +313,7 @@ ResizeController::commitTransition(Counter &completions, const char *kind)
     }
     // Fold the transition's remaps into the PTEs promptly so TLBs
     // reconverge on the new layout.
-    os_.requestResizeCommit();
+    os_.requestPteUpdate();
 }
 
 bool

@@ -33,7 +33,6 @@
 #include <initializer_list>
 #include <memory>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -59,7 +58,7 @@ class ResizeController
                      const ResizeConfig &config);
 
     /** Register one scheme instance; builds and attaches its domain. */
-    void addHost(ResizeHost &host, const std::string &name);
+    void addHost(ResizeHost &host);
 
     /**
      * Attach the in-package device's power model: deactivated slices

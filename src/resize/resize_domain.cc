@@ -6,9 +6,8 @@ namespace banshee {
 
 ResizeDomain::ResizeDomain(EventQueue &eq, ResizeHost &host,
                            const ConsistentHashMapper &layout,
-                           const ResizeConfig &config, std::string name)
-    : host_(host), layout_(layout),
-      engine_(eq, host, config.migration, name + ".engine"),
+                           const ResizeConfig &config)
+    : host_(host), layout_(layout), engine_(eq, host, config.migration),
       strategy_(config.strategy),
       partitioned_(!config.tenantWeights.empty()),
       setsPerSlice_(host.numSets() / layout.numSlices())

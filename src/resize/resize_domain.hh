@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <unordered_map>
 
 #include "common/event_queue.hh"
@@ -42,7 +41,7 @@ class ResizeDomain
      *  both. */
     ResizeDomain(EventQueue &eq, ResizeHost &host,
                  const ConsistentHashMapper &layout,
-                 const ResizeConfig &config, std::string name);
+                 const ResizeConfig &config);
 
     /**
      * Resize-aware set index for @p page. @p mixedHash is the

@@ -6,11 +6,10 @@
 namespace banshee {
 
 AlloyScheme::AlloyScheme(const SchemeContext &ctx, const AlloyConfig &config)
-    : DramCacheScheme(ctx, "alloy"), config_(config),
+    : DramCacheScheme(ctx), config_(config),
       statFills_(stats_.counter("fills")),
       statFillsSkipped_(stats_.counter("fillsSkipped")),
-      statVictimWritebacks_(stats_.counter("victimWritebacks")),
-      statWritebackProbes_(stats_.counter("writebackProbes"))
+      statVictimWritebacks_(stats_.counter("victimWritebacks"))
 {
     numSets_ = ctx.cacheBytesPerMc / config.tadStorageBytes;
     sim_assert(numSets_ > 0, "alloy cache too small");
@@ -72,7 +71,6 @@ AlloyScheme::demandWriteback(LineAddr line)
 {
     const std::uint64_t set = setOf(line);
     // BEAR writeback probe: a 32 B tag read decides hit/miss.
-    ++statWritebackProbes_;
     inPkgAccess(tadAddr(set), 32, 32, false, TrafficCat::Tag, nullptr);
 
     const bool hit = (state_[set] & 1) && tags_[set] == line;

@@ -75,7 +75,6 @@ class AlloyScheme : public DramCacheScheme
     Counter &statFills_;
     Counter &statFillsSkipped_;
     Counter &statVictimWritebacks_;
-    Counter &statWritebackProbes_;
 };
 
 } // namespace banshee

@@ -17,7 +17,6 @@
 #include <cstdint>
 
 #include "common/event_queue.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "common/units.hh"
 #include "dram/dram_model.hh"
@@ -38,10 +37,7 @@ class BatmanController
     BatmanController(EventQueue &eq, const DramModel *inPkg,
                      const DramModel *offPkg,
                      BatmanParams params = BatmanParams{})
-        : eq_(eq), inPkg_(inPkg), offPkg_(offPkg), params_(params),
-          stats_("batman"),
-          statEpochs_(stats_.counter("epochs")),
-          statIncreases_(stats_.counter("bypassIncreases"))
+        : eq_(eq), inPkg_(inPkg), offPkg_(offPkg), params_(params)
     {
         armEpoch();
     }
@@ -58,8 +54,6 @@ class BatmanController
 
     double bypassFraction() const { return bypassFraction_; }
 
-    StatSet &stats() { return stats_; }
-
   private:
     void
     armEpoch()
@@ -70,7 +64,6 @@ class BatmanController
     void
     tick()
     {
-        ++statEpochs_;
         const std::uint64_t in = inPkg_ ? inPkg_->traffic().totalBytes() : 0;
         const std::uint64_t off =
             offPkg_ ? offPkg_->traffic().totalBytes() : 0;
@@ -82,12 +75,10 @@ class BatmanController
             return;
         const double frac =
             static_cast<double>(dIn) / static_cast<double>(dIn + dOff);
-        if (frac > params_.targetInPkgFraction) {
+        if (frac > params_.targetInPkgFraction)
             bypassFraction_ += params_.step;
-            ++statIncreases_;
-        } else {
+        else
             bypassFraction_ -= params_.step;
-        }
         if (bypassFraction_ < 0.0)
             bypassFraction_ = 0.0;
         if (bypassFraction_ > params_.maxBypass)
@@ -106,10 +97,6 @@ class BatmanController
     double bypassFraction_ = 0.0;
     std::uint64_t lastIn_ = 0;
     std::uint64_t lastOff_ = 0;
-
-    StatSet stats_;
-    Counter &statEpochs_;
-    Counter &statIncreases_;
 };
 
 } // namespace banshee

@@ -112,8 +112,6 @@ class FootprintPredictor
         return groups * kFootprintGroupLines;
     }
 
-    double ewmaGroups() const { return ewmaGroups_; }
-
   private:
     double ewmaGroups_;
     double alpha_;

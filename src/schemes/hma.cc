@@ -7,9 +7,8 @@
 namespace banshee {
 
 HmaScheme::HmaScheme(const SchemeContext &ctx, const HmaConfig &config)
-    : DramCacheScheme(ctx, "hma"), config_(config),
-      statEpochs_(stats_.counter("epochs")),
-      statPagesMoved_(stats_.counter("pagesMoved"))
+    : DramCacheScheme(ctx), config_(config),
+      statEpochs_(stats_.counter("epochs"))
 {
     numFrames_ = ctx.cacheBytesPerMc / kPageBytes;
     sim_assert(numFrames_ > 0, "HMA partition too small");
@@ -113,7 +112,6 @@ HmaScheme::runEpoch()
         resident_[kv.first] = Resident{frameIdx, false};
         ++moved;
     }
-    statPagesMoved_ += moved;
 
     // The OS stops every program while it migrates and rewrites PTEs.
     if (ctx_.os) {

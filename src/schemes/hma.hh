@@ -74,7 +74,6 @@ class HmaScheme : public DramCacheScheme
     std::vector<std::uint64_t> freeFrames_;
 
     Counter &statEpochs_;
-    Counter &statPagesMoved_;
 };
 
 } // namespace banshee

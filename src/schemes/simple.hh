@@ -16,7 +16,7 @@ class NoCacheScheme : public DramCacheScheme
 {
   public:
     explicit NoCacheScheme(const SchemeContext &ctx)
-        : DramCacheScheme(ctx, "nocache")
+        : DramCacheScheme(ctx)
     {
     }
 
@@ -45,7 +45,7 @@ class CacheOnlyScheme : public DramCacheScheme
 {
   public:
     explicit CacheOnlyScheme(const SchemeContext &ctx)
-        : DramCacheScheme(ctx, "cacheonly")
+        : DramCacheScheme(ctx)
     {
     }
 

@@ -5,10 +5,7 @@
 namespace banshee {
 
 TdcScheme::TdcScheme(const SchemeContext &ctx)
-    : DramCacheScheme(ctx, "tdc"),
-      statReplacements_(stats_.counter("replacements")),
-      statFillLines_(stats_.counter("fillLines")),
-      statVictimDirtyLines_(stats_.counter("victimDirtyLines"))
+    : DramCacheScheme(ctx)
 {
     numFrames_ = ctx.cacheBytesPerMc / kPageBytes;
     sim_assert(numFrames_ > 0, "TDC cache too small");
@@ -54,7 +51,6 @@ TdcScheme::evictOne()
     const std::uint32_t dirtyLines =
         it->second.residency.dirtyGroups() * kFootprintGroupLines;
     if (dirtyLines > 0) {
-        statVictimDirtyLines_ += dirtyLines;
         inPkgBulk(frameAddr(it->second.frameIdx),
                   static_cast<std::uint64_t>(dirtyLines) * kLineBytes, false,
                   TrafficCat::Replacement);
@@ -69,14 +65,12 @@ TdcScheme::evictOne()
 void
 TdcScheme::fill(PageNum page, std::uint32_t lineIdx)
 {
-    ++statReplacements_;
     if (freeFrames_.empty())
         evictOne();
     const std::uint64_t frameIdx = freeFrames_.back();
     freeFrames_.pop_back();
 
     const std::uint32_t fillLines = footprint_.predictLines();
-    statFillLines_ += fillLines;
     offPkgBulk(static_cast<Addr>(page) * kPageBytes,
                static_cast<std::uint64_t>(fillLines) * kLineBytes, false,
                TrafficCat::Fill);

@@ -34,7 +34,6 @@ class TdcScheme : public DramCacheScheme
                      MissDoneFn done) override;
     void demandWriteback(LineAddr line) override;
 
-    const FootprintPredictor &footprint() const { return footprint_; }
     std::uint64_t residentPages() const { return frameOf_.size(); }
 
   private:
@@ -60,10 +59,6 @@ class TdcScheme : public DramCacheScheme
     std::deque<PageNum> fifo_;
     std::vector<std::uint64_t> freeFrames_;
     FootprintPredictor footprint_;
-
-    Counter &statReplacements_;
-    Counter &statFillLines_;
-    Counter &statVictimDirtyLines_;
 };
 
 } // namespace banshee

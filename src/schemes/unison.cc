@@ -6,10 +6,8 @@ namespace banshee {
 
 UnisonScheme::UnisonScheme(const SchemeContext &ctx,
                            const UnisonConfig &config)
-    : DramCacheScheme(ctx, "unison"), config_(config),
+    : DramCacheScheme(ctx), config_(config),
       metaBase_(ctx.cacheBytesPerMc),
-      statFillLines_(stats_.counter("fillLines")),
-      statVictimDirtyLines_(stats_.counter("victimDirtyLines")),
       statReplacements_(stats_.counter("replacements"))
 {
     const std::uint64_t frames = ctx.cacheBytesPerMc / kPageBytes;
@@ -93,7 +91,6 @@ UnisonScheme::replaceOnMiss(PageNum page, std::uint32_t setIdx,
         const std::uint32_t dirtyLines =
             victim.residency.dirtyGroups() * kFootprintGroupLines;
         if (dirtyLines > 0) {
-            statVictimDirtyLines_ += dirtyLines;
             inPkgBulk(frameAddr(setIdx, victimWay),
                       static_cast<std::uint64_t>(dirtyLines) * kLineBytes,
                       false, TrafficCat::Replacement);
@@ -106,7 +103,6 @@ UnisonScheme::replaceOnMiss(PageNum page, std::uint32_t setIdx,
     // Footprint-sized fill (perfect predictor: charge the average
     // blocks touched per residency, 4-line granularity).
     const std::uint32_t fillLines = footprint_.predictLines();
-    statFillLines_ += fillLines;
     offPkgBulk(static_cast<Addr>(page) * kPageBytes,
                static_cast<std::uint64_t>(fillLines) * kLineBytes, false,
                TrafficCat::Fill);

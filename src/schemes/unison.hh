@@ -37,8 +37,6 @@ class UnisonScheme : public DramCacheScheme
                      MissDoneFn done) override;
     void demandWriteback(LineAddr line) override;
 
-    const FootprintPredictor &footprint() const { return footprint_; }
-
   private:
     struct WayEntry
     {
@@ -82,8 +80,6 @@ class UnisonScheme : public DramCacheScheme
     std::uint64_t lruCounter_ = 1;
     FootprintPredictor footprint_;
 
-    Counter &statFillLines_;
-    Counter &statVictimDirtyLines_;
     Counter &statReplacements_;
 };
 

@@ -223,7 +223,7 @@ System::System(const SystemConfig &config) : config_(config)
                       "use the Banshee scheme or turn resize off",
                       schemeKindName(config.scheme));
             }
-            resize_->addHost(*host, "resize" + std::to_string(mc));
+            resize_->addHost(*host);
         }
         if (mem_->inPkg())
             resize_->attachPowerModel(&mem_->inPkg()->power());
@@ -246,8 +246,7 @@ System::System(const SystemConfig &config) : config_(config)
     hierarchy_ = std::make_unique<CacheHierarchy>(hp, *mem_);
 
     for (CoreId c = 0; c < config.numCores; ++c) {
-        tlbs_.push_back(std::make_unique<Tlb>(
-            config.tlb, *pageTable_, "tlb" + std::to_string(c)));
+        tlbs_.push_back(std::make_unique<Tlb>(config.tlb, *pageTable_));
         // Multi-tenant runs: each core runs its tenant's workload,
         // partitioned over the tenant's cores.
         std::string workload = config.workload;
@@ -471,8 +470,6 @@ System::resetAllStats()
     os_->stats().reset();
     if (resize_)
         resize_->resetStats();
-    for (auto &core : cores_)
-        core->stats().reset();
     for (auto &tlb : tlbs_)
         tlb->stats().reset();
 }
@@ -588,15 +585,14 @@ System::collect(const std::vector<Cycle> &phaseStartCycle,
 
     r.avgFetchLatency = mem_->avgFetchLatency();
     r.pteUpdateRuns = os_->updateRuns();
-    r.tlbShootdowns = os_->stats().value("tlbShootdowns");
+    r.tlbShootdowns = os_->tlbShootdowns();
 
     for (std::uint32_t mc = 0; mc < mem_->numMcs(); ++mc) {
-        auto &s = mem_->scheme(mc);
-        if (auto *banshee = dynamic_cast<BansheeScheme *>(&s)) {
+        if (auto *banshee =
+                dynamic_cast<BansheeScheme *>(&mem_->scheme(mc))) {
             r.tagBufferHits += banshee->tagBuffer().hits();
             r.tagBufferMisses += banshee->tagBuffer().misses();
-            r.replacementsBlocked +=
-                s.stats().value("replacementsBlocked");
+            r.replacementsBlocked += banshee->replacementsBlocked();
         }
     }
 

@@ -3,7 +3,7 @@
  * Epoch-sampled metric time series, layered on the StatSet registry.
  *
  * Components already expose their statistics as StatSet counters and
- * accessor methods; a single end-of-run dump cannot show the
+ * accessor methods; end-of-run totals cannot show the
  * time-domain phenomena this repository now studies (resize drains,
  * power-cap hysteresis, per-tenant queueing under co-location). The
  * MetricRegistry closes that gap: gauges (arbitrary double-valued

@@ -26,9 +26,8 @@ class SchemeHarness
     explicit SchemeHarness(std::uint64_t cacheBytesPerMc = 8ull << 20,
                            std::uint32_t numMcs = 1)
     {
-        inPkg = std::make_unique<DramModel>(eq, DramTiming{}, numMcs,
-                                            "inPkg");
-        offPkg = std::make_unique<DramModel>(eq, DramTiming{}, 1, "offPkg");
+        inPkg = std::make_unique<DramModel>(eq, DramTiming{}, numMcs);
+        offPkg = std::make_unique<DramModel>(eq, DramTiming{}, 1);
         os = std::make_unique<OsServices>(eq, pageTable);
 
         ctx.eq = &eq;

@@ -161,7 +161,7 @@ TEST(BansheeScheme, ReplacementsBlockedWhileLocked)
     h.fetch(s, line);
     h.fetch(s, line);
     EXPECT_EQ(s.pagesInserted(), 0u);
-    EXPECT_GT(s.stats().value("replacementsBlocked"), 0u);
+    EXPECT_GT(s.replacementsBlocked(), 0u);
     s.setReplacementsLocked(false);
     h.fetch(s, line);
     EXPECT_EQ(s.pagesInserted(), 1u);
@@ -195,6 +195,32 @@ TEST(BansheeScheme, DemandFetchSeedsTagBufferForWritebacks)
     s.demandWriteback(line);
     h.drain();
     EXPECT_EQ(h.inBytes(TrafficCat::Tag), 0u); // no probe needed
+}
+
+TEST(BansheeScheme, ResetStatsRestartsTagBufferLookupCounts)
+{
+    // The warmup boundary resets the scheme's counters, and the Tag
+    // Buffer's must restart with them: afterwards hits + misses count
+    // only the lookups made since, one per demand fetch and one per
+    // writeback.
+    SchemeHarness h;
+    BansheeScheme s(h.ctx, aggressive());
+    const auto line = [](int i) {
+        return lineOf(0x800000 + static_cast<Addr>(i % 3) * kPageBytes);
+    };
+    const int warmupFetches = 7, fetches = 5, writebacks = 4;
+    for (int i = 0; i < warmupFetches; ++i)
+        h.fetch(s, line(i));
+    s.resetStats();
+    for (int i = 0; i < fetches; ++i)
+        h.fetch(s, line(i));
+    for (int i = 0; i < writebacks; ++i)
+        s.demandWriteback(line(i + 1));
+    h.drain();
+    EXPECT_GT(s.tagBuffer().hits(), 0u);
+    EXPECT_EQ(s.tagBuffer().hits() + s.tagBuffer().misses(),
+              static_cast<std::uint64_t>(fetches + writebacks));
+    EXPECT_EQ(s.accesses(), static_cast<std::uint64_t>(fetches));
 }
 
 TEST(BansheeScheme, DefaultThresholdMatchesPaperFormula)
@@ -312,7 +338,7 @@ TEST(BansheeScheme, MappingMemoInvalidatesOnResizeCommit)
     ResizeConfig rc;
     rc.enabled = true;
     ConsistentHashMapper layout(rc.hash);
-    ResizeDomain dom(h.eq, s, layout, rc, "rd");
+    ResizeDomain dom(h.eq, s, layout, rc);
     s.attachResizeDomain(&dom);
 
     const PageNum page = 0x42;

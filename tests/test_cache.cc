@@ -419,7 +419,7 @@ TEST(Hierarchy, RandomStreamIsPinnedAndInclusive)
         const CoreId core = static_cast<CoreId>(rng.nextBelow(4));
         const Addr addr = rng.nextBelow(kUniverse) * kLineBytes;
         const std::uint64_t kind = i % 40 == 0 ? 3 : rng.nextBelow(3);
-        eq.schedule(at, [&h, &levels, core, addr, kind] {
+        eq.schedule(at, [&h, &levels, core, addr, kind](Cycle) {
             auto record = [&levels](CacheHierarchy::AccessResult r) {
                 levels = fnv1a(levels, static_cast<std::uint64_t>(r.level));
             };

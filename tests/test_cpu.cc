@@ -35,10 +35,7 @@ class DelayBackend : public MemBackend
             held.push_back(std::move(done));
             return;
         }
-        eq_.schedule(eq_.now() + delay_,
-                     [done = std::move(done), when = eq_.now() + delay_] {
-                         done(when);
-                     });
+        eq_.schedule(eq_.now() + delay_, std::move(done));
     }
 
     void
@@ -53,11 +50,8 @@ class DelayBackend : public MemBackend
         auto moved = std::move(held);
         held.clear();
         const Cycle when = eq_.now() + delay_;
-        for (auto &done : moved) {
-            eq_.schedule(when, [done = std::move(done), when] {
-                done(when);
-            });
-        }
+        for (auto &done : moved)
+            eq_.schedule(when, std::move(done));
     }
 
     EventQueue &eq_;
@@ -92,7 +86,7 @@ struct CoreRig
     explicit CoreRig(std::vector<MemOp> ops, Cycle memDelay = 200,
                      CoreParams params = CoreParams{})
         : backend(eq, memDelay), hierarchy(makeHier(), backend),
-          tlb(TlbParams{}, pageTable, "tlb"),
+          tlb(TlbParams{}, pageTable),
           pattern(std::move(ops)),
           core(0, params, eq, hierarchy, tlb, pattern, 1)
     {
@@ -273,7 +267,7 @@ TEST(Tlb, MissChargesWalkThenHits)
     PageTableManager pt;
     TlbParams params;
     params.missLatency = 77;
-    Tlb tlb(params, pt, "t");
+    Tlb tlb(params, pt);
     auto r = tlb.lookup(42);
     EXPECT_EQ(r.latency, 77u);
     r = tlb.lookup(42);
@@ -286,7 +280,7 @@ TEST(Tlb, RefillReadsCommittedNotCurrent)
 {
     PageTableManager pt;
     pt.setCurrentMapping(42, PageMapping{true, 2}); // PTE not updated
-    Tlb tlb(TlbParams{}, pt, "t");
+    Tlb tlb(TlbParams{}, pt);
     auto r = tlb.lookup(42);
     EXPECT_FALSE(r.info.cached); // stale by design
     pt.commit(42);
@@ -302,7 +296,7 @@ TEST(Tlb, RefillReadsCommittedNotCurrent)
 TEST(Tlb, FlushAllEvictsEverything)
 {
     PageTableManager pt;
-    Tlb tlb(TlbParams{}, pt, "t");
+    Tlb tlb(TlbParams{}, pt);
     for (PageNum p = 0; p < 100; ++p)
         tlb.lookup(p);
     tlb.flushAll();
@@ -319,7 +313,7 @@ TEST(Tlb, LruWithinSet)
     TlbParams params;
     params.entries = 8;
     params.ways = 4; // 2 sets
-    Tlb tlb(params, pt, "t");
+    Tlb tlb(params, pt);
     // Pages 0,2,4,6 map to set 0. Fill, refresh 0, add 8.
     tlb.lookup(0);
     tlb.lookup(2);

@@ -39,7 +39,7 @@ readOnce(EventQueue &eq, DramModel &dram, Addr addr, std::uint32_t bytes = 64)
 
 TEST_F(DramTest, ZeroLoadRowMissLatency)
 {
-    DramModel dram(eq, DramTiming{}, 1, "d");
+    DramModel dram(eq, DramTiming{}, 1);
     const DramTiming t;
     // Cold bank: tRCD + tCAS + transfer(2 DRAM cycles for 64 B).
     const Cycle expect = t.toCore(t.tRCD + t.tCAS + 2);
@@ -48,7 +48,7 @@ TEST_F(DramTest, ZeroLoadRowMissLatency)
 
 TEST_F(DramTest, RowHitFasterThanConflict)
 {
-    DramModel dram(eq, DramTiming{}, 1, "d");
+    DramModel dram(eq, DramTiming{}, 1);
     const Cycle first = readOnce(eq, dram, 0);
     // Same row: hit — only tCAS + transfer.
     const Cycle hit = readOnce(eq, dram, 64) - first;
@@ -63,7 +63,7 @@ TEST_F(DramTest, RowHitFasterThanConflict)
 
 TEST_F(DramTest, ConflictHonorsTras)
 {
-    DramModel dram(eq, DramTiming{}, 1, "d");
+    DramModel dram(eq, DramTiming{}, 1);
     const DramTiming t;
     const Cycle first = readOnce(eq, dram, 0);
     // Immediately conflict on the same bank: precharge cannot start
@@ -80,7 +80,7 @@ TEST_F(DramTest, StreamIsBusLimited)
 {
     // Sequential 64 B reads in one row: throughput must approach the
     // bus limit of 32 B per DRAM cycle.
-    DramModel dram(eq, DramTiming{}, 1, "d");
+    DramModel dram(eq, DramTiming{}, 1);
     const int n = 512;
     Cycle last = 0;
     for (int i = 0; i < n; ++i) {
@@ -102,7 +102,7 @@ TEST_F(DramTest, RandomBanksPipelineAcrossBanks)
 {
     // Random rows across banks: per-bank preparation overlaps, so
     // throughput stays far above the serialized per-request latency.
-    DramModel dram(eq, DramTiming{}, 1, "d");
+    DramModel dram(eq, DramTiming{}, 1);
     const DramTiming t;
     const int n = 256;
     Cycle last = 0;
@@ -123,7 +123,7 @@ TEST_F(DramTest, MoreChannelsMoreBandwidth)
 {
     auto runStream = [this](std::uint32_t channels) {
         eq.reset();
-        DramModel dram(eq, DramTiming{}, channels, "d");
+        DramModel dram(eq, DramTiming{}, channels);
         Cycle last = 0;
         for (int i = 0; i < 512; ++i) {
             DramRequest req;
@@ -144,7 +144,7 @@ TEST_F(DramTest, MoreChannelsMoreBandwidth)
 
 TEST_F(DramTest, WritesAreDrainedEventually)
 {
-    DramModel dram(eq, DramTiming{}, 1, "d");
+    DramModel dram(eq, DramTiming{}, 1);
     int completed = 0;
     for (int i = 0; i < 10; ++i) {
         DramRequest req;
@@ -160,7 +160,7 @@ TEST_F(DramTest, WritesAreDrainedEventually)
 
 TEST_F(DramTest, ReadsPrioritizedOverWritesUntilHighWatermark)
 {
-    DramModel dram(eq, DramTiming{}, 1, "d");
+    DramModel dram(eq, DramTiming{}, 1);
     // Enqueue a modest number of writes, then a read: the read should
     // complete before most writes (write queue below drain threshold).
     Cycle readDone = 0;
@@ -188,7 +188,7 @@ TEST_F(DramTest, ReadsPrioritizedOverWritesUntilHighWatermark)
 
 TEST_F(DramTest, BulkAccessMovesAllBytesInChunks)
 {
-    DramModel dram(eq, DramTiming{}, 1, "d");
+    DramModel dram(eq, DramTiming{}, 1);
     dram.bulkAccess(0, 0, 4096, false, TrafficCat::Fill);
     eq.run();
     EXPECT_EQ(dram.traffic().bytes(TrafficCat::Fill), 4096u);
@@ -198,7 +198,7 @@ TEST_F(DramTest, BulkAccessMovesAllBytesInChunks)
 
 TEST_F(DramTest, TagBytesSplitAccounting)
 {
-    DramModel dram(eq, DramTiming{}, 1, "d");
+    DramModel dram(eq, DramTiming{}, 1);
     DramRequest req;
     req.addr = 0;
     req.bytes = 96;
@@ -215,17 +215,17 @@ TEST_F(DramTest, LatencyScaleSpeedsUpAccess)
 {
     DramTiming fast;
     fast.latencyScale = 0.5;
-    DramModel slow(eq, DramTiming{}, 1, "slow");
+    DramModel slow(eq, DramTiming{}, 1);
     const Cycle slowLat = readOnce(eq, slow, 0);
     eq.reset();
-    DramModel quick(eq, fast, 1, "quick");
+    DramModel quick(eq, fast, 1);
     const Cycle fastLat = readOnce(eq, quick, 0);
     EXPECT_LT(fastLat, slowLat);
 }
 
 TEST_F(DramTest, UtilizationTracksBusyFraction)
 {
-    DramModel dram(eq, DramTiming{}, 1, "d");
+    DramModel dram(eq, DramTiming{}, 1);
     Cycle last = 0;
     for (int i = 0; i < 64; ++i) {
         DramRequest req;
@@ -242,7 +242,7 @@ TEST_F(DramTest, UtilizationTracksBusyFraction)
 
 TEST_F(DramTest, ZeroLoadLatencyHelperMatchesModel)
 {
-    DramModel dram(eq, DramTiming{}, 1, "d");
+    DramModel dram(eq, DramTiming{}, 1);
     // Warm the row, then measure a hit.
     readOnce(eq, dram, 0);
     const Cycle before = eq.now();
@@ -262,7 +262,7 @@ class DramBurstTest : public ::testing::TestWithParam<std::uint32_t>
 TEST_P(DramBurstTest, TransferTimeScalesWithSize)
 {
     EventQueue eq;
-    DramModel dram(eq, DramTiming{}, 1, "d");
+    DramModel dram(eq, DramTiming{}, 1);
     const DramTiming t;
     // Warm the row so only tCAS + transfer remain.
     Cycle done = 0;
@@ -326,7 +326,7 @@ TEST_F(DramTest, StockSchedulerIsQosSelectorWithNothingBinding)
     const DramTiming t;
     auto runMix = [&](bool qosOn) {
         eq.reset();
-        DramModel dram(eq, DramTiming{}, 1, "d");
+        DramModel dram(eq, DramTiming{}, 1);
         if (qosOn) {
             DramSchedConfig qc;
             qc.qos = true;
@@ -368,7 +368,7 @@ TEST_F(DramTest, QosWriteAgeBoundsParkedWrite)
     const DramTiming t;
     auto runParked = [&](bool qosOn) {
         eq.reset();
-        DramModel dram(eq, DramTiming{}, 1, "d");
+        DramModel dram(eq, DramTiming{}, 1);
         if (qosOn) {
             DramSchedConfig qc = qosSched();
             qc.writeAgeCap = 256;
@@ -399,7 +399,7 @@ TEST_F(DramTest, QosAgedReadBeatsRowHitStream)
     const Addr rowB = static_cast<Addr>(t.rowBytes) * t.numBanks;
     auto runStream = [&](bool qosOn) {
         eq.reset();
-        DramModel dram(eq, DramTiming{}, 1, "d");
+        DramModel dram(eq, DramTiming{}, 1);
         if (qosOn) {
             DramSchedConfig qc = qosSched();
             qc.readAgeCap = 256;
@@ -430,7 +430,7 @@ TEST_F(DramTest, QosCreditThrottleDefersFlooderUntilVictimDrains)
     // credit after 8 grants and the victim's whole batch overtakes
     // the remaining flood. Work conservation then lets the flooder
     // finish on its own.
-    DramModel dram(eq, DramTiming{}, 1, "d");
+    DramModel dram(eq, DramTiming{}, 1);
     DramSchedConfig qc = qosSched();
     qc.epochCycles = 1'000'000'000; // never refills during the test
     qc.bytesPerEpoch = 2048;        // flooder: 512 B = 8 reads
@@ -472,7 +472,7 @@ TEST_F(DramTest, QosDrainWatermarkOverridesSplitTheDrain)
     const DramTiming t;
     auto runBatch = [&](bool qosOn) {
         eq.reset();
-        DramModel dram(eq, DramTiming{}, 1, "d");
+        DramModel dram(eq, DramTiming{}, 1);
         if (qosOn) {
             DramSchedConfig qc = qosSched();
             qc.writeDrainHigh = 24;
@@ -521,7 +521,7 @@ pickOrderDigest(const DramSchedConfig &sc, bool shares)
 {
     EventQueue eq;
     const DramTiming t;
-    DramModel dram(eq, t, 1, "d");
+    DramModel dram(eq, t, 1);
     dram.setSchedConfig(sc);
     if (shares) {
         std::array<double, kMaxTenants> s{};
@@ -540,7 +540,7 @@ pickOrderDigest(const DramSchedConfig &sc, bool shares)
         const bool isWrite = rng.nextBool(0.35);
         const TenantId tenant = static_cast<TenantId>(rng.nextBelow(2));
         at += rng.nextBelow(14);
-        eq.schedule(at, [&dram, &done, addr, isWrite, tenant] {
+        eq.schedule(at, [&dram, &done, addr, isWrite, tenant](Cycle) {
             enqueue(dram, addr, isWrite, done, tenant);
         });
     }

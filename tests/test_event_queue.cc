@@ -27,10 +27,10 @@ TEST(EventQueue, SameCycleFifoOrder)
 {
     EventQueue eq;
     std::vector<int> order;
-    eq.schedule(10, [&] { order.push_back(1); });
-    eq.schedule(5, [&] { order.push_back(0); });
-    eq.schedule(10, [&] { order.push_back(2); });
-    eq.schedule(10, [&] { order.push_back(3); });
+    eq.schedule(10, [&](Cycle) { order.push_back(1); });
+    eq.schedule(5, [&](Cycle) { order.push_back(0); });
+    eq.schedule(10, [&](Cycle) { order.push_back(2); });
+    eq.schedule(10, [&](Cycle) { order.push_back(3); });
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
     EXPECT_EQ(eq.now(), 10u);
@@ -41,24 +41,34 @@ TEST(EventQueue, SameCycleScheduleFromCallbackRunsThisCycle)
 {
     EventQueue eq;
     std::vector<int> order;
-    eq.schedule(7, [&] {
+    eq.schedule(7, [&](Cycle) {
         order.push_back(0);
         // Scheduled at the current cycle from within it: runs after
         // everything already queued for cycle 7, before cycle 8.
-        eq.schedule(7, [&] { order.push_back(2); });
+        eq.schedule(7, [&](Cycle) { order.push_back(2); });
     });
-    eq.schedule(7, [&] { order.push_back(1); });
-    eq.schedule(8, [&] { order.push_back(3); });
+    eq.schedule(7, [&](Cycle) { order.push_back(1); });
+    eq.schedule(8, [&](Cycle) { order.push_back(3); });
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(EventQueue, OneShotReceivesItsFiringCycle)
+{
+    EventQueue eq;
+    std::vector<Cycle> fired;
+    eq.schedule(12, [&](Cycle c) { fired.push_back(c); });
+    eq.schedule(kFar, [&](Cycle c) { fired.push_back(c); });
+    eq.run();
+    EXPECT_EQ(fired, (std::vector<Cycle>{12, kFar}));
 }
 
 TEST(EventQueue, RunLimitBoundary)
 {
     EventQueue eq;
     int fired = 0;
-    eq.schedule(10, [&] { fired |= 1; });
-    eq.schedule(11, [&] { fired |= 2; });
+    eq.schedule(10, [&](Cycle) { fired |= 1; });
+    eq.schedule(11, [&](Cycle) { fired |= 2; });
     // Events at exactly the limit run; later ones stay queued.
     EXPECT_EQ(eq.run(10), 1u);
     EXPECT_EQ(fired, 1);
@@ -72,12 +82,12 @@ TEST(EventQueue, RequestStopHaltsBetweenEvents)
 {
     EventQueue eq;
     std::vector<int> order;
-    eq.schedule(5, [&] {
+    eq.schedule(5, [&](Cycle) {
         order.push_back(0);
         eq.requestStop();
     });
-    eq.schedule(5, [&] { order.push_back(1); });
-    eq.schedule(6, [&] { order.push_back(2); });
+    eq.schedule(5, [&](Cycle) { order.push_back(1); });
+    eq.schedule(6, [&](Cycle) { order.push_back(2); });
     EXPECT_EQ(eq.run(), 1u);
     EXPECT_EQ(order, (std::vector<int>{0}));
     // The same-cycle suffix resumes, in order, on the next run().
@@ -89,7 +99,7 @@ TEST(EventQueue, PreSetStopRunsNothing)
 {
     EventQueue eq;
     bool fired = false;
-    eq.schedule(1, [&] { fired = true; });
+    eq.schedule(1, [&](Cycle) { fired = true; });
     eq.requestStop();
     EXPECT_EQ(eq.run(), 0u);
     EXPECT_FALSE(fired);
@@ -109,7 +119,7 @@ TEST(TickEvent, CancelPreventsFiring)
     ev.cancel();
     EXPECT_FALSE(ev.armed());
     EXPECT_TRUE(eq.empty());
-    eq.schedule(50, [] {});
+    eq.schedule(50, [](Cycle) {});
     eq.run();
     EXPECT_EQ(fires, 0);
     EXPECT_EQ(eq.now(), 50u);
@@ -159,10 +169,10 @@ TEST(TickEvent, RevivalKeepsOriginalPosition)
         // The earlier work is done; re-arm back onto cycle 100.
         eq.schedule(kick, 100);
     });
-    eq.schedule(kick, 100);                        // entry A at 100
-    eq.schedule(kick, 90);                         // supersede to 90
-    eq.schedule(100, [&] { order.push_back(1); }); // queued after A
-    eq.schedule(early, 95);                        // re-arms kick to 100
+    eq.schedule(kick, 100);  // entry A at 100
+    eq.schedule(kick, 90);   // supersede to 90
+    eq.schedule(100, [&](Cycle) { order.push_back(1); }); // after A
+    eq.schedule(early, 95);  // re-arms kick to 100
     eq.run();
     // kick fired at 90 (the live arm), then early re-armed it onto
     // cycle 100 where entry A still sits ahead of the "1" closure.
@@ -179,7 +189,7 @@ TEST(TickEvent, DestructorUnregistersArmedEvent)
         eq.schedule(ev, kFar + 10); // also leave a far-heap entry
         eq.schedule(ev, 5);
     }
-    eq.schedule(20, [&] { other = true; });
+    eq.schedule(20, [&](Cycle) { other = true; });
     eq.run();
     EXPECT_TRUE(other);
 }
@@ -189,13 +199,13 @@ TEST(EventQueue, FarHeapMigration)
     EventQueue eq;
     std::vector<int> order;
     // Far-future events, scheduled out of order, plus near ones.
-    eq.schedule(kFar + 3, [&] { order.push_back(3); });
-    eq.schedule(kFar + 1, [&] { order.push_back(1); });
-    eq.schedule(2, [&] {
+    eq.schedule(kFar + 3, [&](Cycle) { order.push_back(3); });
+    eq.schedule(kFar + 1, [&](Cycle) { order.push_back(1); });
+    eq.schedule(2, [&](Cycle) {
         order.push_back(0);
         // From a near event, schedule into the same far cycle: FIFO
         // says it runs after the entry already queued for kFar+1.
-        eq.schedule(kFar + 1, [&] { order.push_back(2); });
+        eq.schedule(kFar + 1, [&](Cycle) { order.push_back(2); });
     });
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
@@ -226,7 +236,7 @@ TEST(EventQueue, CountsAndReset)
     EventQueue eq;
     int fires = 0;
     for (int i = 0; i < 10; ++i)
-        eq.schedule(static_cast<Cycle>(i * 500), [&] { fires++; });
+        eq.schedule(static_cast<Cycle>(i * 500), [&](Cycle) { fires++; });
     EXPECT_EQ(eq.size(), 10u);
     eq.run();
     EXPECT_EQ(fires, 10);

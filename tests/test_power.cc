@@ -25,16 +25,14 @@ namespace banshee {
 namespace {
 
 DramPowerModel
-makeModel(StatSet &stats, std::uint32_t channels = 4)
+makeModel()
 {
-    return DramPowerModel(DramPowerParams::inPackage(), DramTiming{},
-                          channels, stats);
+    return DramPowerModel(DramPowerParams::inPackage(), DramTiming{}, 4);
 }
 
 TEST(DramPowerModel, DerivedConstantsArePhysical)
 {
-    StatSet stats("power");
-    DramPowerModel m = makeModel(stats);
+    DramPowerModel m = makeModel();
     EXPECT_GT(m.actPrePJ(), 0.0);
     EXPECT_GT(m.readPJPerByte(), 0.0);
     // Writes burn slightly more core energy than reads (IDD4W>IDD4R).
@@ -42,16 +40,13 @@ TEST(DramPowerModel, DerivedConstantsArePhysical)
     EXPECT_GT(m.backgroundFloorWatts(), 0.0);
     EXPECT_GT(m.refreshWatts(), 0.0);
     // Off-package I/O makes every byte more expensive than in-package.
-    StatSet offStats("offPower");
-    DramPowerModel off(DramPowerParams::offPackage(), DramTiming{}, 1,
-                       offStats);
+    DramPowerModel off(DramPowerParams::offPackage(), DramTiming{}, 1);
     EXPECT_GT(off.readPJPerByte(), m.readPJPerByte());
 }
 
 TEST(DramPowerModel, DynamicEnergyMonotoneInTraffic)
 {
-    StatSet stats("power");
-    DramPowerModel m = makeModel(stats);
+    DramPowerModel m = makeModel();
     EXPECT_DOUBLE_EQ(m.energy().dynamicTotalPJ(), 0.0);
 
     m.onBurst(64, 0, false, TrafficCat::HitData);
@@ -71,8 +66,7 @@ TEST(DramPowerModel, DynamicEnergyMonotoneInTraffic)
 
 TEST(DramPowerModel, TagSplitMirrorsTrafficAccounting)
 {
-    StatSet stats("power");
-    DramPowerModel m = makeModel(stats);
+    DramPowerModel m = makeModel();
     m.onBurst(96, 32, false, TrafficCat::Replacement);
     EXPECT_DOUBLE_EQ(m.energy().dynamicPJ(TrafficCat::Tag),
                      32.0 * m.readPJPerByte());
@@ -83,9 +77,8 @@ TEST(DramPowerModel, TagSplitMirrorsTrafficAccounting)
 TEST(DramPowerModel, BackgroundAndRefreshScaleWithUngatedFraction)
 {
     const Cycle interval = usToCycles(100.0);
-    StatSet statsA("a"), statsB("b");
-    DramPowerModel full = makeModel(statsA);
-    DramPowerModel gated = makeModel(statsB);
+    DramPowerModel full = makeModel();
+    DramPowerModel gated = makeModel();
     gated.setGatedSliceFraction(0.25, 0);
 
     full.finalize(interval);
@@ -106,9 +99,8 @@ TEST(DramPowerModel, BackgroundAndRefreshScaleWithUngatedFraction)
 TEST(DramPowerModel, GatingIntegratesPiecewise)
 {
     const Cycle half = usToCycles(50.0);
-    StatSet statsA("a"), statsB("b");
-    DramPowerModel full = makeModel(statsA);
-    DramPowerModel switched = makeModel(statsB);
+    DramPowerModel full = makeModel();
+    DramPowerModel switched = makeModel();
 
     // Fully on for the first half, half gated for the second: total
     // background must land at 75% of the always-on run.
@@ -122,8 +114,7 @@ TEST(DramPowerModel, GatingIntegratesPiecewise)
 
 TEST(DramPowerModel, ResetStatsRestartsIntegrationButKeepsGating)
 {
-    StatSet stats("power");
-    DramPowerModel m = makeModel(stats);
+    DramPowerModel m = makeModel();
     m.setGatedSliceFraction(0.5, 0);
     m.onBurst(64, 0, false, TrafficCat::Demand);
     m.finalize(usToCycles(10.0));
@@ -133,8 +124,7 @@ TEST(DramPowerModel, ResetStatsRestartsIntegrationButKeepsGating)
     EXPECT_DOUBLE_EQ(m.energy().totalPJ(), 0.0);
     EXPECT_DOUBLE_EQ(m.gatedSliceFraction(), 0.5);
     m.finalize(usToCycles(20.0));
-    StatSet refStats("ref");
-    DramPowerModel ref = makeModel(refStats);
+    DramPowerModel ref = makeModel();
     ref.setGatedSliceFraction(0.5, 0);
     ref.finalize(usToCycles(10.0));
     EXPECT_NEAR(m.energy().backgroundPJ(), ref.energy().backgroundPJ(),

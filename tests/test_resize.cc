@@ -180,7 +180,7 @@ TEST(ResizeDomain, LayoutGenerationBumpsOnResizeAndPinDrops)
     ResizeConfig rc;
     rc.enabled = true;
     ConsistentHashMapper layout(rc.hash);
-    ResizeDomain dom(eq, host, layout, rc, "d");
+    ResizeDomain dom(eq, host, layout, rc);
     const std::uint64_t g0 = dom.layoutGeneration();
 
     bool done = false;
@@ -208,7 +208,7 @@ TEST(ResizeDomain, EvictionOfPinnedPageBumpsGeneration)
     ResizeConfig rc;
     rc.enabled = true;
     ConsistentHashMapper layout(rc.hash);
-    ResizeDomain dom(eq, host, layout, rc, "d");
+    ResizeDomain dom(eq, host, layout, rc);
 
     // No pin: eviction notifications are generation-neutral.
     const std::uint64_t g0 = dom.layoutGeneration();
@@ -220,7 +220,7 @@ TEST(ResizeDomain, EvictionOfPinnedPageBumpsGeneration)
     // migration: the pin drop must invalidate memoized mappings.
     host.allowEvict = false;
     rc.strategy = ResizeStrategy::FlushAll;
-    ResizeDomain flushDom(eq, host, layout, rc, "d2");
+    ResizeDomain flushDom(eq, host, layout, rc);
     flushDom.drain([] {});
     const std::uint64_t g1 = flushDom.layoutGeneration();
     flushDom.notifyFrameEvicted(100);
@@ -237,7 +237,7 @@ TEST(MigrationEngine, DrainsInRateLimitedBatches)
     MigrationParams p;
     p.pagesPerBatch = 4;
     p.batchInterval = 100;
-    MigrationEngine engine(eq, host, p, "eng");
+    MigrationEngine engine(eq, host, p);
     for (std::uint32_t i = 0; i < 10; ++i)
         engine.enqueue(i, 0, 100 + i);
 
@@ -262,7 +262,7 @@ TEST(MigrationEngine, SkipsFramesEvictedByNormalReplacement)
     host.frames[{0, 0}] = FakeHost::Frame{1, true};
     host.frames[{1, 0}] = FakeHost::Frame{2, true, false}; // already gone
 
-    MigrationEngine engine(eq, host, MigrationParams{}, "eng");
+    MigrationEngine engine(eq, host, MigrationParams{});
     engine.enqueue(0, 0, 1);
     engine.enqueue(1, 0, 2);
 
@@ -284,7 +284,7 @@ TEST(MigrationEngine, StallsOnTagBufferAndResumesOnKick)
 
     MigrationParams p;
     p.retryInterval = 50;
-    MigrationEngine engine(eq, host, p, "eng");
+    MigrationEngine engine(eq, host, p);
     engine.enqueue(0, 0, 1);
 
     bool drained = false;
@@ -330,7 +330,7 @@ TEST(MigrationEngine, DeferredScheduledStepIsRetriedNotDropped)
     cfg.migration.pagesPerBatch = 1;    // slow drain: spans epochs
     cfg.migration.batchInterval = 2000;
     ResizeController rc(eq, os, cfg);
-    rc.addHost(host, "rc0");
+    rc.addHost(host);
 
     rc.onMeasureStart();
     eq.run(40'000);
@@ -390,7 +390,7 @@ class PinnedRig
     explicit PinnedRig(const ResizeConfig &cfg) : rc(eq, os, cfg)
     {
         for (std::size_t h = 0; h < hosts.size(); ++h)
-            rc.addHost(hosts[h], "rc" + std::to_string(h));
+            rc.addHost(hosts[h]);
         for (std::size_t h = 0; h < hosts.size(); ++h) {
             FakeHost &host = hosts[h];
             for (PageNum p = (h + 1) << 20;

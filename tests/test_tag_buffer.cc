@@ -25,7 +25,7 @@ tiny(std::uint32_t entries = 16, std::uint32_t ways = 4)
 
 TEST(TagBuffer, MissThenHit)
 {
-    TagBuffer tb(tiny(), "t");
+    TagBuffer tb(tiny());
     EXPECT_FALSE(tb.lookup(5).has_value());
     EXPECT_TRUE(tb.insertRemap(5, PageMapping{true, 2}));
     auto m = tb.lookup(5);
@@ -38,7 +38,7 @@ TEST(TagBuffer, MissThenHit)
 
 TEST(TagBuffer, RemapUpdatesInPlace)
 {
-    TagBuffer tb(tiny(), "t");
+    TagBuffer tb(tiny());
     tb.insertRemap(5, PageMapping{true, 1});
     tb.insertRemap(5, PageMapping{false, 0});
     EXPECT_EQ(tb.remapCount(), 1u); // still one remapped entry
@@ -51,7 +51,7 @@ TEST(TagBuffer, CleanEntriesAreReplaceableRemapsAreNot)
 {
     // One set (4 ways): fill with 3 remaps + 1 clean; a new remap
     // must displace the clean entry; a further remap must fail.
-    TagBuffer tb(tiny(4, 4), "t");
+    TagBuffer tb(tiny(4, 4));
     EXPECT_TRUE(tb.insertRemap(0, PageMapping{true, 0}));
     EXPECT_TRUE(tb.insertRemap(1, PageMapping{true, 1}));
     EXPECT_TRUE(tb.insertRemap(2, PageMapping{true, 2}));
@@ -65,7 +65,7 @@ TEST(TagBuffer, CleanEntriesAreReplaceableRemapsAreNot)
 
 TEST(TagBuffer, CleanInsertNeverDisplacesRemap)
 {
-    TagBuffer tb(tiny(4, 4), "t");
+    TagBuffer tb(tiny(4, 4));
     for (PageNum p = 0; p < 4; ++p)
         EXPECT_TRUE(tb.insertRemap(p, PageMapping{true, 0}));
     tb.insertClean(9, PageMapping{false, 0});
@@ -75,7 +75,7 @@ TEST(TagBuffer, CleanInsertNeverDisplacesRemap)
 
 TEST(TagBuffer, CleanInsertDoesNotDowngradeRemap)
 {
-    TagBuffer tb(tiny(), "t");
+    TagBuffer tb(tiny());
     tb.insertRemap(5, PageMapping{true, 3});
     // A later clean insert (e.g. from a PTE walk) must not overwrite
     // the only up-to-date mapping.
@@ -89,7 +89,7 @@ TEST(TagBuffer, CleanInsertDoesNotDowngradeRemap)
 
 TEST(TagBuffer, NeedsFlushAtThreshold)
 {
-    TagBuffer tb(tiny(16, 4), "t");
+    TagBuffer tb(tiny(16, 4));
     std::uint32_t inserted = 0;
     PageNum p = 0;
     while (!tb.needsFlush()) {
@@ -103,7 +103,7 @@ TEST(TagBuffer, NeedsFlushAtThreshold)
 
 TEST(TagBuffer, HarvestReturnsAllRemapsAndClearsBits)
 {
-    TagBuffer tb(tiny(), "t");
+    TagBuffer tb(tiny());
     for (PageNum p = 0; p < 8; ++p)
         tb.insertRemap(p, PageMapping{true, 0});
     auto pages = tb.harvest();
@@ -118,7 +118,7 @@ TEST(TagBuffer, HarvestReturnsAllRemapsAndClearsBits)
 
 TEST(TagBuffer, CanAcceptRemapsGlobal)
 {
-    TagBuffer tb(tiny(8, 4), "t");
+    TagBuffer tb(tiny(8, 4));
     EXPECT_TRUE(tb.canAcceptRemaps(8));
     EXPECT_FALSE(tb.canAcceptRemaps(9));
     for (PageNum p = 0; p < 7; ++p)
@@ -133,7 +133,7 @@ TEST(TagBuffer, PairCheckSameSetExactlyFull)
     // victim's clean entry is the only displaceable slot in the set,
     // inserting the incoming page first would displace it and strand
     // the victim's remap. The pair check must reject this.
-    TagBuffer tb(tiny(4, 4), "t");
+    TagBuffer tb(tiny(4, 4));
     // Three pinned remaps + one clean entry for the victim (page 3).
     tb.insertRemap(0, PageMapping{true, 0});
     tb.insertRemap(1, PageMapping{true, 1});
@@ -147,7 +147,7 @@ TEST(TagBuffer, PairCheckSameSetExactlyFull)
 
 TEST(TagBuffer, PairCheckPassesWhenBothHaveEntries)
 {
-    TagBuffer tb(tiny(4, 4), "t");
+    TagBuffer tb(tiny(4, 4));
     tb.insertRemap(0, PageMapping{true, 0});
     tb.insertRemap(1, PageMapping{true, 1});
     tb.insertClean(2, PageMapping{true, 2});
@@ -160,7 +160,7 @@ TEST(TagBuffer, PairCheckPassesWhenBothHaveEntries)
 
 TEST(TagBuffer, PairCheckDifferentSets)
 {
-    TagBuffer tb(tiny(8, 4), "t"); // 2 sets
+    TagBuffer tb(tiny(8, 4)); // 2 sets
     // Saturate set 0 with remaps (even pages); set 1 stays empty.
     tb.insertRemap(0, PageMapping{true, 0});
     tb.insertRemap(2, PageMapping{true, 0});
@@ -172,7 +172,7 @@ TEST(TagBuffer, PairCheckDifferentSets)
 
 TEST(TagBuffer, LruAmongCleanEntries)
 {
-    TagBuffer tb(tiny(4, 4), "t");
+    TagBuffer tb(tiny(4, 4));
     tb.insertClean(0, PageMapping{});
     tb.insertClean(1, PageMapping{});
     tb.insertClean(2, PageMapping{});
@@ -185,7 +185,7 @@ TEST(TagBuffer, LruAmongCleanEntries)
 
 TEST(TagBuffer, OccupancyFraction)
 {
-    TagBuffer tb(tiny(16, 4), "t");
+    TagBuffer tb(tiny(16, 4));
     EXPECT_DOUBLE_EQ(tb.occupancy(), 0.0);
     for (PageNum p = 0; p < 8; ++p)
         tb.insertRemap(p, PageMapping{true, 0});

@@ -166,7 +166,7 @@ TEST(MetricRegistry, CountersAndStatSets)
 {
     EventQueue eq;
     MetricRegistry reg;
-    StatSet set("dev");
+    StatSet set;
     set.counter("reads") += 7;
     set.counter("writes") += 2;
     reg.addStatSet(set, "dev.");
