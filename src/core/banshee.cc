@@ -41,7 +41,6 @@ BansheeScheme::BansheeScheme(const SchemeContext &ctx,
     threshold_ = config.replaceThreshold >= 0.0
                      ? config.replaceThreshold
                      : lines * config.samplingCoeff / 2.0;
-    coeffOverTwo_ = threshold_;
 
     if (ctx_.os) {
         ctx_.os->registerTagBufferHarvester(

@@ -261,7 +261,6 @@ class BansheeScheme : public DramCacheScheme, public ResizeHost
     TagBuffer tagBuffer_;
     ResizeDomain *resizeDomain_ = nullptr;
     double threshold_;
-    double coeffOverTwo_; ///< cached candidate-overtake constant
     EwmaRatio missRate_;
     bool replacementsLocked_ = false;
     std::uint64_t lruStampCounter_ = 1;

@@ -65,26 +65,8 @@ TagBuffer::insertRemap(PageNum page, PageMapping mapping)
         }
         return true;
     }
-
-    // Prefer an invalid slot; otherwise evict the LRU clean entry
-    // (remap entries are pinned until harvested).
-    Entry *s = set(page);
-    Entry *victim = nullptr;
-    for (std::uint32_t w = 0; w < params_.ways; ++w) {
-        if (!s[w].valid) {
-            victim = &s[w];
-            break;
-        }
-        if (!s[w].remap && (!victim || s[w].stamp < victim->stamp))
-            victim = &s[w];
-    }
-    if (!victim || (victim->valid && victim->remap))
+    if (!place(page, mapping, true))
         return false;
-    victim->page = page;
-    victim->mapping = mapping;
-    victim->stamp = stampCounter_++;
-    victim->valid = true;
-    victim->remap = true;
     ++remapCount_;
     return true;
 }
@@ -101,6 +83,13 @@ TagBuffer::insertClean(PageNum page, PageMapping mapping)
         e->stamp = stampCounter_++;
         return;
     }
+    // The clean copy is optional: a set full of remaps takes none.
+    place(page, mapping, false);
+}
+
+bool
+TagBuffer::place(PageNum page, PageMapping mapping, bool remap)
+{
     Entry *s = set(page);
     Entry *victim = nullptr;
     for (std::uint32_t w = 0; w < params_.ways; ++w) {
@@ -111,13 +100,14 @@ TagBuffer::insertClean(PageNum page, PageMapping mapping)
         if (!s[w].remap && (!victim || s[w].stamp < victim->stamp))
             victim = &s[w];
     }
-    if (!victim || (victim->valid && victim->remap))
-        return; // set saturated with remaps; clean copy is optional
+    if (!victim)
+        return false;
     victim->page = page;
     victim->mapping = mapping;
     victim->stamp = stampCounter_++;
     victim->valid = true;
-    victim->remap = false;
+    victim->remap = remap;
+    return true;
 }
 
 bool

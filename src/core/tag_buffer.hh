@@ -106,6 +106,14 @@ class TagBuffer
     const Entry *set(PageNum page) const;
     Entry *find(PageNum page);
 
+    /**
+     * Place a new entry for @p page (not present) in an invalid way,
+     * else over the least-recently-used clean entry: remapped entries
+     * are pinned until harvested. Returns false when every way holds
+     * a remap.
+     */
+    bool place(PageNum page, PageMapping mapping, bool remap);
+
     TagBufferParams params_;
     std::uint32_t numSets_;
     std::vector<Entry> entries_;

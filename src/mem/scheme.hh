@@ -82,7 +82,7 @@ class DramCacheScheme
 
     /** Attach span tracing (null = off). Schemes tag the traffic of
      *  sampled pages and emit lifecycle instants/spans. */
-    virtual void attachSpanTrace(PageJournal *journal) { spans_ = journal; }
+    void attachSpanTrace(PageJournal *journal) { spans_ = journal; }
 
     StatSet &stats() { return stats_; }
 

@@ -88,8 +88,8 @@ class OsServices
 
     /**
      * Hardware interrupt: a tag buffer crossed its threshold. No-op if
-     * an update is already in flight. Resizing calls it too (the
-     * migration engine, and the resize controller at transition end),
+     * an update is already in flight. Resizing calls it too (a resize
+     * domain's drain, and the resize controller at transition end),
      * so resize remaps ride the same batch PTE-update/shootdown
      * routine as replacements instead of paying per-page shootdowns.
      */

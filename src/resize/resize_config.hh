@@ -10,9 +10,10 @@
  * every size change, the way a mod-N indexed cache would have to.
  *
  * Resizes are decided by an epoch-driven policy fed from the scheme's
- * demand statistics, and executed by a background migration engine
- * that drains remapped pages through the normal DRAM bandwidth model,
- * rate-limited so demand traffic keeps flowing.
+ * demand statistics, and executed by each memory controller's
+ * ResizeDomain, whose background drain moves remapped pages through
+ * the normal DRAM bandwidth model, rate-limited so demand traffic
+ * keeps flowing.
  */
 
 #ifndef BANSHEE_RESIZE_RESIZE_CONFIG_HH
@@ -44,10 +45,10 @@ struct ConsistentHashParams
     std::uint64_t ringSeed = 0x5eedc0de;
 };
 
-/** Rate limiting of the background drain (see MigrationEngine). */
+/** Rate limiting of the background drain (see ResizeDomain). */
 struct MigrationParams
 {
-    /** Pages drained per engine tick. */
+    /** Pages drained per drain tick. */
     std::uint32_t pagesPerBatch = 8;
     /** Cycles between ticks — paces migration against demand. */
     Cycle batchInterval = nsToCycles(200.0);
@@ -79,11 +80,7 @@ struct ResizePolicyConfig
     /** Scripted resizes (Kind::Schedule). */
     std::vector<ResizeStep> schedule;
 
-    // QoS lending knobs (Kind::Qos; see resize_policy.hh).
-    /** A tenant below this epoch miss rate is cold: it may lend. */
-    double shrinkMissRate = 0.02;
-    /** A tenant above this epoch miss rate thrashes: it may borrow. */
-    double growMissRate = 0.20;
+    // QoS lending knob (Kind::Qos; see resize_policy.hh).
     /** Ignore tenants with fewer demand accesses than this (noise). */
     std::uint64_t minEpochAccesses = 1000;
 
@@ -95,13 +92,6 @@ struct ResizePolicyConfig
     double powerCapWatts = 0.0;
     /** Grow hysteresis as a fraction of one slice's power share. */
     double powerGrowMargin = 1.0;
-
-    // QoS-arbiter knobs (Kind::Qos).
-    /** Never arbitrate a tenant below this many owned slices. */
-    std::uint32_t minSlicesPerTenant = 1;
-    /** Entitlement hysteresis: rebalance only when a tenant sits more
-     *  than this many slices under its weight-entitled share. */
-    double qosDeficitSlack = 0.5;
 };
 
 struct ResizeConfig

@@ -36,7 +36,7 @@ ResizeController::ResizeController(EventQueue &eq, OsServices &os,
     // harvested from every tag buffer: resume stalled drains now.
     os_.registerUpdateListener([this] {
         for (auto &d : domains_)
-            d->engine().kick();
+            d->kick();
     });
 }
 
@@ -78,7 +78,7 @@ ResizeController::attachSpanTrace(PageJournal *spans)
     // ResizeDomains have no public name; index-named tracks keep the
     // drain batches of each memory controller apart.
     for (std::size_t i = 0; i < domains_.size(); ++i) {
-        domains_[i]->engine().setSpanTrace(
+        domains_[i]->setSpanTrace(
             spans_,
             spans_->addControlTrack("migration." + std::to_string(i)));
     }
@@ -346,7 +346,8 @@ ResizeController::requestResize(std::uint32_t targetSlices, TenantId donor,
                 if (owner != kNoTenant && layout_.sliceTenant(s) != owner)
                     continue;
                 if (partitioned() &&
-                    slicesOwnedBy(layout_.sliceTenant(s)) <= 1)
+                    slicesOwnedBy(layout_.sliceTenant(s)) <=
+                        kMinSlicesPerTenant)
                     continue;
                 layout_.setActive(s, false);
             }
@@ -391,9 +392,7 @@ ResizeController::requestReassign(TenantId donor, TenantId receiver)
     // The arbiter checks the floor before proposing, but this entry
     // point is public (external quota managers): never strip a donor
     // below its slice floor — quota is a guarantee, not a default.
-    const std::uint32_t floor =
-        std::max<std::uint32_t>(config_.policy.minSlicesPerTenant, 1);
-    if (slicesOwnedBy(donor) <= floor)
+    if (slicesOwnedBy(donor) <= kMinSlicesPerTenant)
         return false;
     // The donor's highest-id active slice changes hands; it owns more
     // than the floor, so the walk finds one.
@@ -422,7 +421,7 @@ ResizeController::resetStats()
 {
     stats_.reset();
     for (auto &d : domains_)
-        d->engine().stats().reset();
+        d->resetStats();
 }
 
 std::uint64_t
@@ -430,7 +429,7 @@ ResizeController::pagesMigrated() const
 {
     std::uint64_t n = 0;
     for (const auto &d : domains_)
-        n += d->engine().pagesDrained();
+        n += d->pagesDrained();
     return n;
 }
 
@@ -439,7 +438,7 @@ ResizeController::dirtyPagesMigrated() const
 {
     std::uint64_t n = 0;
     for (const auto &d : domains_)
-        n += d->engine().dirtyPagesDrained();
+        n += d->dirtyPagesDrained();
     return n;
 }
 
@@ -448,7 +447,7 @@ ResizeController::tagBufferStalls() const
 {
     std::uint64_t n = 0;
     for (const auto &d : domains_)
-        n += d->engine().tagBufferStalls();
+        n += d->tagBufferStalls();
     return n;
 }
 

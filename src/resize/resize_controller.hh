@@ -15,8 +15,8 @@
  * transition start and each commit is rendered once, from one field
  * list, to the Chrome "resize" track of the run's trace. It also
  * bridges the OS cooperation loop: when a batch PTE update completes,
- * stalled migration engines are kicked so the drain resumes
- * immediately instead of waiting out its back-off.
+ * every domain's stalled drain is kicked so it resumes immediately
+ * instead of waiting out its back-off.
  *
  * Power gating: the controller drives the power model's gated-slice
  * fraction in both directions — a grow powers its slices up the
@@ -142,7 +142,7 @@ class ResizeController
 
     void resetStats();
 
-    // Aggregates over all domains' migration engines.
+    // Aggregates over all domains' drains.
     std::uint64_t pagesMigrated() const;
     std::uint64_t dirtyPagesMigrated() const;
     std::uint64_t tagBufferStalls() const;
@@ -234,7 +234,7 @@ class ResizeController
     /** The controller's epoch clock; re-armed each epochTick(). */
     TickEvent epochEvent_{[this] { epochTick(); }};
     std::uint32_t pendingDomains_ = 0;
-    /** Schedule decision awaiting an idle engine (deferred, not
+    /** Schedule decision awaiting idle drains (deferred, not
      *  dropped). */
     std::optional<ResizeDecision> pending_;
     std::array<std::uint64_t, kTenantBuckets> prevTenantAccesses_{};

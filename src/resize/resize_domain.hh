@@ -2,7 +2,7 @@
  * @file
  * Per-memory-controller resize state: the set mapping over the shared
  * slice layout, the pins that keep draining pages findable, and the
- * migration engine that executes transitions.
+ * background drain that executes transitions.
  *
  * The slice layout (the consistent-hash ring with each slice's
  * activation and owner) is one fact for the whole cache, because
@@ -14,25 +14,38 @@
  * layout, so only pages whose slice assignment changes ever move.
  * During a transition, pages queued for migration are *pinned* to
  * their old set — demand hits and LLC writebacks keep finding them at
- * their physical frame until the engine has written them back and
+ * their physical frame until the drain has written them back and
  * published the un-mapping — which is what makes the drain safe to
  * run concurrently with demand traffic instead of stopping the world.
+ *
+ * The drain walks the queued frames and evicts them in small
+ * rate-limited batches on the event queue, so migration writebacks
+ * interleave with demand traffic in the DRAM controllers' queues
+ * exactly like any other requests. When
+ * the Tag Buffer cannot accept further remap entries the drain
+ * requests the OS batch PTE update (the same lazy machinery
+ * replacements use) and backs off; the resize controller kicks it
+ * again the moment the update completes.
  */
 
 #ifndef BANSHEE_RESIZE_RESIZE_DOMAIN_HH
 #define BANSHEE_RESIZE_RESIZE_DOMAIN_HH
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <unordered_map>
 
 #include "common/event_queue.hh"
+#include "common/stats.hh"
 #include "resize/consistent_hash.hh"
-#include "resize/migration_engine.hh"
 #include "resize/resize_config.hh"
 #include "resize/resize_host.hh"
+#include "telemetry/histogram.hh"
 
 namespace banshee {
+
+class PageJournal; // telemetry/span_trace.hh
 
 class ResizeDomain
 {
@@ -74,10 +87,18 @@ class ResizeDomain
     /**
      * The layout just changed: queue every resident page whose home
      * set moved (every resident page under FlushAll), pin each to the
-     * set it still occupies, and start the drain. @p onDone fires
-     * when the drain completes, possibly before this returns.
+     * set it still occupies, and start the drain. Each page drops its
+     * pin when it is drained or skipped. @p onDone fires when the
+     * drain completes, possibly before this returns.
      */
     void drain(std::function<void()> onDone);
+
+    /** Re-arm a stalled drain (e.g. after a PTE update freed tag
+     *  buffer space). No-op when idle or already armed. */
+    void kick();
+
+    /** A drain is in flight. */
+    bool draining() const { return draining_; }
 
     /** A frame left the cache through normal replacement; drop any
      *  pin so future accesses use the page's new home set. */
@@ -102,20 +123,78 @@ class ResizeDomain
     /** The shared slice layout (owned by the ResizeController). */
     const ConsistentHashMapper &layout() const { return layout_; }
 
-    MigrationEngine &engine() { return engine_; }
-    const MigrationEngine &engine() const { return engine_; }
     ResizeHost &host() { return host_; }
 
+    std::uint64_t pagesDrained() const { return statDrained_.value(); }
+    std::uint64_t dirtyPagesDrained() const { return statDirty_.value(); }
+    std::uint64_t pagesSkipped() const { return statSkipped_.value(); }
+    std::uint64_t tagBufferStalls() const { return statStalls_.value(); }
+
+    /** Zero the drain counters (warmup boundary). */
+    void resetStats() { stats_.reset(); }
+
+    /** Attach (or detach with nullptr) a drain-batch latency
+     *  distribution: arm-to-completion time of each batch, so tag
+     *  buffer stalls show up as a stretched tail. */
+    void setTelemetry(Histogram *batchLat) { batchLat_ = batchLat; }
+
+    /** Attach span tracing: each drain batch becomes a complete span
+     *  on control track @p track. Null = off. */
+    void
+    setSpanTrace(PageJournal *spans, std::uint32_t track)
+    {
+        spans_ = spans;
+        spanTrack_ = track;
+    }
+
   private:
+    struct Frame
+    {
+        std::uint32_t set;
+        std::uint32_t way;
+        PageNum page;
+    };
+
+    /** Drain up to pagesPerBatch frames, then re-arm or finish. */
+    void tick();
+
+    void armTick(Cycle delay);
+
+    /** @p page left the backlog (drained or skipped): drop its pin. */
+    void
+    unpin(PageNum page)
+    {
+        pinned_.erase(page);
+        ++layoutGeneration_;
+    }
+
+    EventQueue &eq_;
     ResizeHost &host_;
     const ConsistentHashMapper &layout_;
-    MigrationEngine engine_;
+    MigrationParams params_;
     ResizeStrategy strategy_;
     bool partitioned_;
     std::uint32_t setsPerSlice_;
     /** Pages awaiting migration -> the old set they still occupy. */
     std::unordered_map<PageNum, std::uint32_t> pinned_;
     std::uint64_t layoutGeneration_ = 0;
+
+    /** Frames queued by drain(), in drain order. */
+    std::deque<Frame> pending_;
+    std::function<void()> onDone_;
+    bool draining_ = false;
+    /** The domain's one drain-tick event; armTick() re-arms it. */
+    TickEvent tickEvent_{[this] { tick(); }};
+    Histogram *batchLat_ = nullptr;
+    PageJournal *spans_ = nullptr;
+    std::uint32_t spanTrack_ = 0;
+    Cycle batchStart_ = kNoCycle; ///< arming cycle of the current batch
+
+    StatSet stats_;
+    Counter &statDrained_;
+    Counter &statDirty_;
+    Counter &statSkipped_;
+    Counter &statStalls_;
 };
 
 } // namespace banshee

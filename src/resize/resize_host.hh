@@ -7,7 +7,7 @@
  * primitive that charges migration traffic through the DRAM model and
  * publishes the remap through Banshee's lazy PTE/TLB machinery (tag
  * buffer remap entry + deferred batch commit). Keeping this an
- * interface lets the MigrationEngine be unit-tested against a fake
+ * interface lets a ResizeDomain's drain be unit-tested against a fake
  * host and keeps src/resize free of dependencies on src/core.
  */
 
@@ -58,7 +58,7 @@ class ResizeHost
      *  slots in the tag buffer). */
     virtual void requestMappingCommit() = 0;
 
-    /** Attach the per-controller resize domain (set mapping + engine)
+    /** Attach the per-controller resize domain (set mapping + drain)
      *  once the subsystem is built. */
     virtual void attachResizeDomain(ResizeDomain *domain) = 0;
 

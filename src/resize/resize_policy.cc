@@ -26,6 +26,14 @@ resizeReasonName(ResizeReason r)
 
 namespace {
 
+/** A tenant below this epoch miss rate is cold: it may lend. */
+constexpr double kShrinkMissRate = 0.02;
+/** A tenant above this epoch miss rate thrashes: it may borrow. */
+constexpr double kGrowMissRate = 0.20;
+/** Entitlement hysteresis: rebalance only when a tenant sits more than
+ *  this many slices under its weight-entitled share. */
+constexpr double kQosDeficitSlack = 0.5;
+
 /** Exact (fractional) entitlement of tenant @p t at @p active. */
 double
 entitled(const std::vector<TenantEpochStats> &tenants, std::size_t t,
@@ -117,8 +125,6 @@ ResizePolicy::arbitrate(const ResizeEpochStats &epoch,
     const std::size_t n = ts.size();
     if (n == 0)
         return {};
-    const std::uint32_t floor =
-        std::max<std::uint32_t>(config_.minSlicesPerTenant, 1);
 
     // ---------------------------------------- power-cap composition
     // The cap decides the count; the arbiter decides whose slice.
@@ -128,7 +134,7 @@ ResizePolicy::arbitrate(const ResizeEpochStats &epoch,
         // post-shed size (so repeated sheds distribute fairly).
         double bestOver = -1e300;
         for (std::size_t t = 0; t < n; ++t) {
-            if (ts[t].ownedSlices <= floor)
+            if (ts[t].ownedSlices <= kMinSlicesPerTenant)
                 continue;
             const double over = static_cast<double>(ts[t].ownedSlices) -
                                 entitled(ts, t, *d.targetActive);
@@ -160,7 +166,7 @@ ResizePolicy::arbitrate(const ResizeEpochStats &epoch,
     // -------------------------------------- entitlement rebalance
     // Ownership drifted from the weights (stale layout, uneven cap
     // shed): one slice per epoch from max surplus to max deficit.
-    double bestDeficit = config_.qosDeficitSlack;
+    double bestDeficit = kQosDeficitSlack;
     double bestSurplus = 0.0;
     std::size_t deficitT = n;
     std::size_t surplusT = n;
@@ -171,7 +177,7 @@ ResizePolicy::arbitrate(const ResizeEpochStats &epoch,
             bestDeficit = diff;
             deficitT = t;
         }
-        if (-diff > bestSurplus && ts[t].ownedSlices > floor) {
+        if (-diff > bestSurplus && ts[t].ownedSlices > kMinSlicesPerTenant) {
             bestSurplus = -diff;
             surplusT = t;
         }
@@ -191,12 +197,12 @@ ResizePolicy::arbitrate(const ResizeEpochStats &epoch,
         // idle — otherwise a borrower hovering around the access
         // floor would flip the loan every other epoch.
         const bool surplusThrashing =
-            sur.accesses > 0 && sur.missRate() > config_.growMissRate;
+            sur.accesses > 0 && sur.missRate() > kGrowMissRate;
         const bool deficitCold =
             def.accesses < config_.minEpochAccesses ||
-            def.missRate() < config_.shrinkMissRate;
+            def.missRate() < kShrinkMissRate;
         const bool loanSized =
-            bestDeficit <= 1.0 + config_.qosDeficitSlack;
+            bestDeficit <= 1.0 + kQosDeficitSlack;
         if (!(surplusThrashing && deficitCold && loanSized)) {
             d.donor = static_cast<TenantId>(surplusT);
             d.receiver = static_cast<TenantId>(deficitT);
@@ -211,7 +217,7 @@ ResizePolicy::arbitrate(const ResizeEpochStats &epoch,
     // below one slice under its own entitlement, so quotas remain a
     // floor a hostile tenant cannot arbitrate away.
     std::size_t starved = n;
-    double worstMiss = config_.growMissRate;
+    double worstMiss = kGrowMissRate;
     for (std::size_t t = 0; t < n; ++t) {
         if (ts[t].accesses < config_.minEpochAccesses)
             continue;
@@ -222,9 +228,9 @@ ResizePolicy::arbitrate(const ResizeEpochStats &epoch,
     }
     if (starved < n) {
         std::size_t coldest = n;
-        double coldMiss = config_.shrinkMissRate;
+        double coldMiss = kShrinkMissRate;
         for (std::size_t t = 0; t < n; ++t) {
-            if (t == starved || ts[t].ownedSlices <= floor)
+            if (t == starved || ts[t].ownedSlices <= kMinSlicesPerTenant)
                 continue;
             if (static_cast<double>(ts[t].ownedSlices) <=
                 entitled(ts, t, activeSlices) - 1.0) {

@@ -27,9 +27,9 @@
  *       unevenly), move one slice per epoch from the largest surplus
  *       to the largest deficit until ownership matches within
  *       hysteresis slack;
- *     - pressure lending: a tenant thrashing above growMissRate may
- *       borrow one slice beyond its entitlement from a tenant idling
- *       below shrinkMissRate — but a donor never lends below one
+ *     - pressure lending: a tenant thrashing above a 20% epoch miss
+ *       rate may borrow one slice beyond its entitlement from a
+ *       tenant idling below 2% — but a donor never lends below one
  *       slice under its own entitlement, so quota remains a
  *       guarantee.
  *
@@ -48,6 +48,10 @@
 #include "tenant/tenant.hh"
 
 namespace banshee {
+
+/** Slices every tenant keeps in a partitioned layout: no shrink,
+ *  transfer or arbiter decision takes a tenant's last slice. */
+constexpr std::uint32_t kMinSlicesPerTenant = 1;
 
 /** One tenant's part of an epoch observation (Kind::Qos input). */
 struct TenantEpochStats

@@ -11,7 +11,7 @@ AlloyScheme::AlloyScheme(const SchemeContext &ctx, const AlloyConfig &config)
       statFillsSkipped_(stats_.counter("fillsSkipped")),
       statVictimWritebacks_(stats_.counter("victimWritebacks"))
 {
-    numSets_ = ctx.cacheBytesPerMc / config.tadStorageBytes;
+    numSets_ = ctx.cacheBytesPerMc / kTadStorageBytes;
     sim_assert(numSets_ > 0, "alloy cache too small");
     tags_.assign(numSets_, 0);
     state_.assign(numSets_, 0);

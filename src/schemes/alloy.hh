@@ -28,8 +28,6 @@ struct AlloyConfig
 {
     /** Probability a miss fills the cache (1.0 or 0.1 in the paper). */
     double fillProbability = 0.1;
-    /** Bytes a TAD occupies in the device (64 B data + 8 B tag). */
-    std::uint32_t tadStorageBytes = 72;
 };
 
 class AlloyScheme : public DramCacheScheme
@@ -44,6 +42,9 @@ class AlloyScheme : public DramCacheScheme
     std::uint64_t numSets() const { return numSets_; }
 
   private:
+    /** Bytes a TAD occupies in the device (64 B data + 8 B tag). */
+    static constexpr std::uint32_t kTadStorageBytes = 72;
+
     /**
      * Direct-mapped set index. The page component is hashed (models
      * OS-randomized frame placement); the line-within-page offset
@@ -62,7 +63,7 @@ class AlloyScheme : public DramCacheScheme
     Addr
     tadAddr(std::uint64_t set) const
     {
-        return set * config_.tadStorageBytes;
+        return set * kTadStorageBytes;
     }
 
     void maybeFill(LineAddr line, std::uint64_t set);

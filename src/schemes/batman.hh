@@ -25,9 +25,6 @@ namespace banshee {
 
 struct BatmanParams
 {
-    double targetInPkgFraction = 0.8;
-    double step = 0.05;
-    double maxBypass = 0.95;
     Cycle epoch = usToCycles(50.0);
 };
 
@@ -55,6 +52,13 @@ class BatmanController
     double bypassFraction() const { return bypassFraction_; }
 
   private:
+    /** In-package share of the traffic the feedback loop steers to. */
+    static constexpr double kTargetInPkgFraction = 0.8;
+    /** Bypass-fraction change per epoch. */
+    static constexpr double kStep = 0.05;
+    /** Upper bound of the bypass fraction. */
+    static constexpr double kMaxBypass = 0.95;
+
     void
     armEpoch()
     {
@@ -75,14 +79,14 @@ class BatmanController
             return;
         const double frac =
             static_cast<double>(dIn) / static_cast<double>(dIn + dOff);
-        if (frac > params_.targetInPkgFraction)
-            bypassFraction_ += params_.step;
+        if (frac > kTargetInPkgFraction)
+            bypassFraction_ += kStep;
         else
-            bypassFraction_ -= params_.step;
+            bypassFraction_ -= kStep;
         if (bypassFraction_ < 0.0)
             bypassFraction_ = 0.0;
-        if (bypassFraction_ > params_.maxBypass)
-            bypassFraction_ = params_.maxBypass;
+        if (bypassFraction_ > kMaxBypass)
+            bypassFraction_ = kMaxBypass;
     }
 
     EventQueue &eq_;

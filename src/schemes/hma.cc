@@ -119,10 +119,9 @@ HmaScheme::runEpoch()
                                config_.perPageCost * moved);
     }
 
-    if (config_.decayCounts) {
-        for (auto &kv : counts_)
-            kv.second /= 2;
-    }
+    // Counts decay across epochs (halved each one).
+    for (auto &kv : counts_)
+        kv.second /= 2;
 }
 
 } // namespace banshee

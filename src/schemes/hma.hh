@@ -31,8 +31,6 @@ struct HmaConfig
     Cycle baseCost = usToCycles(50.0);
     /** Additional cost per migrated page, charged to every core. */
     Cycle perPageCost = usToCycles(2.0);
-    /** Counter decay across epochs (divide by 2). */
-    bool decayCounts = true;
 };
 
 class HmaScheme : public DramCacheScheme

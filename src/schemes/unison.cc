@@ -4,25 +4,21 @@
 
 namespace banshee {
 
-UnisonScheme::UnisonScheme(const SchemeContext &ctx,
-                           const UnisonConfig &config)
-    : DramCacheScheme(ctx), config_(config),
-      metaBase_(ctx.cacheBytesPerMc),
+UnisonScheme::UnisonScheme(const SchemeContext &ctx)
+    : DramCacheScheme(ctx), metaBase_(ctx.cacheBytesPerMc),
       statReplacements_(stats_.counter("replacements"))
 {
     const std::uint64_t frames = ctx.cacheBytesPerMc / kPageBytes;
-    sim_assert(frames >= config.ways, "unison cache too small");
-    numSets_ = static_cast<std::uint32_t>(frames / config.ways);
-    ways_.assign(static_cast<std::uint64_t>(numSets_) * config.ways,
-                 WayEntry{});
+    sim_assert(frames >= kWays, "unison cache too small");
+    numSets_ = static_cast<std::uint32_t>(frames / kWays);
+    ways_.assign(static_cast<std::uint64_t>(numSets_) * kWays, WayEntry{});
 }
 
 UnisonScheme::WayEntry *
 UnisonScheme::findWay(std::uint32_t setIdx, PageNum page)
 {
-    WayEntry *set =
-        &ways_[static_cast<std::uint64_t>(setIdx) * config_.ways];
-    for (std::uint32_t w = 0; w < config_.ways; ++w) {
+    WayEntry *set = &ways_[static_cast<std::uint64_t>(setIdx) * kWays];
+    for (std::uint32_t w = 0; w < kWays; ++w) {
         if (set[w].valid && set[w].page == page)
             return &set[w];
     }
@@ -45,8 +41,7 @@ UnisonScheme::demandFetch(LineAddr line, const MappingInfo &, CoreId,
         entry->residency.touch(lineIdx, false);
         entry->lruStamp = lruCounter_++;
         const std::uint32_t way = static_cast<std::uint32_t>(
-            entry - &ways_[static_cast<std::uint64_t>(setIdx) *
-                           config_.ways]);
+            entry - &ways_[static_cast<std::uint64_t>(setIdx) * kWays]);
         const Addr dev = frameAddr(setIdx, way) +
                          static_cast<Addr>(lineIdx) * kLineBytes;
         inPkgAccess(dev, 96, 32, false, TrafficCat::HitData,
@@ -69,11 +64,10 @@ UnisonScheme::replaceOnMiss(PageNum page, std::uint32_t setIdx,
                             std::uint32_t lineIdx)
 {
     ++statReplacements_;
-    WayEntry *set =
-        &ways_[static_cast<std::uint64_t>(setIdx) * config_.ways];
+    WayEntry *set = &ways_[static_cast<std::uint64_t>(setIdx) * kWays];
     std::uint32_t victimWay = 0;
     std::uint64_t best = ~0ull;
-    for (std::uint32_t w = 0; w < config_.ways; ++w) {
+    for (std::uint32_t w = 0; w < kWays; ++w) {
         if (!set[w].valid) {
             victimWay = w;
             best = 0;
@@ -133,8 +127,7 @@ UnisonScheme::demandWriteback(LineAddr line)
     if (entry) {
         entry->residency.touch(lineIdx, true);
         const std::uint32_t way = static_cast<std::uint32_t>(
-            entry - &ways_[static_cast<std::uint64_t>(setIdx) *
-                           config_.ways]);
+            entry - &ways_[static_cast<std::uint64_t>(setIdx) * kWays]);
         const Addr dev = frameAddr(setIdx, way) +
                          static_cast<Addr>(lineIdx) * kLineBytes;
         inPkgAccess(dev, kLineBytes, 0, true, TrafficCat::HitData, nullptr);

@@ -23,21 +23,19 @@
 
 namespace banshee {
 
-struct UnisonConfig
-{
-    std::uint32_t ways = 4;
-};
-
 class UnisonScheme : public DramCacheScheme
 {
   public:
-    UnisonScheme(const SchemeContext &ctx, const UnisonConfig &config);
+    explicit UnisonScheme(const SchemeContext &ctx);
 
     void demandFetch(LineAddr line, const MappingInfo &mapping, CoreId core,
                      MissDoneFn done) override;
     void demandWriteback(LineAddr line) override;
 
   private:
+    /** Associativity of each set. */
+    static constexpr std::uint32_t kWays = 4;
+
     struct WayEntry
     {
         PageNum page = 0;
@@ -60,7 +58,7 @@ class UnisonScheme : public DramCacheScheme
     Addr
     frameAddr(std::uint32_t setIdx, std::uint32_t way) const
     {
-        return (static_cast<Addr>(setIdx) * config_.ways + way) * kPageBytes;
+        return (static_cast<Addr>(setIdx) * kWays + way) * kPageBytes;
     }
 
     Addr
@@ -73,7 +71,6 @@ class UnisonScheme : public DramCacheScheme
     void replaceOnMiss(PageNum page, std::uint32_t setIdx,
                        std::uint32_t lineIdx);
 
-    UnisonConfig config_;
     std::uint32_t numSets_;
     Addr metaBase_;
     std::vector<WayEntry> ways_;

@@ -201,7 +201,7 @@ System::System(const SystemConfig &config) : config_(config)
           case SchemeKind::Alloy:
             return std::make_unique<AlloyScheme>(ctx, cfg.alloy);
           case SchemeKind::Unison:
-            return std::make_unique<UnisonScheme>(ctx, cfg.unison);
+            return std::make_unique<UnisonScheme>(ctx);
           case SchemeKind::Tdc:
             return std::make_unique<TdcScheme>(ctx);
           case SchemeKind::Hma:
@@ -271,7 +271,7 @@ System::System(const SystemConfig &config) : config_(config)
     // Warmup budget scaling (see SystemConfig::autoWarmup): when the
     // workload is a pure sequential sweep whose aggregate footprint
     // fits the DRAM cache, measurement should start from steady-state
-    // residency — raise warmup to cover warmupSweeps full passes.
+    // residency — raise warmup to cover two full passes.
     if (config_.autoWarmup && config_.mem.hasInPkg) {
         std::uint64_t totalSweepBytes = 0;
         std::uint64_t maxSweepInstr = 0;
@@ -285,10 +285,8 @@ System::System(const SystemConfig &config) : config_(config)
             maxSweepInstr = std::max(maxSweepInstr, p->sweepInstr());
         }
         if (allSweep && totalSweepBytes <= config_.mem.inPkgCapacity) {
-            config_.warmupInstrPerCore =
-                std::max<std::uint64_t>(config_.warmupInstrPerCore,
-                                        config_.warmupSweeps *
-                                            maxSweepInstr);
+            config_.warmupInstrPerCore = std::max<std::uint64_t>(
+                config_.warmupInstrPerCore, 2 * maxSweepInstr);
         }
     }
 
@@ -311,53 +309,57 @@ void
 System::buildTelemetry()
 {
     telemetry_ = std::make_unique<Telemetry>(eq_, config_.telemetry);
-    MetricRegistry &reg = telemetry_->registry();
 
     // System-wide gauges: cumulative as-of-sample; the summary script
     // turns adjacent-sample deltas into per-epoch rates.
-    reg.addGauge("instructions", [this] {
+    telemetry_->addGauge("instructions", [this] {
         std::uint64_t n = 0;
         for (const auto &core : cores_)
             n += core->instrRetired();
         return static_cast<double>(n);
     });
-    reg.addGauge("dramAccesses", [this] {
+    telemetry_->addGauge("dramAccesses", [this] {
         return static_cast<double>(mem_->totalAccesses());
     });
-    reg.addGauge("dramMisses", [this] {
+    telemetry_->addGauge("dramMisses", [this] {
         return static_cast<double>(mem_->totalMisses());
     });
     if (mem_->inPkg()) {
-        reg.addGauge("inPkgEnergyPJ", [this] {
+        telemetry_->addGauge("inPkgEnergyPJ", [this] {
             return mem_->inPkg()->power().totalEnergyPJ(eq_.now());
         });
     }
     if (resize_) {
-        reg.addGauge("activeSlices", [this] {
+        telemetry_->addGauge("activeSlices", [this] {
             return static_cast<double>(resize_->activeSlices());
         });
-        reg.addStatSet(resize_->stats(), "resize.");
+        // The controller's counters, in the set's lexicographic order.
+        for (const auto &[name, counter] : resize_->stats().all()) {
+            telemetry_->addGauge("resize." + name, [&c = *counter] {
+                return static_cast<double>(c.value());
+            });
+        }
         Histogram &batchLat = telemetry_->histogram("migration.batchLat");
         for (std::size_t d = 0; d < resize_->numDomains(); ++d)
-            resize_->domain(d).engine().setTelemetry(&batchLat);
+            resize_->domain(d).setTelemetry(&batchLat);
     }
 
     if (tenants_) {
         for (std::uint32_t ti = 0; ti < tenants_->numTenants(); ++ti) {
             const TenantId t = static_cast<TenantId>(ti);
             const std::string base = "tenant." + tenants_->config(t).name;
-            reg.addGauge(base + ".slices", [this, t] {
+            telemetry_->addGauge(base + ".slices", [this, t] {
                 return resize_
                            ? static_cast<double>(resize_->slicesOwnedBy(t))
                            : 0.0;
             });
-            reg.addGauge(base + ".accesses", [this, t] {
+            telemetry_->addGauge(base + ".accesses", [this, t] {
                 std::uint64_t n = 0;
                 for (std::uint32_t mc = 0; mc < mem_->numMcs(); ++mc)
                     n += mem_->scheme(mc).tenantAccesses(t);
                 return static_cast<double>(n);
             });
-            reg.addGauge(base + ".misses", [this, t] {
+            telemetry_->addGauge(base + ".misses", [this, t] {
                 std::uint64_t n = 0;
                 for (std::uint32_t mc = 0; mc < mem_->numMcs(); ++mc)
                     n += mem_->scheme(mc).tenantMisses(t);
@@ -603,7 +605,6 @@ System::collect(const std::vector<Cycle> &phaseStartCycle,
         r.resizesCompleted = resize_->resizesCompleted();
         r.pagesMigrated = resize_->pagesMigrated();
         r.dirtyPagesMigrated = resize_->dirtyPagesMigrated();
-        r.migrationTagStalls = resize_->tagBufferStalls();
         r.finalActiveSlices = resize_->activeSlices();
         r.qosReassigns = resize_->reassignsCompleted();
     }

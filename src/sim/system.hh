@@ -117,7 +117,6 @@ struct RunResult
     std::uint64_t resizesCompleted = 0;
     std::uint64_t pagesMigrated = 0;
     std::uint64_t dirtyPagesMigrated = 0;
-    std::uint64_t migrationTagStalls = 0;
     std::uint32_t finalActiveSlices = 0;
     std::uint64_t qosReassigns = 0; ///< slice ownership transfers
 

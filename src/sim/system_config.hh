@@ -30,7 +30,6 @@
 #include "schemes/alloy.hh"
 #include "schemes/batman.hh"
 #include "schemes/hma.hh"
-#include "schemes/unison.hh"
 #include "telemetry/span_trace.hh"
 #include "telemetry/telemetry_config.hh"
 #include "tenant/tenant.hh"
@@ -63,7 +62,6 @@ struct SystemConfig
     // Scheme selection + per-scheme knobs (Table 3 for Banshee).
     SchemeKind scheme = SchemeKind::Banshee;
     AlloyConfig alloy;
-    UnisonConfig unison;
     HmaConfig hma;
     BansheeConfig banshee;
 
@@ -99,11 +97,10 @@ struct SystemConfig
      * the workload is a pure sequential sweep whose total footprint
      * fits the DRAM cache (libquantum), raise warmupInstrPerCore so
      * the measured window starts from steady-state residency
-     * (@c warmupSweeps full passes). Streams larger than the cache
-     * have no steady state to warm into and are left alone.
+     * (two full passes). Streams larger than the cache have no steady
+     * state to warm into and are left alone.
      */
     bool autoWarmup = false;
-    std::uint32_t warmupSweeps = 2;
 
     /** Scaled default (128 MB cache) — see file comment. */
     static SystemConfig scaledDefault();

@@ -3,7 +3,7 @@
  * Configuration of the epoch-resolved telemetry subsystem.
  *
  * Disabled by default: with enabled == false the System builds no
- * registry, schedules no sampling events and attaches no histogram
+ * Telemetry, schedules no sampling events and attaches no histogram
  * hooks, so the simulated machine (and every bench's --json output)
  * is bit-identical to a build without telemetry. Enabled without a
  * span trace it is in-memory only (RunResult::histograms); with one,

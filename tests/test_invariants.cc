@@ -100,7 +100,6 @@ sweepCases()
         c.withTenants({{"a", "mcf", 3.0, 4}, {"b", "omnetpp", 1.0, 4}});
         c.withQosArbiter(/*capWatts=*/1e-3);
         c.resize.policy.minSlices = 4;
-        c.resize.policy.minSlicesPerTenant = 1;
         cases.push_back({"Banshee_tenants_powercap", c, 4});
     }
 
@@ -112,7 +111,6 @@ sweepCases()
         c.withTenants({{"a", "mcf", 3.0, 4}, {"b", "omnetpp", 1.0, 4}});
         c.withQosArbiter(/*capWatts=*/1e-3);
         c.resize.policy.minSlices = 4;
-        c.resize.policy.minSlicesPerTenant = 1;
         c.withDramQos();
         c.enableBatman = true;
         c.withTelemetry();

@@ -344,8 +344,23 @@ TEST(PowerEndToEnd, PowerCapLogsOneDecisionPerStartedTransition)
 
     std::uint64_t decisions = 0;
     std::uint64_t begins = 0;
+    std::uint64_t metrics = 0;
     std::ifstream trace(path);
     for (std::string line; std::getline(trace, line);) {
+        if (line.find("{\"name\": \"metrics\", \"ph\": \"C\"") !=
+            std::string::npos) {
+            // Every epoch sample carries the controller's counters, in
+            // their lexicographic order.
+            ++metrics;
+            std::size_t at = 0;
+            for (const char *key :
+                 {"resize.decisionsDeferred", "resize.epochsEvaluated",
+                  "resize.resizesCompleted", "resize.resizesStarted",
+                  "resize.slicesReassigned"}) {
+                at = line.find("\"" + std::string(key) + "\": ", at);
+                ASSERT_NE(at, std::string::npos) << key << " in " << line;
+            }
+        }
         if (line.find("{\"name\": \"decision\", \"ph\": \"i\"") !=
             std::string::npos) {
             ++decisions;
@@ -357,6 +372,7 @@ TEST(PowerEndToEnd, PowerCapLogsOneDecisionPerStartedTransition)
             std::string::npos)
             ++begins;
     }
+    EXPECT_GT(metrics, 0u);
     EXPECT_EQ(decisions, started);
     EXPECT_EQ(begins, started);
     std::remove(path.c_str());

@@ -4,7 +4,7 @@
  *
  *  - the consistent-hash property: shrinking N -> N-K slices remaps
  *    only the removed slices' pages, a fraction ~K/N of residents;
- *  - the migration engine's rate limiting, skip and stall behavior
+ *  - a resize domain's drain: rate limiting, skip and stall behavior
  *    (against a fake host);
  *  - the resize policy's schedule decisions;
  *  - end-to-end transitions on the full machine: no dirty page is
@@ -23,8 +23,8 @@
 
 #include "core/banshee.hh"
 #include "resize/consistent_hash.hh"
-#include "resize/migration_engine.hh"
 #include "resize/resize_controller.hh"
+#include "resize/resize_domain.hh"
 #include "resize/resize_policy.hh"
 #include "sim/runner.hh"
 #include "sim/system.hh"
@@ -112,7 +112,7 @@ TEST(ConsistentHash, LoadIsRoughlyBalanced)
 }
 
 // ------------------------------------------------------------------
-// MigrationEngine against a fake host
+// ResizeDomain against a fake host
 // ------------------------------------------------------------------
 
 class FakeHost : public ResizeHost
@@ -196,7 +196,7 @@ TEST(ResizeDomain, LayoutGenerationBumpsOnResizeAndPinDrops)
     // Every drained pin bumps again so memoized pinned mappings die
     // the moment the page's frame is reclaimed.
     EXPECT_GE(dom.layoutGeneration(), gStart);
-    EXPECT_FALSE(dom.engine().active());
+    EXPECT_FALSE(dom.draining());
 }
 
 TEST(ResizeDomain, EvictionOfPinnedPageBumpsGeneration)
@@ -227,77 +227,96 @@ TEST(ResizeDomain, EvictionOfPinnedPageBumpsGeneration)
     EXPECT_GT(flushDom.layoutGeneration(), g1);
 }
 
-TEST(MigrationEngine, DrainsInRateLimitedBatches)
+/** A FlushAll domain's config: every resident page drains. */
+ResizeConfig
+flushAllConfig()
+{
+    ResizeConfig rc;
+    rc.enabled = true;
+    rc.strategy = ResizeStrategy::FlushAll;
+    return rc;
+}
+
+TEST(ResizeDomain, DrainsInRateLimitedBatches)
 {
     EventQueue eq;
     FakeHost host;
     for (std::uint32_t i = 0; i < 10; ++i)
         host.frames[{i, 0}] = FakeHost::Frame{100 + i, i % 2 == 0};
 
-    MigrationParams p;
-    p.pagesPerBatch = 4;
-    p.batchInterval = 100;
-    MigrationEngine engine(eq, host, p);
-    for (std::uint32_t i = 0; i < 10; ++i)
-        engine.enqueue(i, 0, 100 + i);
+    ResizeConfig rc = flushAllConfig();
+    rc.migration.pagesPerBatch = 4;
+    rc.migration.batchInterval = 100;
+    ConsistentHashMapper layout(rc.hash);
+    ResizeDomain dom(eq, host, layout, rc);
 
     bool drained = false;
-    engine.start(nullptr, [&drained] { drained = true; });
-    EXPECT_TRUE(engine.active());
+    dom.drain([&drained] { drained = true; });
+    EXPECT_TRUE(dom.draining());
     eq.run();
 
     EXPECT_TRUE(drained);
-    EXPECT_FALSE(engine.active());
-    EXPECT_EQ(engine.pagesDrained(), 10u);
-    EXPECT_EQ(engine.dirtyPagesDrained(), 5u);
+    EXPECT_FALSE(dom.draining());
+    EXPECT_EQ(dom.pagesDrained(), 10u);
+    EXPECT_EQ(dom.dirtyPagesDrained(), 5u);
     EXPECT_EQ(host.evictions, 10);
     // 10 pages at 4/batch = 3 ticks, the last at t = 2 intervals.
     EXPECT_EQ(eq.now(), 200u);
 }
 
-TEST(MigrationEngine, SkipsFramesEvictedByNormalReplacement)
+TEST(ResizeDomain, SkipsFramesEvictedByNormalReplacement)
 {
+    // Odd sets: with mixedHash 0 a page's home set is even, so a
+    // pinned page and an unpinned one map to different sets.
     EventQueue eq;
     FakeHost host;
-    host.frames[{0, 0}] = FakeHost::Frame{1, true};
-    host.frames[{1, 0}] = FakeHost::Frame{2, true, false}; // already gone
+    host.frames[{1, 0}] = FakeHost::Frame{1, true};
+    host.frames[{3, 0}] = FakeHost::Frame{2, true};
 
-    MigrationEngine engine(eq, host, MigrationParams{});
-    engine.enqueue(0, 0, 1);
-    engine.enqueue(1, 0, 2);
+    ResizeConfig rc = flushAllConfig();
+    ConsistentHashMapper layout(rc.hash);
+    ResizeDomain dom(eq, host, layout, rc);
+    dom.drain([] {});
+    EXPECT_EQ(dom.setOf(1, 0), 1u);
+    EXPECT_EQ(dom.setOf(2, 0), 3u);
 
-    std::vector<PageNum> done;
-    engine.start([&done](PageNum p) { done.push_back(p); }, nullptr);
+    // Normal replacement evicts page 2 while it sits in the backlog.
+    host.frames.at({3, 0}).resident = false;
+    dom.notifyFrameEvicted(2);
     eq.run();
 
-    EXPECT_EQ(engine.pagesDrained(), 1u);
-    EXPECT_EQ(engine.pagesSkipped(), 1u);
-    EXPECT_EQ(done, (std::vector<PageNum>{1, 2}));
+    EXPECT_EQ(dom.pagesDrained(), 1u);
+    EXPECT_EQ(dom.pagesSkipped(), 1u);
+    EXPECT_EQ(host.evictionOrder, (std::vector<PageNum>{1}));
+    // Drained and skipped pages alike have lost their pin: each maps
+    // to its home set in the layout again.
+    for (const PageNum page : {1, 2})
+        EXPECT_EQ(dom.setOf(page, 0), layout.sliceOf(page) * 2) << page;
 }
 
-TEST(MigrationEngine, StallsOnTagBufferAndResumesOnKick)
+TEST(ResizeDomain, StallsOnTagBufferAndResumesOnKick)
 {
     EventQueue eq;
     FakeHost host;
     host.frames[{0, 0}] = FakeHost::Frame{1, true};
     host.allowEvict = false;
 
-    MigrationParams p;
-    p.retryInterval = 50;
-    MigrationEngine engine(eq, host, p);
-    engine.enqueue(0, 0, 1);
+    ResizeConfig rc = flushAllConfig();
+    rc.migration.retryInterval = 50;
+    ConsistentHashMapper layout(rc.hash);
+    ResizeDomain dom(eq, host, layout, rc);
 
     bool drained = false;
     Cycle drainedAt = kNoCycle;
-    engine.start(nullptr, [&] {
+    dom.drain([&] {
         drained = true;
         drainedAt = eq.now();
     });
     eq.run(300); // a few retry periods
 
     EXPECT_FALSE(drained);
-    EXPECT_EQ(engine.pagesDrained(), 0u);
-    EXPECT_GT(engine.tagBufferStalls(), 0u);
+    EXPECT_EQ(dom.pagesDrained(), 0u);
+    EXPECT_GT(dom.tagBufferStalls(), 0u);
     EXPECT_GT(host.commitRequests, 0);
 
     // The PTE update completed: space is available again. The kick
@@ -305,43 +324,11 @@ TEST(MigrationEngine, StallsOnTagBufferAndResumesOnKick)
     // kick cycle, not after waiting out another retryInterval.
     host.allowEvict = true;
     const Cycle kickCycle = eq.now();
-    engine.kick();
+    dom.kick();
     eq.run();
     EXPECT_TRUE(drained);
-    EXPECT_EQ(engine.pagesDrained(), 1u);
+    EXPECT_EQ(dom.pagesDrained(), 1u);
     EXPECT_EQ(drainedAt, kickCycle);
-}
-
-TEST(MigrationEngine, DeferredScheduledStepIsRetriedNotDropped)
-{
-    // A scheduled resize that lands while the previous transition is
-    // still draining must apply once the engine goes idle.
-    EventQueue eq;
-    PageTableManager pt;
-    OsServices os(eq, pt);
-    FakeHost host; // 16 sets -> 2 sets per slice with 8 slices
-    for (std::uint32_t s = 8; s < 16; ++s)
-        host.frames[{s, 0}] = FakeHost::Frame{1000 + s, false};
-
-    ResizeConfig cfg;
-    cfg.enabled = true;
-    cfg.policy.epoch = 1000;
-    cfg.policy.schedule = {ResizeStep{0, 4}, ResizeStep{1, 8}};
-    cfg.migration.pagesPerBatch = 1;    // slow drain: spans epochs
-    cfg.migration.batchInterval = 2000;
-    ResizeController rc(eq, os, cfg);
-    rc.addHost(host);
-
-    rc.onMeasureStart();
-    eq.run(40'000);
-    rc.stopEpochs();
-    eq.run(80'000);
-
-    // The grow step collided with the shrink's drain, was deferred
-    // (not dropped), and applied at a later epoch.
-    EXPECT_GT(rc.stats().value("decisionsDeferred"), 0u);
-    EXPECT_EQ(rc.resizesCompleted(), 2u);
-    EXPECT_EQ(rc.activeSlices(), 8u);
 }
 
 // ------------------------------------------------------------------
@@ -471,7 +458,6 @@ TEST(ResizeController, TransitionsArePinned)
     ResizeConfig cfg;
     cfg.enabled = true;
     cfg.tenantWeights = {3.0, 1.0};
-    cfg.policy.minSlicesPerTenant = 1;
     PinnedRig a(cfg);
     ResizeController &rc = a.rc;
     ASSERT_EQ(rc.slicesOwnedBy(0), 6u);
@@ -525,6 +511,38 @@ TEST(ResizeController, TransitionsArePinned)
     std::uint64_t d = a.finish();
     d = fnv1a(d, b.finish());
     EXPECT_EQ(d, 0xe99108954c954a8eull);
+}
+
+TEST(ResizeController, DeferredScheduledStepIsRetriedNotDropped)
+{
+    // A scheduled resize that lands while the previous transition is
+    // still draining must apply once the drains go idle.
+    EventQueue eq;
+    PageTableManager pt;
+    OsServices os(eq, pt);
+    FakeHost host; // 16 sets -> 2 sets per slice with 8 slices
+    for (std::uint32_t s = 8; s < 16; ++s)
+        host.frames[{s, 0}] = FakeHost::Frame{1000 + s, false};
+
+    ResizeConfig cfg;
+    cfg.enabled = true;
+    cfg.policy.epoch = 1000;
+    cfg.policy.schedule = {ResizeStep{0, 4}, ResizeStep{1, 8}};
+    cfg.migration.pagesPerBatch = 1;    // slow drain: spans epochs
+    cfg.migration.batchInterval = 2000;
+    ResizeController rc(eq, os, cfg);
+    rc.addHost(host);
+
+    rc.onMeasureStart();
+    eq.run(40'000);
+    rc.stopEpochs();
+    eq.run(80'000);
+
+    // The grow step collided with the shrink's drain, was deferred
+    // (not dropped), and applied at a later epoch.
+    EXPECT_GT(rc.stats().value("decisionsDeferred"), 0u);
+    EXPECT_EQ(rc.resizesCompleted(), 2u);
+    EXPECT_EQ(rc.activeSlices(), 8u);
 }
 
 // ------------------------------------------------------------------

@@ -197,7 +197,7 @@ TEST(Alloy, DirtyVictimWrittenBackOnConflict)
 TEST(Unison, HitPaysDataTagAndLruUpdate)
 {
     SchemeHarness h;
-    UnisonScheme s(h.ctx, UnisonConfig{});
+    UnisonScheme s(h.ctx);
     h.fetch(s, lineOf(0x10000)); // miss + fill
     h.resetTraffic();
     h.fetch(s, lineOf(0x10000));
@@ -211,7 +211,7 @@ TEST(Unison, HitPaysDataTagAndLruUpdate)
 TEST(Unison, MissReplacesOnEveryMissWithFootprint)
 {
     SchemeHarness h;
-    UnisonScheme s(h.ctx, UnisonConfig{});
+    UnisonScheme s(h.ctx);
     h.fetch(s, lineOf(0x10000));
     // Speculative 96 B + demand 64 B off + footprint fill.
     EXPECT_EQ(h.inBytes(TrafficCat::MissData), 64u);
@@ -228,7 +228,7 @@ TEST(Unison, MissReplacesOnEveryMissWithFootprint)
 TEST(Unison, AllLinesOfResidentPageHit)
 {
     SchemeHarness h;
-    UnisonScheme s(h.ctx, UnisonConfig{});
+    UnisonScheme s(h.ctx);
     h.fetch(s, lineOf(0x10000));
     for (std::uint32_t l = 1; l < kLinesPerPage; l += 7)
         h.fetch(s, lineOf(0x10000) + l);
@@ -238,7 +238,7 @@ TEST(Unison, AllLinesOfResidentPageHit)
 TEST(Unison, DirtyFootprintWrittenBackOnEviction)
 {
     SchemeHarness h(4096 * 4); // one 4-way set
-    UnisonScheme s(h.ctx, UnisonConfig{});
+    UnisonScheme s(h.ctx);
     const LineAddr a = lineOf(0x10000);
     h.fetch(s, a);
     s.demandWriteback(a);

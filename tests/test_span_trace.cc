@@ -166,7 +166,7 @@ TEST(SpanTrace, WellFormedAndCausallyComplete)
     EXPECT_GT(countOccurrences(trace, "\"name\": \"thread_name\""), 0u);
 
     // One file per run: its run records once each, and every epoch
-    // sample the registry numbered (0, 1, ...) as an "epoch" instant
+    // sample telemetry numbered (0, 1, ...) as an "epoch" instant
     // in order, each with its "metrics" counter.
     for (const char *once : {"run_info", "measure_start", "run_end"}) {
         EXPECT_EQ(countOccurrences(trace, std::string("\"name\": \"") +

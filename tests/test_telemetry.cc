@@ -17,7 +17,6 @@
 #include "common/event_queue.hh"
 #include "sim/system.hh"
 #include "telemetry/histogram.hh"
-#include "telemetry/metric_registry.hh"
 #include "telemetry/span_trace.hh"
 #include "telemetry/telemetry.hh"
 #include "telemetry/trace_sink.hh"
@@ -135,49 +134,6 @@ TEST(Histogram, MergeResetAndTrimmedBuckets)
     EXPECT_EQ(s.max, 100u);
 }
 
-TEST(MetricRegistry, EpochSamplerCadence)
-{
-    EventQueue eq;
-    MetricRegistry reg;
-    reg.addGauge("now", [&eq] { return static_cast<double>(eq.now()); });
-
-    std::vector<MetricRegistry::Sample> samples;
-    reg.start(eq, 100, [&samples](const MetricRegistry::Sample &s) {
-        samples.push_back(s);
-    });
-    eq.run(1000); // the sampler self-reschedules; bound the clock
-
-    ASSERT_GE(samples.size(), 5u);
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-        EXPECT_EQ(samples[i].cycle, 100 * (i + 1));
-        EXPECT_DOUBLE_EQ(samples[i].values[0],
-                         static_cast<double>(samples[i].cycle));
-        EXPECT_EQ(samples[i].epoch, i);
-    }
-
-    // stop() disarms the pending clock event.
-    const std::size_t taken = samples.size();
-    reg.stop();
-    eq.run(2000);
-    EXPECT_EQ(samples.size(), taken);
-}
-
-TEST(MetricRegistry, CountersAndStatSets)
-{
-    EventQueue eq;
-    MetricRegistry reg;
-    StatSet set;
-    set.counter("reads") += 7;
-    set.counter("writes") += 2;
-    reg.addStatSet(set, "dev.");
-
-    const MetricRegistry::Sample s = reg.sample(eq.now());
-    ASSERT_EQ(reg.metricNames().size(), 2u);
-    EXPECT_EQ(reg.metricNames()[0], "dev.reads");
-    EXPECT_DOUBLE_EQ(s.values[0], 7.0);
-    EXPECT_DOUBLE_EQ(s.values[1], 2.0);
-}
-
 TEST(TraceField, RendersAndEscapesJson)
 {
     EXPECT_EQ(TraceField("from", 8u).json(), "\"from\": 8");
@@ -218,11 +174,13 @@ TEST(Telemetry, EpochEventsCarryMetricsAndHistograms)
         PageJournal journal(spans, kPageBits, 1);
 
         Histogram &lat = telem.histogram("lat");
-        telem.registry().addGauge("g", [] { return 1.5; });
+        telem.addGauge("g", [] { return 1.5; });
         lat.record(3);
         telem.startEpochs(&journal);
         eq.run(120);
         telem.finishEpochs();
+        // The clock is stopped: running on takes no further sample.
+        eq.run(1000);
         journal.finish(eq.now());
     }
 
@@ -252,6 +210,30 @@ TEST(Telemetry, EpochEventsCarryMetricsAndHistograms)
     EXPECT_NE(epochs[2].find("\"epoch\": 2, \"cycle\": 100"),
               std::string::npos);
     std::remove(path.c_str());
+}
+
+TEST(Telemetry, ReadsEveryGaugeEachEpochWithoutAJournal)
+{
+    // Each read of the energy gauge is a power-model integration
+    // point, so a run without a trace must read the gauges at the
+    // same cycles as a traced run: at start, every epoch and finish.
+    EventQueue eq;
+    TelemetryConfig config;
+    config.enabled = true;
+    config.epochCycles = 100;
+    Telemetry telem(eq, config);
+    std::vector<Cycle> reads;
+    telem.addGauge("reads", [&] {
+        reads.push_back(eq.now());
+        return 0.0;
+    });
+
+    telem.startEpochs(nullptr);
+    eq.run(350);
+    telem.finishEpochs();
+    // Start, ticks 100/200/300, and the closing read at the queue's
+    // clock (the last event's cycle).
+    EXPECT_EQ(reads, (std::vector<Cycle>{0, 100, 200, 300, 300}));
 }
 
 TEST(Telemetry, DisabledByDefaultLeavesResultsIdentical)
