@@ -65,36 +65,33 @@ BansheeScheme::currentSampleRate() const
 }
 
 PageMapping
-BansheeScheme::resolveMapping(PageNum page, const MappingInfo &carried,
-                              bool insertCleanOnMiss, bool *tbHit)
+BansheeScheme::resolveMapping(PageNum page, std::uint32_t setIdx,
+                              const MappingInfo &carried, bool &tbHit)
 {
-    if (auto tb = tagBuffer_.lookup(page)) {
-        if (tbHit)
-            *tbHit = true;
+    const std::optional<PageMapping> tb = tagBuffer_.lookup(page);
+    tbHit = tb.has_value();
+    if (tbHit)
         return *tb;
+
+    // Tag Buffer miss: the tags hold the mapping, and the
+    // lazy-coherence invariant says the PTE already agrees with them.
+    PageMapping tags;
+    if (auto way = dir_.findCached(setIdx, page))
+        tags = PageMapping{true, static_cast<std::uint8_t>(*way)};
+    sim_assert(ctx_.pageTable->committedMapping(page) == tags,
+               "stale PTE without a tag-buffer entry (page %llx)",
+               static_cast<unsigned long long>(page));
+    if (config_.pageBits == kPageBits && carried.valid &&
+        !(PageMapping{carried.cached, carried.way} == tags)) {
+        // A request carried stale bits yet the buffer missed: the
+        // design's safety argument would be broken.
+        panic("request carried stale mapping that the tag buffer "
+              "did not correct (page %llx)",
+              static_cast<unsigned long long>(page));
     }
 
-    // Tag Buffer miss: the lazy-coherence invariant guarantees the
-    // PTEs are up to date for this page.
-    const PageMapping fresh = ctx_.pageTable->currentMapping(page);
-    if (config_.checkStaleInvariant) {
-        sim_assert(!ctx_.pageTable->isStale(page),
-                   "stale PTE without a tag-buffer entry (page %llx)",
-                   static_cast<unsigned long long>(page));
-        if (carried.valid &&
-            (carried.cached != fresh.cached ||
-             (fresh.cached && carried.way != fresh.way))) {
-            // A request carried stale bits yet the buffer missed:
-            // the design's safety argument would be broken.
-            panic("request carried stale mapping that the tag buffer "
-                  "did not correct (page %llx)",
-                  static_cast<unsigned long long>(page));
-        }
-    }
-
-    if (insertCleanOnMiss)
-        tagBuffer_.insertClean(page, fresh);
-    return fresh;
+    tagBuffer_.insertClean(page, tags);
+    return tags;
 }
 
 void
@@ -115,7 +112,7 @@ BansheeScheme::demandFetch(LineAddr line, const MappingInfo &mapping,
     const TenantId tenant = tenantOfAddr(lineToAddr(line));
     const std::uint32_t setIdx = setOfMemo(page, core);
     bool tbHit = false;
-    const PageMapping m = resolveMapping(page, mapping, true, &tbHit);
+    const PageMapping m = resolveMapping(page, setIdx, mapping, tbHit);
 
     recordAccess(m.cached, tenant);
     missRate_.record(!m.cached);
@@ -152,25 +149,20 @@ BansheeScheme::demandWriteback(LineAddr line)
     const std::uint32_t setIdx = setOf(page);
     const PageNum spanPage = spanPageOf(page);
 
-    PageMapping m;
-    bool tagProbe = false;
-    if (auto tb = tagBuffer_.lookup(page)) {
-        m = *tb;
-    } else {
-        // No mapping anywhere on the eviction path: probe the tags in
-        // the DRAM cache (32 B read) and stash a clean copy so the
-        // next eviction of this page avoids the probe (Section 3.3).
-        tagProbe = true;
+    // No mapping rides the eviction path: a Tag Buffer miss probes the
+    // tags in the DRAM cache (32 B read), and the clean copy it leaves
+    // spares the next eviction of this page the probe (Section 3.3).
+    bool tbHit = false;
+    const PageMapping m = resolveMapping(page, setIdx, MappingInfo{}, tbHit);
+    if (!tbHit) {
         inPkgAccess(metaAddr(setIdx), 32, 32, false, TrafficCat::Tag,
                     nullptr, tenant, spanPage);
-        m = ctx_.pageTable->currentMapping(page);
-        tagBuffer_.insertClean(page, m);
     }
 
     if (spanPage != kNoSpanPage) {
         spans_->pageInstant(page, "writeback", ctx_.eq->now(),
                             {{"dest", m.cached ? "inpkg" : "offpkg"},
-                             {"tag_probe", tagProbe ? 1 : 0}});
+                             {"tag_probe", tbHit ? 0 : 1}});
     }
 
     if (m.cached) {
@@ -346,15 +338,12 @@ BansheeScheme::executeReplacement(PageNum page, std::uint32_t setIdx,
         }
     }
 
-    // Hardware mapping updates take effect instantly; PTEs learn of
-    // them lazily via the tag buffer.
-    ctx_.pageTable->setCurrentMapping(
-        page, PageMapping{true, static_cast<std::uint8_t>(way)});
+    // The tags changed above; PTEs learn of it lazily through the
+    // Tag Buffer's remap entries.
     bool ok = tagBuffer_.insertRemap(
         page, PageMapping{true, static_cast<std::uint8_t>(way)});
     sim_assert(ok, "tag buffer rejected remap after capacity check");
     if (victim.valid) {
-        ctx_.pageTable->setCurrentMapping(victim.tag, PageMapping{});
         ok = tagBuffer_.insertRemap(victim.tag, PageMapping{});
         sim_assert(ok, "tag buffer rejected victim remap");
         // If the victim was awaiting resize migration its drain is
@@ -422,10 +411,9 @@ BansheeScheme::evictFrame(std::uint32_t setIdx, std::uint32_t way)
         spans_->residentEnd(page, ctx_.eq->now(), "migration", wasDirty);
     dir_.invalidate(setIdx, way);
 
-    // Publish the un-mapping exactly like a replacement victim's:
-    // hardware view first, then a tag-buffer remap entry so PTEs and
-    // TLBs learn of it at the next batch commit.
-    ctx_.pageTable->setCurrentMapping(page, PageMapping{});
+    // Publish the un-mapping exactly like a replacement victim's: a
+    // tag-buffer remap entry, so PTEs and TLBs learn of it at the next
+    // batch commit.
     const bool ok = tagBuffer_.insertRemap(page, PageMapping{});
     sim_assert(ok, "tag buffer rejected resize remap after admission check");
     if (tagBuffer_.needsFlush() && ctx_.os)
@@ -453,9 +441,13 @@ BansheeScheme::verifyResidencyConsistent()
         sim_assert(setOf(e.tag) == setIdx,
                    "frame not at its page's home set (page %llx)",
                    static_cast<unsigned long long>(e.tag));
-        const PageMapping m = ctx_.pageTable->currentMapping(e.tag);
-        sim_assert(m.cached && m.way == way,
-                   "directory and page table disagree (page %llx)",
+        // Lazy coherence: a PTE that lags the tags has a remap entry
+        // carrying them.
+        const PageMapping tags{true, static_cast<std::uint8_t>(way)};
+        const auto remap = tagBuffer_.pendingRemap(e.tag);
+        sim_assert(ctx_.pageTable->committedMapping(e.tag) == tags ||
+                       (remap && *remap == tags),
+                   "stale PTE without a tag-buffer entry (page %llx)",
                    static_cast<unsigned long long>(e.tag));
     });
 }

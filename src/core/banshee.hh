@@ -5,7 +5,15 @@
  * Demand path: the request's PTE/TLB mapping bits are overridden by a
  * Tag Buffer hit; a hit moves exactly 64 B from in-package DRAM, a
  * miss moves exactly 64 B from off-package DRAM — no tag probe, no
- * speculative load (Table 1's "Traffic 64B / 0B" row).
+ * speculative load (Table 1's "Traffic 64B / 0B" row). The FBR
+ * directory's tags are the only copy of the hardware mapping: on a
+ * Tag Buffer miss the model reads the page's tags (the value the
+ * carried bits hold under lazy coherence) and stores a clean Tag
+ * Buffer copy.
+ *
+ * Lazy coherence (Section 3.4): a PTE may lag the tags only while the
+ * page has a remap entry in the Tag Buffer. Every run checks this on
+ * every Tag Buffer miss, on the fetch and writeback paths alike.
  *
  * Replacement: frequency-based with sampled counter maintenance
  * (Algorithm 1). An access is sampled with probability
@@ -59,8 +67,6 @@ struct BansheeConfig
     std::uint32_t pageBits = kPageBits; ///< 12 = 4 KB, 21 = 2 MB
     TagBufferParams tagBuffer;
     Policy policy = Policy::Fbr;
-    /** Verify the lazy-coherence invariant on every access (tests). */
-    bool checkStaleInvariant = false;
 };
 
 class BansheeScheme : public DramCacheScheme, public ResizeHost
@@ -221,16 +227,17 @@ class BansheeScheme : public DramCacheScheme, public ResizeHost
     }
 
     /**
-     * Resolve the authoritative mapping: Tag Buffer first, then the
-     * page table (whose committed view is guaranteed fresh when the
-     * Tag Buffer misses). Optionally checks the invariant that a
-     * request carrying stale bits implies a Tag Buffer hit.
-     * @p tbHit (optional) reports whether the Tag Buffer answered —
-     * lookup() touches LRU state, so callers must not probe twice.
+     * Resolve the authoritative mapping: the page's Tag Buffer entry,
+     * else its tags in set @p setIdx, of which a clean copy enters the
+     * Tag Buffer. A Tag Buffer miss checks lazy coherence: the PTE
+     * must equal the tags, and so must the bits the request carried
+     * (4 KB pages only: with 2 MB pages the 4 KB-grained TLB's bits
+     * name a different page). @p tbHit reports whether the Tag Buffer
+     * answered — lookup() touches LRU state, so callers must not
+     * probe twice.
      */
-    PageMapping resolveMapping(PageNum page, const MappingInfo &carried,
-                               bool insertCleanOnMiss,
-                               bool *tbHit = nullptr);
+    PageMapping resolveMapping(PageNum page, std::uint32_t setIdx,
+                               const MappingInfo &carried, bool &tbHit);
 
     /** Algorithm 1: sampling, counter maintenance, replacement. */
     void fbrSampleAndReplace(PageNum page, std::uint32_t setIdx, bool hit,

@@ -52,6 +52,15 @@ TagBuffer::lookup(PageNum page)
     return e->mapping;
 }
 
+std::optional<PageMapping>
+TagBuffer::pendingRemap(PageNum page) const
+{
+    const Entry *e = const_cast<TagBuffer *>(this)->find(page);
+    if (e && e->remap)
+        return e->mapping;
+    return std::nullopt;
+}
+
 bool
 TagBuffer::insertRemap(PageNum page, PageMapping mapping)
 {
@@ -157,19 +166,19 @@ TagBuffer::canAcceptRemaps(std::uint32_t n) const
     return remapCount_ + n <= params_.entries;
 }
 
-std::vector<PageNum>
+std::vector<PteUpdate>
 TagBuffer::harvest()
 {
-    std::vector<PageNum> pages;
-    pages.reserve(remapCount_);
+    std::vector<PteUpdate> updates;
+    updates.reserve(remapCount_);
     for (auto &e : entries_) {
         if (e.valid && e.remap) {
-            pages.push_back(e.page);
+            updates.push_back(PteUpdate{e.page, e.mapping});
             e.remap = false;
         }
     }
     remapCount_ = 0;
-    return pages;
+    return updates;
 }
 
 } // namespace banshee

@@ -40,6 +40,12 @@ class TagBuffer
     std::optional<PageMapping> lookup(PageNum page);
 
     /**
+     * Mapping of @p page's remap entry, if it has one. Touches no LRU
+     * stamp and no counter (consistency checks).
+     */
+    std::optional<PageMapping> pendingRemap(PageNum page) const;
+
+    /**
      * Record a remap (remap bit set). Fails (returns false) only when
      * the set has no invalid or clean entry to displace — the caller
      * must then refuse the replacement.
@@ -72,10 +78,11 @@ class TagBuffer
     }
 
     /**
-     * The PTE-update routine: returns all remapped pages and clears
-     * their remap bits (entries stay valid as clean mapping copies).
+     * The PTE-update routine: returns every remapped page with its
+     * new mapping (the PTE bits to commit) and clears the remap bits
+     * (entries stay valid as clean mapping copies).
      */
-    std::vector<PageNum> harvest();
+    std::vector<PteUpdate> harvest();
 
     std::uint32_t remapCount() const { return remapCount_; }
 

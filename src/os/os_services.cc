@@ -31,14 +31,11 @@ OsServices::requestPteUpdate()
 void
 OsServices::updateDone()
 {
-    // Routine body: read all tag buffers, commit each page via the
-    // reverse map, then shoot down all TLBs.
-    for (auto &harvest : harvesters_) {
-        for (PageNum page : harvest()) {
-            pageTable_.commit(page);
-            ++statPagesCommitted_;
-        }
-    }
+    // Routine body: read all tag buffers, commit each remapped page's
+    // new bits to its PTE, then shoot down all TLBs.
+    for (auto &harvest : harvesters_)
+        for (const PteUpdate &u : harvest())
+            pageTable_.commit(u.page, u.mapping);
     if (updateHasHandler_)
         shootdownAll(updateHandler_);
     finishUpdate();

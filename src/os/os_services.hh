@@ -4,11 +4,10 @@
  *
  * When a Tag Buffer passes its fill threshold, hardware raises an
  * interrupt. A randomly chosen core runs the PTE-update routine: it
- * reads every tag buffer (memory mapped), walks the reverse map to
- * find all PTEs of each remapped physical page, writes the new
- * cached/way bits, then issues one system-wide TLB shootdown and
- * clears the remap bits. Replacements are locked while the routine
- * runs; demand accesses proceed unhindered.
+ * reads every tag buffer (memory mapped), writes each remapped page's
+ * new cached/way bits into its PTE, then issues one system-wide TLB
+ * shootdown and clears the remap bits. Replacements are locked while
+ * the routine runs; demand accesses proceed unhindered.
  *
  * Costs are charged as core stalls with the paper's Table 3 numbers:
  * 20 us for the routine (swept in Table 5), 4 us for the shootdown
@@ -49,10 +48,11 @@ class OsServices
     };
 
     /**
-     * Harvest callback registered by each Banshee MC: returns the
-     * pages whose remap bits are set and clears those bits.
+     * Harvest callback registered by each Banshee MC: returns every
+     * page whose remap bit is set, with its new PTE bits, and clears
+     * those remap bits.
      */
-    using HarvestFn = std::function<std::vector<PageNum>()>;
+    using HarvestFn = std::function<std::vector<PteUpdate>()>;
 
     /** Replacement lock/unlock hook registered by each Banshee MC. */
     using LockFn = std::function<void(bool)>;
@@ -65,7 +65,6 @@ class OsServices
                OsCosts costs = OsCosts{}, std::uint64_t seed = 7)
         : eq_(eq), pageTable_(pageTable), costs_(costs), rng_(seed),
           statUpdates_(stats_.counter("pteUpdateRuns")),
-          statPagesCommitted_(stats_.counter("pagesCommitted")),
           statShootdowns_(stats_.counter("tlbShootdowns"))
     {
     }
@@ -138,7 +137,6 @@ class OsServices
 
     StatSet stats_;
     Counter &statUpdates_;
-    Counter &statPagesCommitted_;
     Counter &statShootdowns_;
 };
 

@@ -7,8 +7,8 @@
  * models the predictor as perfect: traffic is charged as the average
  * number of blocks touched per page fill, managed at 4-line
  * granularity, while residency-wide hits are assumed). We track the
- * actually-touched and actually-dirtied lines of each cached page and
- * feed an EWMA of the touched-group count at eviction back into the
+ * actually-read and actually-dirtied lines of each cached page and
+ * feed an EWMA of the read-group count at eviction back into the
  * fill charge — a self-calibrating, single-pass equivalent of the
  * paper's profile-then-charge methodology.
  */
@@ -25,28 +25,19 @@ namespace banshee {
 /** Lines per footprint group (paper: 4-line granularity). */
 constexpr std::uint32_t kFootprintGroupLines = 4;
 
-/** Touched/read/dirty line masks for one page residency. */
+/** Read/dirty line masks for one page residency. */
 struct PageResidency
 {
-    std::uint64_t touched = 0;
     std::uint64_t readLines = 0;
     std::uint64_t dirty = 0;
 
     void
     touch(std::uint32_t lineIdx, bool isWrite)
     {
-        touched |= 1ull << lineIdx;
         if (isWrite)
             dirty |= 1ull << lineIdx;
         else
             readLines |= 1ull << lineIdx;
-    }
-
-    /** Number of 4-line groups with at least one touched line. */
-    std::uint32_t
-    touchedGroups() const
-    {
-        return maskGroups(touched);
     }
 
     /**
@@ -92,9 +83,9 @@ class FootprintPredictor
 
     /** Feed the footprint observed when a page is evicted. */
     void
-    observe(std::uint32_t touchedGroups)
+    observe(std::uint32_t groups)
     {
-        ewmaGroups_ = alpha_ * touchedGroups + (1.0 - alpha_) * ewmaGroups_;
+        ewmaGroups_ = alpha_ * groups + (1.0 - alpha_) * ewmaGroups_;
     }
 
     /** Predicted fill size in lines (always at least one group). */

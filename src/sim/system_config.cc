@@ -57,7 +57,6 @@ SystemConfig::testDefault()
     c.footprintScale = 1.0 / 16.0;
     c.warmupInstrPerCore = 20'000;
     c.measureInstrPerCore = 30'000;
-    c.banshee.checkStaleInvariant = true;
     return c;
 }
 

@@ -22,7 +22,6 @@ neverSample()
 {
     BansheeConfig c;
     c.samplingCoeff = 0.0; // never sample: pure demand path
-    c.checkStaleInvariant = true;
     return c;
 }
 
@@ -32,7 +31,6 @@ aggressive()
     BansheeConfig c;
     c.policy = BansheeConfig::Policy::FbrNoSample;
     c.replaceThreshold = 0.0;
-    c.checkStaleInvariant = true;
     return c;
 }
 
@@ -99,8 +97,11 @@ TEST(BansheeScheme, DirtyVictimDoublesReplacementTraffic)
     // b must have replaced a, writing the dirty victim back.
     EXPECT_GT(h.offBytes(TrafficCat::Writeback), 0u);
     EXPECT_EQ(h.offBytes(TrafficCat::Writeback) % 4096, 0u);
-    EXPECT_TRUE(h.pageTable.currentMapping(pageOfLine(b)).cached);
-    EXPECT_FALSE(h.pageTable.currentMapping(pageOfLine(a)).cached);
+    // One more PTE update publishes the swap to the PTEs.
+    h.os->requestPteUpdate();
+    h.drain();
+    EXPECT_TRUE(h.pageTable.committedMapping(pageOfLine(b)).cached);
+    EXPECT_FALSE(h.pageTable.committedMapping(pageOfLine(a)).cached);
 }
 
 TEST(BansheeScheme, StaleTlbMappingCorrectedByTagBuffer)
@@ -111,8 +112,10 @@ TEST(BansheeScheme, StaleTlbMappingCorrectedByTagBuffer)
     const PageNum page = pageOfLine(line);
     h.fetch(s, line);
     h.fetch(s, line); // cached now; PTE not yet updated
-    EXPECT_TRUE(h.pageTable.isStale(page));
-    ASSERT_TRUE(s.tagBuffer().lookup(page).has_value());
+    EXPECT_FALSE(h.pageTable.committedMapping(page).cached); // PTE lags
+    const auto tb = s.tagBuffer().lookup(page);
+    ASSERT_TRUE(tb.has_value());
+    EXPECT_TRUE(tb->cached);
 
     // A request carrying the stale "not cached" PTE bits must still be
     // served from the cache.
@@ -133,19 +136,23 @@ TEST(BansheeScheme, PteUpdateCommitsAndClearsStaleness)
     cfg.tagBuffer.ways = 4;
     BansheeScheme s(h.ctx, cfg);
     // Cache enough pages to cross the 70 % remap threshold.
+    const auto line = [](int i) { return lineOf(0x1000000 + i * kPageBytes); };
     for (int i = 0; i < 12; ++i) {
-        const LineAddr line = lineOf(0x1000000 + i * kPageBytes);
-        h.fetch(s, line);
-        h.fetch(s, line);
+        h.fetch(s, line(i));
+        h.fetch(s, line(i));
     }
     h.drain();
     EXPECT_GE(h.os->updateRuns(), 1u);
     // Replacements after the last flush leave fresh remaps behind;
-    // one more explicit update must clear everything.
+    // one more explicit update must commit everything.
     h.os->requestPteUpdate();
     h.drain();
-    EXPECT_EQ(h.pageTable.staleCount(), 0u);
     EXPECT_EQ(s.tagBuffer().remapCount(), 0u);
+    // No remap entry is left, so every resident page's PTE must name
+    // its way.
+    s.verifyResidencyConsistent();
+    for (int i = 0; i < 12; ++i)
+        EXPECT_TRUE(h.pageTable.committedMapping(pageOfLine(line(i))).cached);
 }
 
 TEST(BansheeScheme, ReplacementsBlockedWhileLocked)
@@ -153,7 +160,7 @@ TEST(BansheeScheme, ReplacementsBlockedWhileLocked)
     SchemeHarness h;
     BansheeScheme s(h.ctx, aggressive());
     // Manually lock via the OS hook path.
-    h.os->registerTagBufferHarvester([] { return std::vector<PageNum>{}; });
+    h.os->registerTagBufferHarvester([] { return std::vector<PteUpdate>{}; });
     const LineAddr line = lineOf(0x500000);
     h.fetch(s, line);
     // Lock replacements, then hammer: no page may be inserted.
@@ -221,6 +228,31 @@ TEST(BansheeScheme, ResetStatsRestartsTagBufferLookupCounts)
     EXPECT_EQ(s.tagBuffer().hits() + s.tagBuffer().misses(),
               static_cast<std::uint64_t>(fetches + writebacks));
     EXPECT_EQ(s.accesses(), static_cast<std::uint64_t>(fetches));
+}
+
+TEST(BansheeScheme, StalePteWithoutTagBufferEntryAborts)
+{
+    // A default config checks lazy coherence on each Tag Buffer miss:
+    // a PTE that claims a frame the tags do not hold, with no remap
+    // entry to cover it, stops the run on both the fetch and the
+    // writeback path.
+    const LineAddr line = lineOf(0xB00000);
+    EXPECT_DEATH(
+        {
+            SchemeHarness h;
+            BansheeScheme s(h.ctx, BansheeConfig{});
+            h.pageTable.commit(pageOfLine(line), PageMapping{true, 1});
+            h.fetch(s, line);
+        },
+        "stale PTE without a tag-buffer entry");
+    EXPECT_DEATH(
+        {
+            SchemeHarness h;
+            BansheeScheme s(h.ctx, BansheeConfig{});
+            h.pageTable.commit(pageOfLine(line), PageMapping{true, 1});
+            s.demandWriteback(line);
+        },
+        "stale PTE without a tag-buffer entry");
 }
 
 TEST(BansheeScheme, DefaultThresholdMatchesPaperFormula)

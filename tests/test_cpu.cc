@@ -276,14 +276,13 @@ TEST(Tlb, MissChargesWalkThenHits)
     EXPECT_EQ(tlb.misses(), 1u);
 }
 
-TEST(Tlb, RefillReadsCommittedNotCurrent)
+TEST(Tlb, CommitReachesTlbOnlyAfterShootdown)
 {
     PageTableManager pt;
-    pt.setCurrentMapping(42, PageMapping{true, 2}); // PTE not updated
     Tlb tlb(TlbParams{}, pt);
     auto r = tlb.lookup(42);
-    EXPECT_FALSE(r.info.cached); // stale by design
-    pt.commit(42);
+    EXPECT_FALSE(r.info.cached);
+    pt.commit(42, PageMapping{true, 2});
     // Entry still cached in the TLB: still stale until a shootdown.
     r = tlb.lookup(42);
     EXPECT_FALSE(r.info.cached);

@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests for the OS substrate: page-table current/committed
- * split (the lazy-coherence foundation), reverse-map aliasing, and
- * the PTE-update routine's cost and locking protocol.
+ * Unit tests for the OS substrate: the PTE bits that TLB refills
+ * read, and the PTE-update routine's commits, cost and locking
+ * protocol.
  */
 
 #include <gtest/gtest.h>
@@ -18,48 +18,19 @@ namespace {
 TEST(PageTable, DefaultsToUncached)
 {
     PageTableManager pt;
-    EXPECT_FALSE(pt.currentMapping(7).cached);
     EXPECT_FALSE(pt.committedMapping(7).cached);
-    EXPECT_FALSE(pt.isStale(7));
 }
 
-TEST(PageTable, RemapMakesPteStaleUntilCommit)
+TEST(PageTable, CommitSetsPteBits)
 {
     PageTableManager pt;
-    pt.setCurrentMapping(7, PageMapping{true, 3});
-    EXPECT_TRUE(pt.currentMapping(7).cached);
-    EXPECT_FALSE(pt.committedMapping(7).cached); // PTE lags
-    EXPECT_TRUE(pt.isStale(7));
-    EXPECT_EQ(pt.staleCount(), 1u);
-
-    pt.commit(7);
+    pt.commit(7, PageMapping{true, 3});
     EXPECT_TRUE(pt.committedMapping(7).cached);
     EXPECT_EQ(pt.committedMapping(7).way, 3);
-    EXPECT_FALSE(pt.isStale(7));
-    EXPECT_EQ(pt.staleCount(), 0u);
-}
+    EXPECT_FALSE(pt.committedMapping(8).cached); // other pages untouched
 
-TEST(PageTable, CommitWritesOnePtePerAlias)
-{
-    PageTableManager pt;
-    pt.setCurrentMapping(5, PageMapping{true, 1});
-    EXPECT_EQ(pt.commit(5), 1u); // no aliases: one PTE
-    pt.addAlias(5, 0xAAAA);
-    pt.addAlias(5, 0xBBBB);
-    pt.setCurrentMapping(5, PageMapping{false, 0});
-    // The reverse map must reach all three PTEs (paper Section 3.4:
-    // this is the aliasing case TDC's inverted page table misses).
-    EXPECT_EQ(pt.commit(5), 3u);
-    EXPECT_EQ(pt.aliasesOf(5).size(), 2u);
-}
-
-TEST(PageTable, RemapToSameMappingIsNotStale)
-{
-    PageTableManager pt;
-    pt.setCurrentMapping(4, PageMapping{true, 2});
-    pt.commit(4);
-    pt.setCurrentMapping(4, PageMapping{true, 2});
-    EXPECT_FALSE(pt.isStale(4)); // mapping value unchanged
+    pt.commit(7, PageMapping{});
+    EXPECT_FALSE(pt.committedMapping(7).cached);
 }
 
 class OsServicesTest : public ::testing::Test
@@ -72,16 +43,16 @@ class OsServicesTest : public ::testing::Test
 TEST_F(OsServicesTest, UpdateCommitsHarvestedPages)
 {
     OsServices os(eq, pt);
-    pt.setCurrentMapping(1, PageMapping{true, 0});
-    pt.setCurrentMapping(2, PageMapping{true, 1});
-    os.registerTagBufferHarvester(
-        [] { return std::vector<PageNum>{1, 2}; });
+    os.registerTagBufferHarvester([] {
+        return std::vector<PteUpdate>{{1, {true, 0}}, {2, {true, 1}}};
+    });
     os.requestPteUpdate();
     EXPECT_TRUE(os.updateInProgress());
+    EXPECT_FALSE(pt.committedMapping(1).cached); // commits at the end
     eq.run();
     EXPECT_FALSE(os.updateInProgress());
-    EXPECT_EQ(pt.staleCount(), 0u);
-    EXPECT_EQ(os.stats().value("pagesCommitted"), 2u);
+    EXPECT_TRUE(pt.committedMapping(1) == (PageMapping{true, 0}));
+    EXPECT_TRUE(pt.committedMapping(2) == (PageMapping{true, 1}));
 }
 
 TEST_F(OsServicesTest, RoutineTakesConfiguredTime)
@@ -89,7 +60,7 @@ TEST_F(OsServicesTest, RoutineTakesConfiguredTime)
     OsCosts costs;
     costs.pteUpdateRoutine = usToCycles(20.0);
     OsServices os(eq, pt, costs);
-    os.registerTagBufferHarvester([] { return std::vector<PageNum>{}; });
+    os.registerTagBufferHarvester([] { return std::vector<PteUpdate>{}; });
     os.requestPteUpdate();
     eq.run();
     EXPECT_EQ(eq.now(), usToCycles(20.0)); // 54000 cycles at 2.7 GHz
@@ -102,7 +73,7 @@ TEST_F(OsServicesTest, LocksHeldForRoutineDuration)
     os.registerReplacementLock([&](bool locked) {
         lockTrace.emplace_back(eq.now(), locked);
     });
-    os.registerTagBufferHarvester([] { return std::vector<PageNum>{}; });
+    os.registerTagBufferHarvester([] { return std::vector<PteUpdate>{}; });
     os.requestPteUpdate();
     eq.run();
     ASSERT_EQ(lockTrace.size(), 2u);
@@ -122,7 +93,7 @@ TEST_F(OsServicesTest, HandlerCoreStalledShootdownCostsSplit)
             [&stalls, c](Cycle cy) { stalls[c] += cy; },
             [&flushes] { ++flushes; }});
     }
-    os.registerTagBufferHarvester([] { return std::vector<PageNum>{}; });
+    os.registerTagBufferHarvester([] { return std::vector<PteUpdate>{}; });
     os.requestPteUpdate();
     eq.run();
     EXPECT_EQ(flushes, 3); // system-wide shootdown
@@ -143,7 +114,7 @@ TEST_F(OsServicesTest, ConcurrentRequestsCoalesce)
     int harvests = 0;
     os.registerTagBufferHarvester([&harvests] {
         ++harvests;
-        return std::vector<PageNum>{};
+        return std::vector<PteUpdate>{};
     });
     os.requestPteUpdate();
     os.requestPteUpdate(); // ignored: one already in flight

@@ -9,7 +9,7 @@
  *  - the resize policy's schedule decisions;
  *  - end-to-end transitions on the full machine: no dirty page is
  *    lost across a shrink (traffic accounting + directory/page-table
- *    consistency, with checkStaleInvariant armed throughout), grows
+ *    consistency, with the lazy-coherence check every run makes), grows
  *    restore capacity, and a consistent-hash resize moves less
  *    off-package data than a naive flush-resize.
  */
@@ -602,7 +602,6 @@ runAndDrain(System &s)
 TEST(ResizeEndToEnd, ShrinkMigratesWithoutLosingDirtyPages)
 {
     SystemConfig c = resizeBase("omnetpp");
-    ASSERT_TRUE(c.banshee.checkStaleInvariant);
     c.withResizeStep(1, 4);
     System s(c);
     runAndDrain(s);
@@ -619,8 +618,8 @@ TEST(ResizeEndToEnd, ShrinkMigratesWithoutLosingDirtyPages)
     // Migration invariant: every dirty page that left the cache made
     // exactly one page-sized trip in-package -> off-package under the
     // Migration category; clean drops moved nothing. A lost dirty
-    // page would break this accounting (or the staleness invariant
-    // armed during the whole run).
+    // page would break this accounting (or the lazy-coherence check
+    // made during the whole run).
     const std::uint64_t offMig =
         s.memSystem().offPkg()->traffic().bytes(TrafficCat::Migration);
     const std::uint64_t inMig =

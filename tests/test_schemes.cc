@@ -28,15 +28,16 @@ using testing::SchemeHarness;
 TEST(Footprint, ResidencyGroupCounting)
 {
     PageResidency r;
-    EXPECT_EQ(r.touchedGroups(), 0u);
+    EXPECT_EQ(r.readGroups(), 0u);
     r.touch(0, false);
     r.touch(1, false);
-    EXPECT_EQ(r.touchedGroups(), 1u); // lines 0-3 = one group
+    EXPECT_EQ(r.readGroups(), 1u); // lines 0-3 = one group
     r.touch(4, true);
-    EXPECT_EQ(r.touchedGroups(), 2u);
+    EXPECT_EQ(r.readGroups(), 1u); // a written group is not read
     EXPECT_EQ(r.dirtyGroups(), 1u);
     r.touch(63, false);
-    EXPECT_EQ(r.touchedGroups(), 3u);
+    EXPECT_EQ(r.readGroups(), 2u);
+    EXPECT_EQ(r.dirtyGroups(), 1u);
 }
 
 TEST(Footprint, PredictorConvergesAndClamps)

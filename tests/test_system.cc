@@ -2,8 +2,8 @@
  * @file
  * Integration and property tests: every scheme runs end-to-end on a
  * tiny system without losing a memory response; the lazy-coherence
- * invariant holds under the full machine (checkStaleInvariant); the
- * bounding baselines bound; results are deterministic.
+ * invariant, which every Banshee run checks, holds under the full
+ * machine; the bounding baselines bound; results are deterministic.
  */
 
 #include <gtest/gtest.h>
@@ -97,11 +97,10 @@ TEST(SystemIntegration, BansheeCachesACacheableWorkingSet)
 
 TEST(SystemIntegration, StaleInvariantHoldsUnderFullMachine)
 {
-    // testDefault() enables checkStaleInvariant: any request whose
-    // stale mapping the Tag Buffer fails to correct panics. Running
-    // a replacement-heavy workload to completion is the assertion.
+    // Every Banshee run checks lazy coherence: a Tag Buffer miss whose
+    // PTE or carried bits disagree with the tags panics. Running a
+    // replacement-heavy workload to completion is the assertion.
     SystemConfig c = tiny(SchemeKind::Banshee, "omnetpp");
-    ASSERT_TRUE(c.banshee.checkStaleInvariant);
     System s(c);
     const RunResult r = s.run();
     EXPECT_GT(r.dramCacheAccesses, 0u);
@@ -161,7 +160,8 @@ TEST(SystemIntegration, PteUpdatesTriggeredByReplacementChurn)
     const RunResult r = s.run();
     EXPECT_GT(r.pteUpdateRuns, 0u);
     EXPECT_GT(r.tlbShootdowns, 0u);
-    EXPECT_EQ(s.pageTable().staleCount(), s.pageTable().staleCount());
+    for (std::uint32_t mc = 0; mc < s.config().mem.numMcs; ++mc)
+        s.memSystem().scheme(mc).resizeHost()->verifyResidencyConsistent();
 }
 
 TEST(SystemIntegration, LargePagesRunEndToEnd)
@@ -172,7 +172,6 @@ TEST(SystemIntegration, LargePagesRunEndToEnd)
     c.footprintScale = 0.25;
     c.banshee.pageBits = kLargePageBits;
     c.banshee.samplingCoeff = 0.001;
-    c.banshee.checkStaleInvariant = false; // TLB is 4K-grained
     c.mem.mcStripeBits = kLargePageBits;
     c.tlb.missLatency = 0;
     System s(c);
@@ -258,7 +257,6 @@ TEST(SystemIntegration, LargePagesWithResizeRunValidlyConfigured)
     c.footprintScale = 0.25;
     c.banshee.pageBits = kLargePageBits;
     c.banshee.samplingCoeff = 0.001;
-    c.banshee.checkStaleInvariant = false; // TLB is 4K-grained
     c.tlb.missLatency = 0;
     c.withResizeStep(1, 4);
     System s(c);

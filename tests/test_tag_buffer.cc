@@ -2,8 +2,9 @@
  * @file
  * Unit tests for the Tag Buffer (paper Section 3.3): lookup/override
  * semantics, remap pinning, clean-entry replacement, the flush
- * threshold, harvest, and the pair-admission check used before a
- * replacement commits.
+ * threshold, harvest with the mappings it hands the PTE update, the
+ * side-effect-free remap read, and the pair-admission check used
+ * before a replacement commits.
  */
 
 #include <gtest/gtest.h>
@@ -105,15 +106,41 @@ TEST(TagBuffer, HarvestReturnsAllRemapsAndClearsBits)
 {
     TagBuffer tb(tiny());
     for (PageNum p = 0; p < 8; ++p)
-        tb.insertRemap(p, PageMapping{true, 0});
-    auto pages = tb.harvest();
-    EXPECT_EQ(pages.size(), 8u);
+        tb.insertRemap(p, PageMapping{true, static_cast<std::uint8_t>(p % 4)});
+    const auto updates = tb.harvest();
+    EXPECT_EQ(updates.size(), 8u);
+    // Each page comes with the mapping its PTE must take.
+    for (const PteUpdate &u : updates) {
+        EXPECT_TRUE(u.mapping.cached);
+        EXPECT_EQ(u.mapping.way, u.page % 4);
+    }
     EXPECT_EQ(tb.remapCount(), 0u);
     // Entries remain as clean mapping copies (probe filter).
     for (PageNum p = 0; p < 8; ++p)
         EXPECT_TRUE(tb.lookup(p).has_value());
     // And are now displaceable again.
     EXPECT_TRUE(tb.insertRemap(100, PageMapping{true, 1}));
+}
+
+TEST(TagBuffer, PendingRemapReadsOnlyRemapsAndTouchesNothing)
+{
+    // One set: clean entries for pages 1, 2 and 4, a remap for 3.
+    TagBuffer tb(tiny(4, 4));
+    tb.insertClean(1, PageMapping{true, 0});
+    tb.insertClean(2, PageMapping{true, 1});
+    EXPECT_TRUE(tb.insertRemap(3, PageMapping{true, 2}));
+    tb.insertClean(4, PageMapping{true, 3});
+    EXPECT_FALSE(tb.pendingRemap(1).has_value()); // clean
+    EXPECT_FALSE(tb.pendingRemap(9).has_value()); // absent
+    const auto m = tb.pendingRemap(3);
+    ASSERT_TRUE(m.has_value());
+    EXPECT_EQ(m->way, 2);
+    // No lookup was counted, and page 1 is still the LRU clean entry:
+    // the next clean insert displaces it.
+    EXPECT_EQ(tb.hits() + tb.misses(), 0u);
+    tb.insertClean(5, PageMapping{});
+    EXPECT_FALSE(tb.lookup(1).has_value());
+    EXPECT_TRUE(tb.lookup(2).has_value());
 }
 
 TEST(TagBuffer, CanAcceptRemapsGlobal)
