@@ -1,6 +1,7 @@
 /**
  * @file
- * Generic set-associative SRAM cache used for L1I/L1D/L2/L3.
+ * Generic set-associative SRAM cache used for L1I/L1D/L2/L3 and the
+ * TLBs.
  *
  * The hierarchy is functional-immediate: lookups update state at call
  * time and latencies are accounted by the caller. Only DRAM is
@@ -39,9 +40,13 @@ struct CacheParams
  * update that way directly, without scanning. A slot stays valid until
  * its line is evicted or invalidated.
  *
- * A set's tags are stored contiguously, apart from its LRU stamps,
- * metadata and dirty bits, so a scan touches only the tag array (a
- * 16-way set's tags fill two 64 B host lines).
+ * A set's tags are stored contiguously, apart from its metadata words
+ * and its one replacement record, so a scan touches only the tag
+ * array (a 16-way set's tags fill two 64 B host lines). The record
+ * holds the set's exact LRU order, one 4-bit way index per recency
+ * rank packed in one word, and its dirty ways as a bit mask: a hit
+ * rewrites that word, and an eviction takes the way at its LRU end.
+ * Hence at most kMaxWays ways, a power of two.
  */
 class Cache
 {
@@ -78,6 +83,9 @@ class Cache
         Victim victim;
     };
 
+    /** Most ways a set's LRU order word can rank (4 bits each). */
+    static constexpr std::uint32_t kMaxWays = 16;
+
     explicit Cache(const CacheParams &params);
 
     /**
@@ -99,6 +107,9 @@ class Cache
      */
     Victim invalidate(LineAddr line);
 
+    /** Remove every line (e.g. a TLB shootdown). */
+    void invalidateAll();
+
     /** True if @p slot names a way that holds @p line. No scan. */
     bool
     holds(Slot slot, LineAddr line) const
@@ -113,7 +124,11 @@ class Cache
     void setMeta(Slot slot, std::uint64_t meta) { meta_[slot.index()] = meta; }
 
     /** Mark a resident line dirty. */
-    void setDirty(Slot slot) { dirty_[slot.index()] = 1; }
+    void
+    setDirty(Slot slot)
+    {
+        sets_[slot.index() >> waysLog2_].dirty |= wayBit(slot.index());
+    }
 
     std::uint32_t numSets() const { return numSets_; }
     std::uint32_t ways() const { return ways_; }
@@ -128,17 +143,33 @@ class Cache
     /** Tag of an empty way (no line address reaches it). */
     static constexpr LineAddr kNoLine = ~0ull;
 
-    std::uint32_t setBase(LineAddr line) const;
+    /** One set's replacement state. */
+    struct SetState
+    {
+        /** Way index per recency rank, 4 bits each; rank 0 (the low
+         *  nibble) is the most recently used, rank ways-1 the LRU. */
+        std::uint64_t order = 0;
+        std::uint16_t dirty = 0; ///< bit w: way w is dirty
+    };
+
+    std::uint32_t setIndex(LineAddr line) const;
     Slot find(LineAddr line) const;
+
+    /** The dirty-mask bit of the way @p index names. */
+    std::uint16_t
+    wayBit(std::uint32_t index) const
+    {
+        return static_cast<std::uint16_t>(1u << (index & (ways_ - 1)));
+    }
 
     std::uint32_t numSets_;
     std::uint32_t ways_;
+    std::uint32_t waysLog2_;
     /** Per way, indexed by set * ways + way. */
     std::vector<LineAddr> tags_;
-    std::vector<std::uint64_t> stamps_; ///< LRU ordering stamps
     std::vector<std::uint64_t> meta_;
-    std::vector<std::uint8_t> dirty_;
-    std::uint64_t stampCounter_ = 1;
+    /** Per set. */
+    std::vector<SetState> sets_;
 
     StatSet stats_;
     Counter &statHits_;

@@ -18,8 +18,7 @@ AliasTable::AliasTable(const std::vector<double> &weights)
     }
     sim_assert(total > 0.0, "alias table needs positive total weight");
 
-    prob_.assign(n, 0.0);
-    alias_.assign(n, 0);
+    buckets_.assign(n, Bucket{});
 
     // Scaled probabilities; partition into under- and over-full buckets.
     std::vector<double> scaled(n);
@@ -39,8 +38,8 @@ AliasTable::AliasTable(const std::vector<double> &weights)
         small.pop_back();
         const std::uint32_t l = large.back();
         large.pop_back();
-        prob_[s] = scaled[s];
-        alias_[s] = l;
+        buckets_[s].prob = scaled[s];
+        buckets_[s].alias = l;
         scaled[l] = (scaled[l] + scaled[s]) - 1.0;
         if (scaled[l] < 1.0)
             small.push_back(l);
@@ -49,9 +48,9 @@ AliasTable::AliasTable(const std::vector<double> &weights)
     }
     // Remaining buckets are (numerically) exactly full.
     for (std::uint32_t l : large)
-        prob_[l] = 1.0;
+        buckets_[l].prob = 1.0;
     for (std::uint32_t s : small)
-        prob_[s] = 1.0;
+        buckets_[s].prob = 1.0;
 }
 
 std::vector<double>

@@ -10,6 +10,7 @@
 #define BANSHEE_COMMON_ALIAS_TABLE_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.hh"
@@ -30,21 +31,29 @@ class AliasTable
     explicit AliasTable(const std::vector<double> &weights);
 
     /** Number of outcomes (0 if default-constructed). */
-    std::size_t size() const { return prob_.size(); }
+    std::size_t size() const { return buckets_.size(); }
 
-    bool empty() const { return prob_.empty(); }
+    bool empty() const { return buckets_.empty(); }
 
     /** Draw one index. Table must be non-empty. */
     std::size_t
     sample(Rng &rng) const
     {
-        const std::size_t i = rng.nextBelow(prob_.size());
-        return rng.nextDouble() < prob_[i] ? i : alias_[i];
+        const std::size_t i = rng.nextBelow(buckets_.size());
+        const Bucket &b = buckets_[i];
+        return rng.nextDouble() < b.prob ? i : b.alias;
     }
 
   private:
-    std::vector<double> prob_;
-    std::vector<std::uint32_t> alias_;
+    /** A bucket's two fields side by side: one draw reads one host
+     *  line. */
+    struct Bucket
+    {
+        double prob = 0.0;
+        std::uint32_t alias = 0;
+    };
+
+    std::vector<Bucket> buckets_;
 };
 
 /**

@@ -1,66 +1,59 @@
 #include "cpu/tlb.hh"
 
-#include "common/log.hh"
-
 namespace banshee {
 
-Tlb::Tlb(const TlbParams &params, const PageTableManager &pageTable)
-    : params_(params), pageTable_(pageTable),
-      statHits_(stats_.counter("hits")),
-      statMisses_(stats_.counter("misses")),
-      statShootdowns_(stats_.counter("shootdowns"))
+namespace {
+
+/** PTE bits as an entry's meta word: bit 0 cached, bits 8.. the way. */
+std::uint64_t
+packPte(const PageMapping &m)
 {
-    sim_assert(params.entries % params.ways == 0,
-               "TLB entries not divisible by ways");
-    numSets_ = params.entries / params.ways;
-    sim_assert(isPow2(numSets_), "TLB sets must be a power of two");
-    entries_.assign(params.entries, Entry{});
+    return (m.cached ? 1u : 0u) | static_cast<std::uint64_t>(m.way) << 8;
+}
+
+MappingInfo
+unpackPte(std::uint64_t meta)
+{
+    MappingInfo info;
+    info.valid = true;
+    info.cached = (meta & 1) != 0;
+    info.way = static_cast<std::uint8_t>(meta >> 8);
+    return info;
+}
+
+} // namespace
+
+Tlb::Tlb(const TlbParams &params, const PageTableManager &pageTable)
+    : missLatency_(params.missLatency), pageTable_(pageTable),
+      entries_(CacheParams{"tlb", std::uint64_t{params.entries} * kLineBytes,
+                           params.ways})
+{
 }
 
 Tlb::LookupResult
 Tlb::lookup(PageNum page)
 {
-    Entry *set = &entries_[static_cast<std::uint64_t>(page & (numSets_ - 1)) *
-                           params_.ways];
-    for (std::uint32_t w = 0; w < params_.ways; ++w) {
-        if (set[w].valid && set[w].page == page) {
-            set[w].stamp = stampCounter_++;
-            ++statHits_;
-            return LookupResult{set[w].info, 0};
-        }
-    }
+    if (const Cache::Slot s = entries_.lookup(page, false))
+        return LookupResult{unpackPte(entries_.meta(s)), 0};
 
     // Miss: page walk reads the committed PTE.
-    ++statMisses_;
-    const PageMapping m = pageTable_.committedMapping(page);
-    MappingInfo info;
-    info.valid = true;
-    info.cached = m.cached;
-    info.way = m.way;
-
-    Entry *victim = &set[0];
-    for (std::uint32_t w = 1; w < params_.ways; ++w) {
-        if (!set[w].valid) {
-            victim = &set[w];
-            break;
-        }
-        if (set[w].stamp < victim->stamp)
-            victim = &set[w];
-    }
-    victim->page = page;
-    victim->info = info;
-    victim->stamp = stampCounter_++;
-    victim->valid = true;
-
-    return LookupResult{info, params_.missLatency};
+    const std::uint64_t pte = packPte(pageTable_.committedMapping(page));
+    entries_.insert(page, false, pte);
+    return LookupResult{unpackPte(pte), missLatency_};
 }
 
 void
 Tlb::flushAll()
 {
-    ++statShootdowns_;
-    for (auto &e : entries_)
-        e.valid = false;
+    ++shootdowns_;
+    entries_.invalidateAll();
+}
+
+void
+Tlb::resetStats()
+{
+    entries_.stats().reset();
+    shootdowns_ = 0;
 }
 
 } // namespace banshee

@@ -5,15 +5,17 @@
  * Entries are refilled from the *committed* PTE view, so between a
  * hardware remap and the next batch PTE update the TLB serves stale
  * mapping bits — by design. Shootdowns (flushAll) restore coherence.
+ *
+ * The entries are an LRU Cache of page numbers whose meta word holds
+ * the PTE bits.
  */
 
 #ifndef BANSHEE_CPU_TLB_HH
 #define BANSHEE_CPU_TLB_HH
 
 #include <cstdint>
-#include <vector>
 
-#include "common/stats.hh"
+#include "cache/cache.hh"
 #include "common/types.hh"
 #include "mem/request.hh"
 #include "os/page_table.hh"
@@ -44,31 +46,18 @@ class Tlb
     /** TLB shootdown: drop every entry. */
     void flushAll();
 
-    std::uint64_t hits() const { return statHits_.value(); }
-    std::uint64_t misses() const { return statMisses_.value(); }
-    std::uint64_t shootdowns() const { return statShootdowns_.value(); }
+    std::uint64_t hits() const { return entries_.hits(); }
+    std::uint64_t misses() const { return entries_.misses(); }
+    std::uint64_t shootdowns() const { return shootdowns_; }
 
-    StatSet &stats() { return stats_; }
+    /** Restart the hit, miss and shootdown counts (warmup boundary). */
+    void resetStats();
 
   private:
-    struct Entry
-    {
-        PageNum page = 0;
-        MappingInfo info;
-        std::uint64_t stamp = 0;
-        bool valid = false;
-    };
-
-    TlbParams params_;
+    Cycle missLatency_;
     const PageTableManager &pageTable_;
-    std::uint32_t numSets_;
-    std::vector<Entry> entries_;
-    std::uint64_t stampCounter_ = 1;
-
-    StatSet stats_;
-    Counter &statHits_;
-    Counter &statMisses_;
-    Counter &statShootdowns_;
+    Cache entries_;
+    std::uint64_t shootdowns_ = 0;
 };
 
 } // namespace banshee

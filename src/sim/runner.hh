@@ -15,7 +15,10 @@
  *  - the `warn_once` dedup flags (atomic);
  *  - the trace-replay buffer cache (`TracePattern::sharedFromFile`,
  *    mutex-guarded), which hands every replay of one file the same
- *    immutable records.
+ *    immutable records;
+ *  - the Zipf alias-table cache (`ZipfPagePattern`'s constructor,
+ *    mutex-guarded, weak entries), which hands every pattern over the
+ *    same (pages, alpha) the same immutable table.
  * Sweeps therefore spread freely across threads with no
  * simulation-visible interaction between experiments.
  *

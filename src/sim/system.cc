@@ -473,7 +473,7 @@ System::resetAllStats()
     if (resize_)
         resize_->resetStats();
     for (auto &tlb : tlbs_)
-        tlb->stats().reset();
+        tlb->resetStats();
 }
 
 RunResult

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "common/log.hh"
 
@@ -64,6 +67,57 @@ permute(std::uint64_t rank, std::uint64_t numPages)
     return permutedBlock * kBlockPages + offset;
 }
 
+/**
+ * Alias table over the Zipf(alpha) ranks of @p numPages pages. It
+ * covers ranks [0, hotPages); the tail beyond them is one extra bucket
+ * with the tail's aggregate probability, sampled uniformly by next().
+ * This keeps construction O(64K) for multi-GB regions while preserving
+ * the head of the distribution, which is what matters for caching.
+ */
+AliasTable
+zipfTable(std::uint64_t numPages, std::uint64_t hotPages, double alpha)
+{
+    std::vector<double> weights = zipfWeights(hotPages, alpha);
+    if (hotPages < numPages) {
+        double tail = 0.0;
+        // Integral approximation of sum_{i=hot}^{n} i^-alpha.
+        if (alpha == 1.0) {
+            tail = std::log(static_cast<double>(numPages) /
+                            static_cast<double>(hotPages));
+        } else {
+            const double a = 1.0 - alpha;
+            tail = (std::pow(static_cast<double>(numPages), a) -
+                    std::pow(static_cast<double>(hotPages), a)) /
+                   a;
+        }
+        weights.push_back(std::max(tail, 0.0));
+    }
+    return AliasTable(weights);
+}
+
+/** Process-wide cache of Zipf tables, keyed by (pages, alpha), so the
+ *  cores of one System and the Systems of one sweep share each table.
+ *  The mutex covers only lookup and build: draws read the immutable
+ *  table lock-free. Entries are weak, so a table dies with its last
+ *  pattern. */
+std::mutex zipfCacheMutex;
+std::map<std::pair<std::uint64_t, double>, std::weak_ptr<const AliasTable>>
+    zipfCache;
+
+std::shared_ptr<const AliasTable>
+sharedZipfTable(std::uint64_t numPages, std::uint64_t hotPages, double alpha)
+{
+    std::lock_guard<std::mutex> lock(zipfCacheMutex);
+    std::weak_ptr<const AliasTable> &cached = zipfCache[{numPages, alpha}];
+    std::shared_ptr<const AliasTable> table = cached.lock();
+    if (!table) {
+        table = std::make_shared<const AliasTable>(
+            zipfTable(numPages, hotPages, alpha));
+        cached = table;
+    }
+    return table;
+}
+
 } // namespace
 
 ZipfPagePattern::ZipfPagePattern(Addr base, std::uint64_t numPages,
@@ -72,39 +126,19 @@ ZipfPagePattern::ZipfPagePattern(Addr base, std::uint64_t numPages,
                                  std::uint32_t nonMemMean)
     : base_(base), numPages_(numPages),
       linesPerVisit_(std::min<std::uint32_t>(linesPerVisit, kLinesPerPage)),
-      writeFraction_(writeFraction), nonMemMean_(nonMemMean)
+      writeFraction_(writeFraction), nonMemMean_(nonMemMean),
+      hotPages_(std::min<std::uint64_t>(numPages, 1ull << 16))
 {
     sim_assert(numPages_ > 0, "empty zipf region");
     sim_assert(linesPerVisit_ > 0, "need at least one line per visit");
-    // Cap the alias table size; the tail beyond it is sampled
-    // uniformly with the tail's aggregate probability. This keeps
-    // construction O(64K) for multi-GB regions while preserving the
-    // head of the distribution, which is what matters for caching.
-    hotPages_ = std::min<std::uint64_t>(numPages_, 1ull << 16);
-    std::vector<double> weights = zipfWeights(hotPages_, alpha);
-    if (hotPages_ < numPages_) {
-        // One extra bucket representing all tail pages together.
-        double tail = 0.0;
-        // Integral approximation of sum_{i=hot}^{n} i^-alpha.
-        if (alpha == 1.0) {
-            tail = std::log(static_cast<double>(numPages_) /
-                            static_cast<double>(hotPages_));
-        } else {
-            const double a = 1.0 - alpha;
-            tail = (std::pow(static_cast<double>(numPages_), a) -
-                    std::pow(static_cast<double>(hotPages_), a)) /
-                   a;
-        }
-        weights.push_back(std::max(tail, 0.0));
-    }
-    table_ = AliasTable(weights);
+    table_ = sharedZipfTable(numPages_, hotPages_, alpha);
 }
 
 MemOp
 ZipfPagePattern::next(Rng &rng)
 {
     if (left_ == 0) {
-        std::uint64_t rank = table_.sample(rng);
+        std::uint64_t rank = table_->sample(rng);
         if (rank >= hotPages_) {
             // Tail bucket: uniform over the cold pages.
             rank = hotPages_ + rng.nextBelow(numPages_ - hotPages_);

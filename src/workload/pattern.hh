@@ -104,7 +104,9 @@ class StreamPattern : public AccessPattern
  * the *page-level* spatial locality is linesPerVisit/64 — the knob
  * that separates graph codes from omnetpp/milc in the paper's
  * analysis. Page ranks are permuted by a multiplicative hash so hot
- * pages spread uniformly over cache sets.
+ * pages spread uniformly over cache sets. Every pattern over the same
+ * (numPages, alpha) in the process draws from one shared, immutable
+ * alias table.
  */
 class ZipfPagePattern : public AccessPattern
 {
@@ -122,8 +124,8 @@ class ZipfPagePattern : public AccessPattern
     double writeFraction_;
     std::uint32_t nonMemMean_;
 
-    AliasTable table_;
     std::uint64_t hotPages_;   ///< alias table covers ranks [0, hotPages)
+    std::shared_ptr<const AliasTable> table_;
     std::uint64_t curPage_ = 0;
     std::uint32_t curLine_ = 0;
     std::uint32_t left_ = 0;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -152,6 +153,185 @@ INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheGeometryTest,
     ::testing::Combine(::testing::Values(2, 4, 6),
                        ::testing::Values(1, 2, 4, 8, 16)));
+
+TEST(Cache, WaysBeyondTheSetRecordAbort)
+{
+    // A set's LRU order packs one 4-bit way index per rank in a word.
+    EXPECT_DEATH(Cache{smallCache(3)},
+                 "t: ways must be a power of two in .1, 16., not 3");
+    EXPECT_DEATH(Cache{smallCache(32)},
+                 "t: ways must be a power of two in .1, 16., not 32");
+}
+
+/**
+ * Reference model: LRU by per-way stamps from one global clock, the
+ * first free way on a fill, and a scan for the smallest stamp on an
+ * eviction. Slots are set * ways + way, as in Cache.
+ */
+class StampLru
+{
+  public:
+    StampLru(std::uint32_t sets, std::uint32_t ways)
+        : sets_(sets), ways_(ways), entries_(sets * ways)
+    {
+    }
+
+    int
+    find(LineAddr line) const
+    {
+        const std::uint32_t base = (line % sets_) * ways_;
+        for (std::uint32_t w = base; w < base + ways_; ++w) {
+            if (entries_[w].valid && entries_[w].line == line)
+                return static_cast<int>(w);
+        }
+        return -1;
+    }
+
+    int
+    lookup(LineAddr line, bool isWrite)
+    {
+        const int i = find(line);
+        if (i >= 0) {
+            entries_[i].stamp = ++clock_;
+            entries_[i].dirty |= isWrite;
+        }
+        return i;
+    }
+
+    std::pair<int, Cache::Victim>
+    insert(LineAddr line, bool dirty, std::uint64_t meta)
+    {
+        const std::uint32_t base = (line % sets_) * ways_;
+        std::uint32_t pick = base;
+        for (std::uint32_t w = base; w < base + ways_; ++w) {
+            if (!entries_[w].valid) {
+                pick = w;
+                break;
+            }
+            if (entries_[w].stamp < entries_[pick].stamp)
+                pick = w;
+        }
+        Cache::Victim victim = entries_[pick].victim();
+        entries_[pick] = Entry{line, true, dirty, meta, ++clock_};
+        return {static_cast<int>(pick), victim};
+    }
+
+    Cache::Victim
+    invalidate(LineAddr line)
+    {
+        const int i = find(line);
+        if (i < 0)
+            return Cache::Victim{};
+        const Cache::Victim out = entries_[i].victim();
+        entries_[i].valid = false;
+        return out;
+    }
+
+    void setDirty(int i) { entries_[i].dirty = true; }
+    void setMeta(int i, std::uint64_t meta) { entries_[i].meta = meta; }
+    std::uint64_t meta(int i) const { return entries_[i].meta; }
+
+  private:
+    struct Entry
+    {
+        LineAddr line = 0;
+        bool valid = false;
+        bool dirty = false;
+        std::uint64_t meta = 0;
+        std::uint64_t stamp = 0;
+
+        Cache::Victim
+        victim() const
+        {
+            return valid ? Cache::Victim{true, dirty, line, meta}
+                         : Cache::Victim{};
+        }
+    };
+
+    std::uint32_t sets_;
+    std::uint32_t ways_;
+    std::vector<Entry> entries_;
+    std::uint64_t clock_ = 0;
+};
+
+class CacheReferenceTest : public ::testing::TestWithParam<std::uint32_t>
+{
+};
+
+TEST_P(CacheReferenceTest, MatchesStampLru)
+{
+    // A seeded random mix of lookups, fills, invalidations and slot
+    // updates over three times the lines the cache holds, so every set
+    // fills, evicts and refills freed ways; every result must match
+    // the reference.
+    const std::uint32_t ways = GetParam();
+    constexpr std::uint32_t kSets = 8;
+    Cache cache(smallCache(ways));
+    StampLru ref(kSets, ways);
+    const std::uint64_t universe = 3ull * kSets * ways;
+    Rng rng(ways);
+    auto slotOf = [](Cache::Slot s) {
+        return s ? static_cast<int>(s.index()) : -1;
+    };
+    auto expectVictim = [](const Cache::Victim &got,
+                           const Cache::Victim &want) {
+        EXPECT_EQ(got.valid, want.valid);
+        EXPECT_EQ(got.dirty, want.dirty);
+        EXPECT_EQ(got.line, want.line);
+        EXPECT_EQ(got.meta, want.meta);
+    };
+    std::uint64_t hits = 0, misses = 0, evictions = 0;
+    for (int step = 0; step < 50000; ++step) {
+        const LineAddr line = rng.nextBelow(universe);
+        const int held = ref.find(line);
+        ASSERT_EQ(slotOf(cache.contains(line)), held) << "step " << step;
+        switch (rng.nextBelow(5)) {
+        case 0: {
+            const bool isWrite = rng.nextBool(0.3);
+            const int slot = ref.lookup(line, isWrite);
+            ASSERT_EQ(slotOf(cache.lookup(line, isWrite)), slot);
+            ++(slot >= 0 ? hits : misses);
+            break;
+        }
+        case 1:
+        case 2:
+            if (held < 0) {
+                const bool dirty = rng.nextBool(0.3);
+                const std::uint64_t meta = rng.next();
+                const Cache::Placement got = cache.insert(line, dirty, meta);
+                const auto [slot, victim] = ref.insert(line, dirty, meta);
+                ASSERT_EQ(slotOf(got.slot), slot) << "step " << step;
+                expectVictim(got.victim, victim);
+                evictions += victim.valid;
+            }
+            break;
+        case 3:
+            expectVictim(cache.invalidate(line), ref.invalidate(line));
+            break;
+        default:
+            if (held >= 0) {
+                const Cache::Slot s(static_cast<std::uint32_t>(held));
+                ASSERT_EQ(cache.meta(s), ref.meta(held));
+                if (rng.nextBool(0.5)) {
+                    cache.setDirty(s);
+                    ref.setDirty(held);
+                } else {
+                    const std::uint64_t meta = rng.next();
+                    cache.setMeta(s, meta);
+                    ref.setMeta(held, meta);
+                }
+            }
+            break;
+        }
+    }
+    EXPECT_EQ(cache.hits(), hits);
+    EXPECT_EQ(cache.misses(), misses);
+    EXPECT_EQ(cache.stats().value("evictions"), evictions);
+    EXPECT_GT(evictions, 1000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ways, CacheReferenceTest,
+                         ::testing::Values(1u, 2u, 4u, 8u, 16u));
 
 //
 // Hierarchy tests with a recording backend.

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <map>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "workload/pattern.hh"
 #include "workload/trace.hh"
@@ -110,6 +113,64 @@ TEST(ZipfPagePattern, TailPagesStillReachable)
         maxPage = std::max(maxPage, pg);
     EXPECT_GT(seen.size(), 10000u);
     EXPECT_GT(maxPage, pages / 2); // deep tail reached
+}
+
+std::uint64_t
+fnv1a(std::uint64_t h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** Digest of the first 200k ops of pagerank's vertex pattern: a
+ *  384 MB shared heap, Zipf alpha 0.9, one line per visit, 10% stores
+ *  and a mean gap of 3, from seed 42. */
+std::uint64_t
+pagerankZipfDigest()
+{
+    ZipfPagePattern p(1ull << 40, (384ull << 20) / kPageBytes, 0.9, 1, 0.10,
+                      3);
+    Rng rng(42);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (int i = 0; i < 200000; ++i) {
+        const MemOp op = p.next(rng);
+        h = fnv1a(h, op.addr);
+        h = fnv1a(h, op.nonMemBefore | std::uint64_t{op.isWrite} << 8 |
+                         std::uint64_t{op.dependsOnPrev} << 9);
+    }
+    return h;
+}
+
+constexpr std::uint64_t kPagerankZipfDigest = 0xb0f3890c48368772ull;
+
+TEST(ZipfPagePattern, PagerankDrawStreamIsPinned)
+{
+    EXPECT_EQ(pagerankZipfDigest(), kPagerankZipfDigest);
+}
+
+TEST(ZipfPagePattern, ConcurrentBuildsDrawTheSameStream)
+{
+    // Four threads build the same pattern at once, so they race on the
+    // process-wide table cache, then draw from the shared table.
+    constexpr int kThreads = 4;
+    std::atomic<int> ready{0};
+    std::vector<std::uint64_t> digests(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&ready, &digests, t] {
+            ++ready;
+            while (ready.load() < kThreads)
+                std::this_thread::yield();
+            digests[t] = pagerankZipfDigest();
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    for (std::uint64_t d : digests)
+        EXPECT_EQ(d, kPagerankZipfDigest);
 }
 
 TEST(PointerChasePattern, LoadsDependOnPrevious)
