@@ -107,10 +107,18 @@ Cache::contains(LineAddr line) const
 Cache::Placement
 Cache::insert(LineAddr line, bool dirty, std::uint64_t meta)
 {
-    // One pass over the tags: the double-insert check and the first
-    // free way.
     const std::uint32_t setIdx = setIndex(line);
     const std::uint32_t base = setIdx << waysLog2_;
+    SetState &set = sets_[setIdx];
+    // The way a full set evicts: the one at the LRU end of the order.
+    // Its metadata word is the load a victim waits on, so start it
+    // before the scan; a set with a free way leaves it unused.
+    const std::uint32_t lru =
+        static_cast<std::uint32_t>(set.order >> (4 * (ways_ - 1))) & 0xf;
+    __builtin_prefetch(&meta_[base + lru]);
+
+    // One pass over the tags: the double-insert check and the first
+    // free way.
     const LineAddr *tags = &tags_[base];
     std::uint32_t way = ways_;
     for (std::uint32_t w = 0; w < ways_; ++w) {
@@ -120,13 +128,11 @@ Cache::insert(LineAddr line, bool dirty, std::uint64_t meta)
             way = w;
     }
 
-    SetState &set = sets_[setIdx];
     Placement out;
     unsigned rank;
     if (way == ways_) {
-        // Set full: evict the way at the LRU end of the order.
         rank = ways_ - 1;
-        way = static_cast<std::uint32_t>(set.order >> (4 * rank)) & 0xf;
+        way = lru;
         const std::uint32_t v = base + way;
         out.victim.valid = true;
         out.victim.dirty = (set.dirty & wayBit(v)) != 0;

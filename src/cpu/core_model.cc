@@ -122,11 +122,16 @@ CoreModel::run()
             pendingStall_ = 0;
         }
 
-        if (!havePendingOp_) {
-            pendingOp_ = pattern_.next(rng_);
-            havePendingOp_ = true;
+        if (opPos_ == kOpBlock) {
+            // Draw a block at once: the pattern and rng are this
+            // core's alone, so the op sequence is unchanged, and the
+            // draws' table loads overlap instead of each waiting
+            // between two hierarchy walks.
+            for (MemOp &o : ops_)
+                o = pattern_.next(rng_);
+            opPos_ = 0;
         }
-        const MemOp &op = pendingOp_;
+        const MemOp &op = ops_[opPos_];
 
         // Retire the non-memory gap at the issue width.
         issueCarry_ += op.nonMemBefore + 1; // +1 for the memory op itself
@@ -212,7 +217,7 @@ CoreModel::run()
 
         instrRetired_ += op.nonMemBefore + 1;
         ++instrSeq_;
-        havePendingOp_ = false;
+        ++opPos_;
     }
 }
 

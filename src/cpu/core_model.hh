@@ -14,6 +14,7 @@
 #ifndef BANSHEE_CPU_CORE_MODEL_HH
 #define BANSHEE_CPU_CORE_MODEL_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -43,6 +44,14 @@ struct CoreParams
     std::uint64_t codeBytes = 16 * 1024;
 };
 
+/**
+ * One core. It owns its pattern's op stream and its Rng, and draws
+ * ops from the pattern up to 16 ahead of issue, in blocks. Issue
+ * order is the pattern's order, across yields, stalls and phases, but
+ * a pattern can be asked for up to 15 ops per core that are never
+ * issued. Only a RecordingPattern wrapped around a core's pattern
+ * could notice; no caller does that.
+ */
 class CoreModel
 {
   public:
@@ -142,8 +151,11 @@ class CoreModel
     Outstanding *lastLoad_ = nullptr;
     Cycle lastLoadDone_ = 0;
 
-    bool havePendingOp_ = false;
-    MemOp pendingOp_;
+    /** Ops drawn from the pattern ahead of issue (see run()). */
+    static constexpr std::size_t kOpBlock = 16;
+    std::array<MemOp, kOpBlock> ops_;
+    /** The next op to issue; kOpBlock when the block is used up. */
+    std::size_t opPos_ = kOpBlock;
 
     std::uint64_t sinceFetch_ = 0;
     Addr codeBase_;

@@ -49,27 +49,43 @@ void
 MemSystem::fetchLine(LineAddr line, const MappingInfo &mapping, CoreId core,
                      MissDoneFn done)
 {
-    const Cycle issued = eq_.now();
+    std::uint32_t slot;
+    if (freeFetches_.empty()) {
+        slot = static_cast<std::uint32_t>(fetches_.size());
+        fetches_.emplace_back();
+    } else {
+        slot = freeFetches_.back();
+        freeFetches_.pop_back();
+    }
+    Fetch &f = fetches_[slot];
+    f.issued = eq_.now();
     // Span tracing: tag the fetch with its (sampled) page so the
-    // completion closure can stitch an issue->complete span. The page
-    // number is at the journal's granularity, which matches the
-    // scheme's (System wires both from the same config).
-    PageJournal *spans =
-        (spans_ && spans_->sampledAddr(lineToAddr(line))) ? spans_
-                                                          : nullptr;
-    const PageNum spanPage =
-        spans ? (lineToAddr(line) >> spans->pageBits()) : 0;
+    // completion can stitch an issue->complete span. The page number
+    // is at the journal's granularity, which matches the scheme's
+    // (System wires both from the same config).
+    f.spans = (spans_ && spans_->sampledAddr(lineToAddr(line))) ? spans_
+                                                                : nullptr;
+    f.spanPage = f.spans ? (lineToAddr(line) >> f.spans->pageBits()) : 0;
+    f.done = std::move(done);
     schemes_[mcOf(line)]->demandFetch(
         line, mapping, core,
-        [this, issued, spans, spanPage,
-         done = std::move(done)](Cycle when) {
-            ++statFetchesCompleted_;
-            statFetchLatencyTotal_ += when > issued ? when - issued : 0;
-            if (spans)
-                spans->fetchSpan(spanPage, issued, when);
-            if (done)
-                done(when);
-        });
+        [this, slot](Cycle when) { fetchDone(slot, when); });
+}
+
+void
+MemSystem::fetchDone(std::uint32_t slot, Cycle when)
+{
+    Fetch &f = fetches_[slot];
+    ++statFetchesCompleted_;
+    statFetchLatencyTotal_ += when > f.issued ? when - f.issued : 0;
+    if (f.spans)
+        f.spans->fetchSpan(f.spanPage, f.issued, when);
+    // Free the slot before calling back: done may re-enter fetchLine,
+    // which can reuse the slot or grow the vector.
+    MissDoneFn done = std::move(f.done);
+    freeFetches_.push_back(slot);
+    if (done)
+        done(when);
 }
 
 void

@@ -64,6 +64,13 @@ class MemSystem : public MemBackend
                       std::uint64_t seed);
 
     // MemBackend interface (called by the LLC).
+    /**
+     * Each in-flight fetch keeps its record (issue cycle, span page,
+     * the caller's @p done) in a slot of a recycled vector, so the
+     * closure handed to the scheme carries only this and the slot
+     * index and fits std::function's inline storage: no LLC miss
+     * allocates.
+     */
     void fetchLine(LineAddr line, const MappingInfo &mapping, CoreId core,
                    MissDoneFn done) override;
     void writebackLine(LineAddr line) override;
@@ -98,6 +105,19 @@ class MemSystem : public MemBackend
     void resetStats();
 
   private:
+    /** One in-flight demand fetch. */
+    struct Fetch
+    {
+        Cycle issued = 0;
+        /** The journal when the fetch's page is sampled, else null. */
+        PageJournal *spans = nullptr;
+        PageNum spanPage = 0;
+        MissDoneFn done;
+    };
+
+    /** Account fetch @p slot's completion, free it, then call back. */
+    void fetchDone(std::uint32_t slot, Cycle when);
+
     EventQueue &eq_;
     MemSystemParams params_;
     const TenantMap *tenants_ = nullptr;
@@ -105,6 +125,8 @@ class MemSystem : public MemBackend
     std::unique_ptr<DramModel> inPkg_;
     std::unique_ptr<DramModel> offPkg_;
     std::vector<std::unique_ptr<DramCacheScheme>> schemes_;
+    std::vector<Fetch> fetches_;
+    std::vector<std::uint32_t> freeFetches_;
 
     StatSet stats_;
     Counter &statFetchesCompleted_;

@@ -80,9 +80,25 @@ RunResult::inPkgBgRefreshPJ() const
 System::System(const SystemConfig &config) : config_(config)
 {
     // Fail fast on configurations that would otherwise trip deep
-    // internal asserts (or silently misplace pages). Large pages: the
-    // scheme addresses whole pages within one controller, so the
-    // MC striping granularity must be at least the page size.
+    // internal asserts (or silently misplace pages). The core divides
+    // by its issue width and wraps its code cursor modulo codeBytes; it
+    // needs an MSHR before it can issue a miss, and a quantum of at
+    // least one op to make progress.
+    const CoreParams &core = config.core;
+    if (core.issueWidth == 0)
+        fatal("core.issueWidth is 0 — it must be at least 1");
+    if (core.mshrs == 0)
+        fatal("core.mshrs is 0 — it must be at least 1");
+    if (core.quantumOps == 0)
+        fatal("core.quantumOps is 0 — it must be at least 1");
+    if (core.codeBytes < kLineBytes) {
+        fatal("core.codeBytes is %llu — it must be at least one %u B "
+              "line",
+              static_cast<unsigned long long>(core.codeBytes), kLineBytes);
+    }
+    // Large pages: the scheme addresses whole pages within one
+    // controller, so the MC striping granularity must be at least the
+    // page size.
     if (config.scheme == SchemeKind::Banshee && config.mem.numMcs > 1 &&
         config.mem.mcStripeBits < config.banshee.pageBits) {
         fatal("banshee.pageBits (%u) exceeds mem.mcStripeBits (%u): a "

@@ -30,7 +30,7 @@ class DelayBackend : public MemBackend
               MissDoneFn done) override
     {
         ++fetches;
-        (void)line;
+        fetched.push_back(line);
         if (holdAll) {
             held.push_back(std::move(done));
             return;
@@ -58,6 +58,7 @@ class DelayBackend : public MemBackend
     Cycle delay_;
     bool holdAll = false;
     std::vector<MissDoneFn> held;
+    std::vector<LineAddr> fetched; ///< every fetched line, in order
     std::uint64_t fetches = 0;
     std::uint64_t writebacks = 0;
 };
@@ -256,6 +257,48 @@ TEST(CoreModel, ExternalStallAddsCycles)
     // state slightly; allow a small tolerance around the full 5000.
     EXPECT_GE(b.core.localCycle() + 200, base + 5000);
     EXPECT_GT(b.core.localCycle(), base + 4000);
+}
+
+TEST(CoreModel, IssuesPatternOpsInOrder)
+{
+    // Loads and stores to distinct lines, more than the 32 KB L3
+    // holds: every op misses the LLC, so the backend sees the data
+    // lines in issue order. A quantum of 5 ops and 2 MSHRs make the
+    // core yield and block in the middle of its 16-op draws, and the
+    // first phase ends in one (1000 ops, 1 instruction each).
+    constexpr std::size_t kOps = 2000;
+    constexpr std::uint64_t kFirstPhase = 1000;
+    constexpr std::uint64_t kSecondPhase = 1900;
+    std::vector<MemOp> ops;
+    for (std::size_t i = 0; i < kOps; ++i) {
+        MemOp op = loadOp(0x100000 + i * kLineBytes, 0);
+        op.isWrite = i % 3 == 0;
+        ops.push_back(op);
+    }
+    CoreParams params;
+    params.quantumOps = 5;
+    params.mshrs = 2;
+    CoreRig rig(ops, 50, params);
+    // Stop at the park, as System::runPhase does, with misses still
+    // in flight across the phase boundary.
+    rig.core.onParked([&rig](CoreId) { rig.eq.requestStop(); });
+    for (const std::uint64_t limit : {kFirstPhase, kSecondPhase}) {
+        rig.core.setInstrLimit(limit);
+        rig.core.start();
+        rig.eq.run();
+        ASSERT_TRUE(rig.core.parked());
+        ASSERT_EQ(rig.core.instrRetired(), limit);
+    }
+
+    const Addr codeBase = CoreModel::codeRegionBase(0, params);
+    std::vector<LineAddr> data;
+    for (const LineAddr line : rig.backend.fetched) {
+        if (lineToAddr(line) < codeBase)
+            data.push_back(line);
+    }
+    ASSERT_EQ(data.size(), kSecondPhase);
+    for (std::size_t i = 0; i < data.size(); ++i)
+        ASSERT_EQ(data[i], lineOf(ops[i].addr)) << "op " << i;
 }
 
 //

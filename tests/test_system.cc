@@ -3,14 +3,17 @@
  * Integration and property tests: every scheme runs end-to-end on a
  * tiny system without losing a memory response; the lazy-coherence
  * invariant, which every Banshee run checks, holds under the full
- * machine; the bounding baselines bound; results are deterministic.
+ * machine; the bounding baselines bound; results are deterministic;
+ * the memory system's fetch completions survive re-entry.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <vector>
 
 #include "sim/report.hh"
 #include "sim/runner.hh"
@@ -246,6 +249,30 @@ TEST(SystemIntegration, BadResizeConfigsFailFastNamingTheFix)
                 "scheme 'Unison' cannot resize — use the Banshee scheme");
 }
 
+TEST(SystemIntegration, BadCoreParamsFailFastNamingTheField)
+{
+    // Each of these used to crash (a division by zero), hang (a core
+    // that yields before every op) or end in a misleading lost-response
+    // panic.
+    auto with = [](auto set) {
+        SystemConfig c = tiny(SchemeKind::NoCache, "pagerank");
+        set(c.core);
+        return c;
+    };
+    EXPECT_EXIT(System s(with([](CoreParams &p) { p.issueWidth = 0; })),
+                ::testing::ExitedWithCode(1),
+                "core.issueWidth is 0 .* at least 1");
+    EXPECT_EXIT(System s(with([](CoreParams &p) { p.mshrs = 0; })),
+                ::testing::ExitedWithCode(1),
+                "core.mshrs is 0 .* at least 1");
+    EXPECT_EXIT(System s(with([](CoreParams &p) { p.quantumOps = 0; })),
+                ::testing::ExitedWithCode(1),
+                "core.quantumOps is 0 .* at least 1");
+    EXPECT_EXIT(System s(with([](CoreParams &p) { p.codeBytes = 0; })),
+                ::testing::ExitedWithCode(1),
+                "core.codeBytes is 0 .* at least one 64 B line");
+}
+
 TEST(SystemIntegration, LargePagesWithResizeRunValidlyConfigured)
 {
     // The positive path the two fail-fast checks guard: one MC keeps
@@ -289,6 +316,46 @@ TEST(SystemIntegration, MeasurePhaseExcludesWarmup)
     EXPECT_NEAR(static_cast<double>(r.instructions),
                 static_cast<double>(c.numCores) * c.measureInstrPerCore,
                 c.numCores * 300.0);
+}
+
+TEST(MemSystemFetch, ReentrantCompletionsKeepTheirOwnRecords)
+{
+    // Eight fetches in flight; each completion starts the next fetch
+    // from inside its callback, so fetch records are freed and reused
+    // while others are outstanding.
+    System sys(tiny(SchemeKind::NoCache));
+    MemSystem &mem = sys.memSystem();
+    EventQueue &eq = sys.eventQueue();
+    constexpr int kInFlight = 8;
+    constexpr int kTotal = 64;
+    std::vector<Cycle> issued(kTotal, 0), completed(kTotal, 0);
+    std::vector<int> calls(kTotal, 0);
+    int started = 0;
+    std::function<void()> startOne = [&] {
+        const int id = started++;
+        issued[id] = eq.now();
+        // Lines spread over banks and rows, so latencies differ.
+        const LineAddr line = 0x40000 + static_cast<LineAddr>(id) * 4099;
+        mem.fetchLine(line, MappingInfo{}, 0, [&, id](Cycle when) {
+            ++calls[id];
+            completed[id] = when;
+            if (started < kTotal)
+                startOne();
+        });
+    };
+    for (int i = 0; i < kInFlight; ++i)
+        startOne();
+    eq.run();
+
+    ASSERT_EQ(started, kTotal);
+    std::uint64_t latency = 0;
+    for (int id = 0; id < kTotal; ++id) {
+        EXPECT_EQ(calls[id], 1) << "fetch " << id;
+        EXPECT_GE(completed[id], issued[id]) << "fetch " << id;
+        latency += completed[id] - issued[id];
+    }
+    EXPECT_DOUBLE_EQ(mem.avgFetchLatency(),
+                     static_cast<double>(latency) / kTotal);
 }
 
 TEST(Runner, ParallelSweepPreservesOrderAndDeterminism)
