@@ -50,7 +50,6 @@ main(int argc, char **argv)
         // value the paper's formula yields (~16 counter points).
         large.banshee.samplingCoeff = 0.02;
         large.banshee.replaceThreshold = 24.0;
-        large.mem.mcStripeBits = kLargePageBits;
         exps.push_back({w + "/2M", large});
     }
     const auto results = runExperiments(exps, opt.threads);

@@ -1,14 +1,19 @@
 #include "cache/hierarchy.hh"
 
+#include "common/event_queue.hh"
 #include "common/log.hh"
+#include "telemetry/span_trace.hh"
 
 namespace banshee {
 
-CacheHierarchy::CacheHierarchy(const HierarchyParams &params,
+CacheHierarchy::CacheHierarchy(const EventQueue &eq,
+                               const HierarchyParams &params,
                                MemBackend &backend)
-    : params_(params), backend_(backend),
+    : eq_(eq), params_(params), backend_(backend),
       statLlcMisses_(stats_.counter("llcMisses")),
-      statMshrMerges_(stats_.counter("mshrMerges"))
+      statMshrMerges_(stats_.counter("mshrMerges")),
+      statFetchesCompleted_(stats_.counter("fetchesCompleted")),
+      statFetchLatencyTotal_(stats_.counter("fetchLatencyTotal"))
 {
     sim_assert(params.numCores <= 64,
                "sharer mask is 64 bits; %u cores requested",
@@ -100,14 +105,15 @@ CacheHierarchy::accessInternal(CoreId core, Addr addr, bool isWrite,
     const std::uint32_t bucket = mshrFind(line);
     if (bucket != kNoMshr) {
         ++statMshrMerges_;
-        mshrPool_[mshrIndex_[bucket].entry].push_back(
+        mshrPool_[mshrIndex_[bucket].entry].waiters.push_back(
             MshrWaiter{core, isWrite, isFetch, std::move(done)});
         return res;
     }
 
     ++statLlcMisses_;
-    mshrPool_[mshrAllocate(line)].push_back(
-        MshrWaiter{core, isWrite, isFetch, std::move(done)});
+    MshrEntry &m = mshrPool_[mshrAllocate(line)];
+    m.issued = eq_.now();
+    m.waiters.push_back(MshrWaiter{core, isWrite, isFetch, std::move(done)});
 
     backend_.fetchLine(line, mapping, core,
                        [this, line](Cycle when) { fillComplete(line, when); });
@@ -205,8 +211,19 @@ CacheHierarchy::fillComplete(LineAddr line, Cycle when)
     const std::uint32_t e = mshrIndex_[bucket].entry;
     mshrUnindex(bucket);
 
+    // Time the miss before the L3 insert: an L3 victim's writeback
+    // emits its own span, which must follow this one in the trace.
+    const Cycle issued = mshrPool_[e].issued;
+    ++statFetchesCompleted_;
+    statFetchLatencyTotal_ += when > issued ? when - issued : 0;
+    // The journal samples at the scheme's page granularity, which
+    // System wires from the same config.
+    if (spans_ && spans_->sampledAddr(lineToAddr(line)))
+        spans_->fetchSpan(lineToAddr(line) >> spans_->pageBits(), issued,
+                          when);
+
     std::uint64_t sharers = 0;
-    for (const MshrWaiter &w : mshrPool_[e])
+    for (const MshrWaiter &w : mshrPool_[e].waiters)
         sharers |= 1ull << w.core;
 
     // The line was absent from L3 when the miss was allocated, and
@@ -215,9 +232,9 @@ CacheHierarchy::fillComplete(LineAddr line, Cycle when)
 
     // Two waiters of one core can share the line's private copies,
     // so each private level is probed once per waiter.
-    const std::size_t n = mshrPool_[e].size();
+    const std::size_t n = mshrPool_[e].waiters.size();
     for (std::size_t k = 0; k < n; ++k) {
-        const MshrWaiter &w = mshrPool_[e][k];
+        const MshrWaiter &w = mshrPool_[e].waiters[k];
         Cache::Slot s2 = l2_[w.core]->contains(line);
         if (!s2)
             s2 = fillL2(w.core, line);
@@ -232,11 +249,11 @@ CacheHierarchy::fillComplete(LineAddr line, Cycle when)
 
     for (std::size_t k = 0; k < n; ++k) {
         // Move the callback out: it may re-enter and grow the pool.
-        MissDoneFn done = std::move(mshrPool_[e][k].done);
+        MissDoneFn done = std::move(mshrPool_[e].waiters[k].done);
         if (done)
             done(when);
     }
-    mshrPool_[e].clear();
+    mshrPool_[e].waiters.clear();
     mshrFree_.push_back(e);
 }
 

@@ -2,7 +2,8 @@
  * @file
  * Three-level cache hierarchy (paper Table 2): per-core L1I/L1D and
  * L2, a shared inclusive L3, and an MSHR table that merges concurrent
- * misses to the same line across cores.
+ * misses to the same line across cores. The hierarchy reads the event
+ * clock to time each LLC miss from its MSHR allocation to its fill.
  */
 
 #ifndef BANSHEE_CACHE_HIERARCHY_HH
@@ -18,6 +19,9 @@
 #include "mem/request.hh"
 
 namespace banshee {
+
+class EventQueue;  // common/event_queue.hh
+class PageJournal; // telemetry/span_trace.hh
 
 struct HierarchyParams
 {
@@ -69,7 +73,13 @@ class CacheHierarchy
         bool pending = false;  ///< true when the done callback will fire
     };
 
-    CacheHierarchy(const HierarchyParams &params, MemBackend &backend);
+    /** @p eq is read only for the clock that stamps each miss. */
+    CacheHierarchy(const EventQueue &eq, const HierarchyParams &params,
+                   MemBackend &backend);
+
+    /** Attach span tracing: LLC misses to sampled pages emit
+     *  issue->fill spans. Null = off. */
+    void setSpanTrace(PageJournal *spans) { spans_ = spans; }
 
     /**
      * Data access from core @p core.
@@ -99,6 +109,18 @@ class CacheHierarchy
 
     std::uint64_t llcMisses() const { return statLlcMisses_.value(); }
 
+    /** Mean LLC-miss service latency (core cycles), from the MSHR
+     *  allocation to the fill, over the misses filled since
+     *  resetStats(). */
+    double
+    avgFetchLatency() const
+    {
+        const std::uint64_t n = statFetchesCompleted_.value();
+        return n == 0 ? 0.0
+                      : static_cast<double>(statFetchLatencyTotal_.value()) /
+                            static_cast<double>(n);
+    }
+
   private:
     /** L2 line presence bits: which of the core's L1s hold the line. */
     static constexpr std::uint64_t kInL1d = 1;
@@ -110,6 +132,14 @@ class CacheHierarchy
         bool isWrite;
         bool isFetch;
         MissDoneFn done;
+    };
+
+    /** One outstanding LLC miss: the cycle it went to the backend and
+     *  the accesses waiting on it, in arrival order. */
+    struct MshrEntry
+    {
+        Cycle issued = 0;
+        std::vector<MshrWaiter> waiters;
     };
 
     /** A bucket of the MSHR index; entry == kNoMshr when empty. */
@@ -168,8 +198,10 @@ class CacheHierarchy
             (line * 0x9e3779b97f4a7c15ull) >> mshrShift_);
     }
 
+    const EventQueue &eq_;
     HierarchyParams params_;
     MemBackend &backend_;
+    PageJournal *spans_ = nullptr;
 
     std::vector<std::unique_ptr<Cache>> l1i_;
     std::vector<std::unique_ptr<Cache>> l1d_;
@@ -179,21 +211,23 @@ class CacheHierarchy
     /**
      * MSHR table: a flat open-addressed index (line -> pool entry,
      * linear probing, at most half full, backward-shift deletion) over
-     * a pool of waiter lists with a free list. One entry is one
-     * outstanding LLC miss, its waiters in arrival order. Reused
-     * entries keep their capacity, and the index and pool only grow,
-     * so a miss allocates nothing once the table has seen the run's
-     * peak of outstanding misses.
+     * a pool of entries with a free list. One entry is the only record
+     * of one outstanding LLC miss. Reused entries keep their waiter
+     * capacity, and the index and pool only grow, so a miss allocates
+     * nothing once the table has seen the run's peak of outstanding
+     * misses.
      */
     std::vector<MshrBucket> mshrIndex_;
     std::uint32_t mshrShift_ = 64; ///< 64 - log2(index size)
     std::uint32_t mshrCount_ = 0;  ///< indexed entries
-    std::vector<std::vector<MshrWaiter>> mshrPool_;
+    std::vector<MshrEntry> mshrPool_;
     std::vector<std::uint32_t> mshrFree_;
 
     StatSet stats_;
     Counter &statLlcMisses_;
     Counter &statMshrMerges_;
+    Counter &statFetchesCompleted_;
+    Counter &statFetchLatencyTotal_;
 };
 
 } // namespace banshee

@@ -18,8 +18,14 @@ makeFbrParams(const SchemeContext &ctx, const BansheeConfig &config)
     p.counterBits = config.counterBits;
     const std::uint64_t pageBytes = 1ull << config.pageBits;
     const std::uint64_t frames = ctx.cacheBytesPerMc / pageBytes;
-    sim_assert(frames >= config.ways,
-               "cache partition smaller than one set");
+    if (frames < config.ways) {
+        fatal("banshee: each controller's %llu B cache partition holds "
+              "%llu pages of 2^%u B, fewer than one %u-way set — grow "
+              "inPkgCapacity, shrink pageBits or lower ways",
+              static_cast<unsigned long long>(ctx.cacheBytesPerMc),
+              static_cast<unsigned long long>(frames), config.pageBits,
+              config.ways);
+    }
     p.numSets = static_cast<std::uint32_t>(frames / config.ways);
     return p;
 }

@@ -27,8 +27,6 @@ struct TagBufferParams
 {
     std::uint32_t entries = 1024;
     std::uint32_t ways = 8;
-    /** Fraction of remapped entries that triggers the PTE update. */
-    double flushThreshold = 0.7;
 };
 
 class TagBuffer
@@ -74,7 +72,7 @@ class TagBuffer
     needsFlush() const
     {
         return remapCount_ >= static_cast<std::uint32_t>(
-                                  params_.flushThreshold * params_.entries);
+                                  kFlushThreshold * params_.entries);
     }
 
     /**
@@ -100,6 +98,9 @@ class TagBuffer
     void resetStats() { stats_.reset(); }
 
   private:
+    /** Fraction of remapped entries that triggers the PTE update. */
+    static constexpr double kFlushThreshold = 0.7;
+
     struct Entry
     {
         PageNum page = 0;

@@ -112,7 +112,7 @@ CoreModel::run()
             park();
             return;
         }
-        if (budget-- == 0 || curCycle_ > eq_.now() + params_.skewLimit) {
+        if (budget-- == 0 || curCycle_ > eq_.now() + kSkewLimit) {
             // Yield so the event clock (and other cores) catch up.
             scheduleRun(curCycle_);
             return;
@@ -142,7 +142,7 @@ CoreModel::run()
 
         // Instruction fetch: one L1I probe per fetch group.
         sinceFetch_ += op.nonMemBefore + 1;
-        if (sinceFetch_ >= params_.fetchGroup) {
+        if (sinceFetch_ >= kFetchGroup) {
             sinceFetch_ = 0;
             const Addr faddr = codeBase_ + codePos_;
             codePos_ = (codePos_ + kLineBytes) % params_.codeBytes;
@@ -200,7 +200,7 @@ CoreModel::run()
             if (res.pending)
                 ++outstandingMisses_;
         } else {
-            window_.push_back(Outstanding{instrSeq_, 0, false, true});
+            window_.push_back(Outstanding{instrSeq_, 0, false});
             Outstanding *entry = &window_.back();
             auto res = hierarchy_.access(
                 id_, op.addr, false, tr.info,

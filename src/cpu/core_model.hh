@@ -34,12 +34,8 @@ struct CoreParams
     std::uint32_t issueWidth = 4;
     std::uint32_t robSize = 192;
     std::uint32_t mshrs = 10;
-    /** Yield to the event queue when this far ahead of it. */
-    Cycle skewLimit = 128;
     /** Hard cap on ops processed per activation. */
     std::uint32_t quantumOps = 4096;
-    /** Instruction-fetch group size (one L1I probe per group). */
-    std::uint32_t fetchGroup = 16;
     /** Per-core code footprint for the instruction stream. */
     std::uint64_t codeBytes = 16 * 1024;
 };
@@ -108,8 +104,12 @@ class CoreModel
         std::uint64_t seq = 0;
         Cycle doneCycle = 0;
         bool done = false;
-        bool isLoad = false;
     };
+
+    /** Yield to the event queue when this far ahead of it. */
+    static constexpr Cycle kSkewLimit = 128;
+    /** Instructions per fetch group (one L1I probe per group). */
+    static constexpr std::uint64_t kFetchGroup = 16;
 
     /** Main execution loop; runs until blocked, parked, or yielding. */
     void run();

@@ -4,21 +4,20 @@
 
 namespace banshee {
 
-MemSystem::MemSystem(EventQueue &eq, const MemSystemParams &params)
-    : eq_(eq), params_(params),
-      statFetchesCompleted_(stats_.counter("fetchesCompleted")),
-      statFetchLatencyTotal_(stats_.counter("fetchLatencyTotal"))
+MemSystem::MemSystem(EventQueue &eq, const MemSystemParams &params,
+                     std::uint32_t stripeBits, bool inPkg, bool offPkg)
+    : eq_(eq), params_(params), stripeBits_(stripeBits)
 {
-    if (params_.hasInPkg) {
+    if (inPkg) {
         inPkg_ = std::make_unique<DramModel>(eq_, params_.inPkgTiming,
                                              params_.numMcs,
-                                             params_.inPkgPower);
+                                             DramPowerParams::inPackage());
         inPkg_->setSchedConfig(params_.inPkgSched);
     }
-    if (params_.hasOffPkg) {
+    if (offPkg) {
         offPkg_ = std::make_unique<DramModel>(
             eq_, params_.offPkgTiming, params_.numOffPkgChannels,
-            params_.offPkgPower);
+            DramPowerParams::offPackage());
     }
     sim_assert(inPkg_ || offPkg_, "memory system needs at least one DRAM");
 }
@@ -26,7 +25,7 @@ MemSystem::MemSystem(EventQueue &eq, const MemSystemParams &params)
 void
 MemSystem::buildSchemes(const SchemeFactory &factory,
                         PageTableManager *pageTable, OsServices *os,
-                        std::uint64_t seed)
+                        const TenantMap *tenants, std::uint64_t seed)
 {
     schemes_.clear();
     for (std::uint32_t mc = 0; mc < params_.numMcs; ++mc) {
@@ -39,7 +38,7 @@ MemSystem::buildSchemes(const SchemeFactory &factory,
         ctx.cacheBytesPerMc = params_.inPkgCapacity / params_.numMcs;
         ctx.pageTable = pageTable;
         ctx.os = os;
-        ctx.tenants = tenants_;
+        ctx.tenants = tenants;
         ctx.seed = seed;
         schemes_.push_back(factory(ctx));
     }
@@ -49,43 +48,7 @@ void
 MemSystem::fetchLine(LineAddr line, const MappingInfo &mapping, CoreId core,
                      MissDoneFn done)
 {
-    std::uint32_t slot;
-    if (freeFetches_.empty()) {
-        slot = static_cast<std::uint32_t>(fetches_.size());
-        fetches_.emplace_back();
-    } else {
-        slot = freeFetches_.back();
-        freeFetches_.pop_back();
-    }
-    Fetch &f = fetches_[slot];
-    f.issued = eq_.now();
-    // Span tracing: tag the fetch with its (sampled) page so the
-    // completion can stitch an issue->complete span. The page number
-    // is at the journal's granularity, which matches the scheme's
-    // (System wires both from the same config).
-    f.spans = (spans_ && spans_->sampledAddr(lineToAddr(line))) ? spans_
-                                                                : nullptr;
-    f.spanPage = f.spans ? (lineToAddr(line) >> f.spans->pageBits()) : 0;
-    f.done = std::move(done);
-    schemes_[mcOf(line)]->demandFetch(
-        line, mapping, core,
-        [this, slot](Cycle when) { fetchDone(slot, when); });
-}
-
-void
-MemSystem::fetchDone(std::uint32_t slot, Cycle when)
-{
-    Fetch &f = fetches_[slot];
-    ++statFetchesCompleted_;
-    statFetchLatencyTotal_ += when > f.issued ? when - f.issued : 0;
-    if (f.spans)
-        f.spans->fetchSpan(f.spanPage, f.issued, when);
-    // Free the slot before calling back: done may re-enter fetchLine,
-    // which can reuse the slot or grow the vector.
-    MissDoneFn done = std::move(f.done);
-    freeFetches_.push_back(slot);
-    if (done)
-        done(when);
+    schemes_[mcOf(line)]->demandFetch(line, mapping, core, std::move(done));
 }
 
 void
@@ -115,7 +78,6 @@ MemSystem::totalMisses() const
 void
 MemSystem::resetStats()
 {
-    stats_.reset();
     if (inPkg_)
         inPkg_->resetStats();
     if (offPkg_)

@@ -1,8 +1,10 @@
 /**
  * @file
- * Memory system: the DRAM devices plus one memory controller (and one
- * scheme instance) per in-package channel. Physical pages are striped
- * across controllers at page granularity (paper Section 2 assumption).
+ * Memory system: a router. It builds the DRAM devices and one memory
+ * controller (one scheme instance) per in-package channel, and sends
+ * each LLC fetch and writeback to the controller that owns its line.
+ * Lines are striped across controllers at the scheme's page size, so
+ * a page never spans two controllers (paper Sections 2 and 4.3).
  */
 
 #ifndef BANSHEE_MEM_MEM_SYSTEM_HH
@@ -13,7 +15,6 @@
 #include <vector>
 
 #include "common/event_queue.hh"
-#include "common/stats.hh"
 #include "dram/dram_model.hh"
 #include "mem/request.hh"
 #include "mem/scheme.hh"
@@ -25,20 +26,8 @@ struct MemSystemParams
     std::uint32_t numMcs = 4;            ///< = in-package channels
     std::uint32_t numOffPkgChannels = 1;
     std::uint64_t inPkgCapacity = 128ull << 20;
-    /**
-     * Page-to-MC striping granularity in address bits. 12 (4 KB) by
-     * default; large-page mode raises it to 21 so a 2 MB page maps to
-     * a single controller (paper Section 4.3).
-     */
-    std::uint32_t mcStripeBits = kPageBits;
     DramTiming inPkgTiming;
     DramTiming offPkgTiming;
-    /** Energy knobs (see power/power_params.hh): die-stacked device
-     *  vs DDR pins differ mainly in interface pJ/bit. */
-    DramPowerParams inPkgPower = DramPowerParams::inPackage();
-    DramPowerParams offPkgPower = DramPowerParams::offPackage();
-    bool hasInPkg = true;   ///< false for NoCache
-    bool hasOffPkg = true;  ///< false for CacheOnly
     /** Channel scheduler of the in-package device, the tier tenants
      *  contend on (SystemConfig::withDramQos sets the QoS preset).
      *  The off-package device always runs the stock scheduler. */
@@ -48,29 +37,26 @@ struct MemSystemParams
 class MemSystem : public MemBackend
 {
   public:
-    MemSystem(EventQueue &eq, const MemSystemParams &params);
+    /**
+     * @p stripeBits is the scheme's page size in address bits: each
+     * 2^stripeBits-byte block of addresses belongs to one controller.
+     * @p inPkg and @p offPkg say which devices to build (NoCache has
+     * no in-package DRAM, CacheOnly no off-package DRAM). Each device
+     * takes its energy knobs from DramPowerParams::inPackage() or
+     * offPackage().
+     */
+    MemSystem(EventQueue &eq, const MemSystemParams &params,
+              std::uint32_t stripeBits, bool inPkg, bool offPkg);
 
-    /** Multi-tenant runs: attach the ownership map before
-     *  buildSchemes so every scheme can attribute traffic. */
-    void setTenantMap(const TenantMap *tenants) { tenants_ = tenants; }
-
-    /** Attach span tracing: demand fetches of sampled pages emit
-     *  end-to-end issue->complete spans. Null = off. */
-    void setSpanTrace(PageJournal *spans) { spans_ = spans; }
-
-    /** Install the scheme instances (one per MC) from a factory. */
+    /** Install the scheme instances (one per MC) from a factory.
+     *  @p tenants (null for single-tenant runs) lets every scheme
+     *  attribute traffic to its owner. */
     void buildSchemes(const SchemeFactory &factory,
                       PageTableManager *pageTable, OsServices *os,
-                      std::uint64_t seed);
+                      const TenantMap *tenants, std::uint64_t seed);
 
-    // MemBackend interface (called by the LLC).
-    /**
-     * Each in-flight fetch keeps its record (issue cycle, span page,
-     * the caller's @p done) in a slot of a recycled vector, so the
-     * closure handed to the scheme carries only this and the slot
-     * index and fits std::function's inline storage: no LLC miss
-     * allocates.
-     */
+    // MemBackend interface (called by the LLC): route to the line's
+    // controller. The caller's @p done goes to the scheme unwrapped.
     void fetchLine(LineAddr line, const MappingInfo &mapping, CoreId core,
                    MissDoneFn done) override;
     void writebackLine(LineAddr line) override;
@@ -79,7 +65,7 @@ class MemSystem : public MemBackend
     mcOf(LineAddr line) const
     {
         return static_cast<std::uint32_t>(
-            (lineToAddr(line) >> params_.mcStripeBits) % params_.numMcs);
+            (lineToAddr(line) >> stripeBits_) % params_.numMcs);
     }
 
     DramModel *inPkg() { return inPkg_.get(); }
@@ -92,45 +78,15 @@ class MemSystem : public MemBackend
     std::uint64_t totalAccesses() const;
     std::uint64_t totalMisses() const;
 
-    /** Mean LLC-miss service latency (core cycles) this phase. */
-    double
-    avgFetchLatency() const
-    {
-        const std::uint64_t n = statFetchesCompleted_.value();
-        return n == 0 ? 0.0
-                      : static_cast<double>(statFetchLatencyTotal_.value()) /
-                            static_cast<double>(n);
-    }
-
     void resetStats();
 
   private:
-    /** One in-flight demand fetch. */
-    struct Fetch
-    {
-        Cycle issued = 0;
-        /** The journal when the fetch's page is sampled, else null. */
-        PageJournal *spans = nullptr;
-        PageNum spanPage = 0;
-        MissDoneFn done;
-    };
-
-    /** Account fetch @p slot's completion, free it, then call back. */
-    void fetchDone(std::uint32_t slot, Cycle when);
-
     EventQueue &eq_;
     MemSystemParams params_;
-    const TenantMap *tenants_ = nullptr;
-    PageJournal *spans_ = nullptr;
+    std::uint32_t stripeBits_;
     std::unique_ptr<DramModel> inPkg_;
     std::unique_ptr<DramModel> offPkg_;
     std::vector<std::unique_ptr<DramCacheScheme>> schemes_;
-    std::vector<Fetch> fetches_;
-    std::vector<std::uint32_t> freeFetches_;
-
-    StatSet stats_;
-    Counter &statFetchesCompleted_;
-    Counter &statFetchLatencyTotal_;
 };
 
 } // namespace banshee

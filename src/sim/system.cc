@@ -77,13 +77,15 @@ RunResult::inPkgBgRefreshPJ() const
     return inPkgBackgroundPJ + inPkgRefreshPJ;
 }
 
-System::System(const SystemConfig &config) : config_(config)
+System::System(const SystemConfig &config)
+    : config_(config),
+      pageBits_(config.scheme == SchemeKind::Banshee ? config.banshee.pageBits
+                                                     : kPageBits)
 {
     // Fail fast on configurations that would otherwise trip deep
-    // internal asserts (or silently misplace pages). The core divides
-    // by its issue width and wraps its code cursor modulo codeBytes; it
-    // needs an MSHR before it can issue a miss, and a quantum of at
-    // least one op to make progress.
+    // internal asserts. The core divides by its issue width and wraps
+    // its code cursor modulo codeBytes; it needs an MSHR before it can
+    // issue a miss, and a quantum of at least one op to make progress.
     const CoreParams &core = config.core;
     if (core.issueWidth == 0)
         fatal("core.issueWidth is 0 — it must be at least 1");
@@ -95,39 +97,6 @@ System::System(const SystemConfig &config) : config_(config)
         fatal("core.codeBytes is %llu — it must be at least one %u B "
               "line",
               static_cast<unsigned long long>(core.codeBytes), kLineBytes);
-    }
-    // Large pages: the scheme addresses whole pages within one
-    // controller, so the MC striping granularity must be at least the
-    // page size.
-    if (config.scheme == SchemeKind::Banshee && config.mem.numMcs > 1 &&
-        config.mem.mcStripeBits < config.banshee.pageBits) {
-        fatal("banshee.pageBits (%u) exceeds mem.mcStripeBits (%u): a "
-              "cache page would stripe across %u memory controllers — "
-              "raise mcStripeBits to pageBits (large pages need "
-              "controller-aligned placement)",
-              config.banshee.pageBits, config.mem.mcStripeBits,
-              config.mem.numMcs);
-    }
-    if (config.resize.enabled && config.scheme == SchemeKind::Banshee &&
-        config.mem.hasInPkg) {
-        const std::uint64_t framesPerMc =
-            (config.mem.inPkgCapacity / config.mem.numMcs) >>
-            config.banshee.pageBits;
-        const std::uint64_t sets = framesPerMc / config.banshee.ways;
-        const std::uint32_t slices = config.resize.hash.numSlices;
-        if (sets < slices || sets % slices != 0) {
-            fatal("resize needs each controller's set count to split "
-                  "evenly over slices, but %llu sets (inPkgCapacity "
-                  "%llu B / %u MCs / 2^%u B pages / %u ways) do not "
-                  "divide into %u slices — lower "
-                  "resize.hash.numSlices, shrink pageBits, or grow "
-                  "inPkgCapacity",
-                  static_cast<unsigned long long>(sets),
-                  static_cast<unsigned long long>(
-                      config.mem.inPkgCapacity),
-                  config.mem.numMcs, config.banshee.pageBits,
-                  config.banshee.ways, slices);
-        }
     }
 
     if (config.tenants.empty()) {
@@ -192,9 +161,11 @@ System::System(const SystemConfig &config) : config_(config)
     pageTable_ = std::make_unique<PageTableManager>();
     os_ = std::make_unique<OsServices>(eq_, *pageTable_, config.osCosts,
                                        config.seed);
-    mem_ = std::make_unique<MemSystem>(eq_, config.mem);
-    if (tenants_)
-        mem_->setTenantMap(tenants_.get());
+    // Lines stripe over the controllers at the scheme's page size, so
+    // each page stays on one controller (paper Section 4.3).
+    mem_ = std::make_unique<MemSystem>(
+        eq_, config.mem, pageBits_, config.scheme != SchemeKind::NoCache,
+        config.scheme != SchemeKind::CacheOnly);
 
     if (config.enableBatman) {
         batman_ = std::make_unique<BatmanController>(
@@ -227,7 +198,8 @@ System::System(const SystemConfig &config) : config_(config)
         }
         panic("unhandled scheme kind");
     };
-    mem_->buildSchemes(factory, pageTable_.get(), os_.get(), config.seed);
+    mem_->buildSchemes(factory, pageTable_.get(), os_.get(), tenants_.get(),
+                       config.seed);
 
     if (config.resize.enabled) {
         resize_ = std::make_unique<ResizeController>(eq_, *os_,
@@ -238,6 +210,21 @@ System::System(const SystemConfig &config) : config_(config)
                 fatal("resize enabled but scheme '%s' cannot resize — "
                       "use the Banshee scheme or turn resize off",
                       schemeKindName(config.scheme));
+            }
+            const std::uint32_t sets = host->numSets();
+            const std::uint32_t slices = config.resize.hash.numSlices;
+            if (sets < slices || sets % slices != 0) {
+                fatal("resize needs each controller's set count to split "
+                      "evenly over slices, but %u sets (inPkgCapacity "
+                      "%llu B / %u MCs / 2^%u B pages / %u ways) do not "
+                      "divide into %u slices — lower "
+                      "resize.hash.numSlices, shrink pageBits, or grow "
+                      "inPkgCapacity",
+                      sets,
+                      static_cast<unsigned long long>(
+                          config.mem.inPkgCapacity),
+                      config.mem.numMcs, config.banshee.pageBits,
+                      config.banshee.ways, slices);
             }
             resize_->addHost(*host);
         }
@@ -259,7 +246,7 @@ System::System(const SystemConfig &config) : config_(config)
 
     HierarchyParams hp = config.hierarchy;
     hp.numCores = config.numCores;
-    hierarchy_ = std::make_unique<CacheHierarchy>(hp, *mem_);
+    hierarchy_ = std::make_unique<CacheHierarchy>(eq_, hp, *mem_);
 
     for (CoreId c = 0; c < config.numCores; ++c) {
         tlbs_.push_back(std::make_unique<Tlb>(config.tlb, *pageTable_));
@@ -288,7 +275,7 @@ System::System(const SystemConfig &config) : config_(config)
     // workload is a pure sequential sweep whose aggregate footprint
     // fits the DRAM cache, measurement should start from steady-state
     // residency — raise warmup to cover two full passes.
-    if (config_.autoWarmup && config_.mem.hasInPkg) {
+    if (config_.autoWarmup && mem_->inPkg()) {
         std::uint64_t totalSweepBytes = 0;
         std::uint64_t maxSweepInstr = 0;
         bool allSweep = true;
@@ -411,10 +398,7 @@ System::buildSpanTrace()
     // The sampler hashes page frames at the scheme's page granularity
     // so every hook — line-addressed fetches, page-addressed FBR and
     // migration — agrees on which pages are journaled.
-    const std::uint32_t pageBits = config_.scheme == SchemeKind::Banshee
-                                       ? config_.banshee.pageBits
-                                       : kPageBits;
-    spans_ = std::make_unique<PageJournal>(config_.spans, pageBits,
+    spans_ = std::make_unique<PageJournal>(config_.spans, pageBits_,
                                            config_.seed);
     spans_->controlInstant(
         PageJournal::kRunTrack, "run_info", 0,
@@ -423,14 +407,14 @@ System::buildSpanTrace()
          {"label", config_.spans.runLabel},
          {"sampleShift", config_.spans.sampleShift},
          {"seed", config_.seed},
-         {"pageBits", pageBits},
+         {"pageBits", pageBits_},
          {"cores", config_.numCores},
          {"coreFreqHz", kCoreFreqHz},
          {"epochCycles", config_.telemetry.epochCycles},
          {"warmupInstrPerCore", config_.warmupInstrPerCore},
          {"measureInstrPerCore", config_.measureInstrPerCore}});
 
-    mem_->setSpanTrace(spans_.get());
+    hierarchy_->setSpanTrace(spans_.get());
     for (std::uint32_t mc = 0; mc < mem_->numMcs(); ++mc)
         mem_->scheme(mc).attachSpanTrace(spans_.get());
 
@@ -601,7 +585,7 @@ System::collect(const std::vector<Cycle> &phaseStartCycle,
         r.offPkgAvgPowerWatts = power.averagePowerWatts(eq_.now());
     }
 
-    r.avgFetchLatency = mem_->avgFetchLatency();
+    r.avgFetchLatency = hierarchy_->avgFetchLatency();
     r.pteUpdateRuns = os_->updateRuns();
     r.tlbShootdowns = os_->tlbShootdowns();
 

@@ -196,6 +196,9 @@ class System
                       Cycle phaseStartGlobal);
 
     SystemConfig config_;
+    /** The scheme's page size in address bits: Banshee's pageBits,
+     *  else 4 KB. It sets the controller striping and span sampling. */
+    std::uint32_t pageBits_;
     EventQueue eq_;
     std::unique_ptr<TenantMap> tenants_;
     std::unique_ptr<PageTableManager> pageTable_;

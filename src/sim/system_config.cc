@@ -64,14 +64,6 @@ SystemConfig &
 SystemConfig::withScheme(SchemeKind kind)
 {
     scheme = kind;
-    if (kind == SchemeKind::NoCache)
-        mem.hasInPkg = false;
-    else
-        mem.hasInPkg = true;
-    if (kind == SchemeKind::CacheOnly)
-        mem.hasOffPkg = false;
-    else
-        mem.hasOffPkg = true;
     return *this;
 }
 

@@ -111,7 +111,10 @@ struct SystemConfig
     /** Tiny system for unit tests (8 MB cache, 1/16 footprints). */
     static SystemConfig testDefault();
 
-    /** Apply a scheme selection with that scheme's paper defaults. */
+    /** Select the scheme. System derives the rest of the memory
+     *  layout from it: which DRAM devices exist (NoCache has no
+     *  in-package device, CacheOnly no off-package one) and the
+     *  controller striping (the scheme's page size). */
     SystemConfig &withScheme(SchemeKind kind);
 
     /** Convenience for Alloy-1 vs Alloy-0.1. */

@@ -122,16 +122,6 @@ class Histogram
     }
 
     void
-    merge(const Histogram &o)
-    {
-        for (std::uint32_t b = 0; b < kBuckets; ++b)
-            buckets_[b] += o.buckets_[b];
-        count_ += o.count_;
-        sum_ += o.sum_;
-        max_ = std::max(max_, o.max_);
-    }
-
-    void
     reset()
     {
         buckets_.fill(0);

@@ -2,11 +2,12 @@
  * @file
  * Unit tests for the SRAM cache and the three-level hierarchy:
  * LRU replacement, dirty handling, inclusion/back-invalidation,
- * MSHR merging and LLC writeback generation.
+ * MSHR merging, LLC-miss timing and LLC writeback generation.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -388,7 +389,8 @@ tinyHierarchy(std::uint32_t cores = 2)
 TEST(Hierarchy, MissThenHitLevels)
 {
     RecordingBackend backend;
-    CacheHierarchy h(tinyHierarchy(), backend);
+    EventQueue eq;
+    CacheHierarchy h(eq, tinyHierarchy(), backend);
     bool done = false;
     auto r = h.access(0, 0x1000, false, MappingInfo{},
                       [&done](Cycle) { done = true; });
@@ -405,7 +407,8 @@ TEST(Hierarchy, MissThenHitLevels)
 TEST(Hierarchy, CrossCoreSharingHitsInL3)
 {
     RecordingBackend backend;
-    CacheHierarchy h(tinyHierarchy(), backend);
+    EventQueue eq;
+    CacheHierarchy h(eq, tinyHierarchy(), backend);
     h.access(0, 0x1000, false, MappingInfo{}, nullptr);
     backend.completeAll();
     // Core 1 misses its private levels but hits the shared L3.
@@ -416,7 +419,8 @@ TEST(Hierarchy, CrossCoreSharingHitsInL3)
 TEST(Hierarchy, MshrMergesConcurrentMisses)
 {
     RecordingBackend backend;
-    CacheHierarchy h(tinyHierarchy(), backend);
+    EventQueue eq;
+    CacheHierarchy h(eq, tinyHierarchy(), backend);
     int completions = 0;
     auto cb = [&completions](Cycle) { ++completions; };
     h.access(0, 0x2000, false, MappingInfo{}, cb);
@@ -434,7 +438,8 @@ TEST(Hierarchy, MshrTableGrowsAndFillsOutOfOrder)
     // miss while the table is mid-fill. Every line is fetched once and
     // every waiter completes once.
     RecordingBackend backend;
-    CacheHierarchy h(tinyHierarchy(2), backend);
+    EventQueue eq;
+    CacheHierarchy h(eq, tinyHierarchy(2), backend);
     constexpr int kLines = 2000;
     std::vector<int> completions(kLines, 0);
     for (int i = 0; i < kLines; ++i) {
@@ -469,7 +474,8 @@ TEST(Hierarchy, MshrTableGrowsAndFillsOutOfOrder)
 TEST(Hierarchy, DirtyLineEventuallyWrittenBack)
 {
     RecordingBackend backend;
-    CacheHierarchy h(tinyHierarchy(1), backend);
+    EventQueue eq;
+    CacheHierarchy h(eq, tinyHierarchy(1), backend);
     h.access(0, 0x1000, true, MappingInfo{}, nullptr); // store
     backend.completeAll();
     // Evict it by filling far more lines than total capacity.
@@ -489,7 +495,8 @@ TEST(Hierarchy, InclusionBackInvalidatesPrivateCopies)
 {
     RecordingBackend backend;
     HierarchyParams p = tinyHierarchy(1);
-    CacheHierarchy h(p, backend);
+    EventQueue eq;
+    CacheHierarchy h(eq, p, backend);
     h.access(0, 0x1000, false, MappingInfo{}, nullptr);
     backend.completeAll();
     EXPECT_TRUE(h.l1d(0).contains(lineOf(0x1000)));
@@ -511,7 +518,8 @@ TEST(Hierarchy, WritebackCarriesNoMappingPath)
     // LLC writebacks must reach the backend via writebackLine (the
     // path that has no PTE mapping attached — Banshee's probe case).
     RecordingBackend backend;
-    CacheHierarchy h(tinyHierarchy(1), backend);
+    EventQueue eq;
+    CacheHierarchy h(eq, tinyHierarchy(1), backend);
     h.access(0, 0x9000, true, MappingInfo{}, nullptr);
     backend.completeAll();
     const std::size_t before = backend.writebacks.size();
@@ -526,7 +534,8 @@ TEST(Hierarchy, WritebackCarriesNoMappingPath)
 TEST(Hierarchy, FetchPathUsesL1I)
 {
     RecordingBackend backend;
-    CacheHierarchy h(tinyHierarchy(1), backend);
+    EventQueue eq;
+    CacheHierarchy h(eq, tinyHierarchy(1), backend);
     auto r = h.fetch(0, 0x4000, MappingInfo{}, nullptr);
     EXPECT_EQ(r.level, CacheHierarchy::Level::Mem);
     backend.completeAll();
@@ -551,19 +560,24 @@ fnv1a(std::uint64_t h, std::uint64_t v)
     return h;
 }
 
-/** Completes each fetch after a seeded random delay on an event queue
- *  and records fetch and writeback order. */
+/** Completes each fetch after a seeded random delay of at least
+ *  @p minDelay cycles on an event queue and records fetch and
+ *  writeback order. */
 class DelayedBackend : public MemBackend
 {
   public:
-    explicit DelayedBackend(EventQueue &eq) : eq_(eq), rng_(77) {}
+    explicit DelayedBackend(EventQueue &eq, Cycle minDelay = 1)
+        : eq_(eq), minDelay_(minDelay), rng_(77)
+    {
+    }
 
     void
     fetchLine(LineAddr line, const MappingInfo &, CoreId,
               MissDoneFn done) override
     {
         fetches.push_back(line);
-        eq_.schedule(eq_.now() + 1 + rng_.nextBelow(300), std::move(done));
+        eq_.schedule(eq_.now() + minDelay_ + rng_.nextBelow(300),
+                     std::move(done));
     }
 
     void
@@ -577,8 +591,61 @@ class DelayedBackend : public MemBackend
 
   private:
     EventQueue &eq_;
+    Cycle minDelay_;
     Rng rng_;
 };
+
+TEST(Hierarchy, AvgFetchLatencyTimesEachMissFromItsFirstIssue)
+{
+    // Eight misses in flight on core 0; each fill's callback starts
+    // the next miss until 32 have issued, so MSHR entries are freed
+    // and reused while others are outstanding. Core 1 loads each line
+    // five cycles after core 0, before any fill can land, and merges
+    // into its MSHR: a miss is timed once, from its first issue.
+    EventQueue eq;
+    DelayedBackend backend(eq, 20);
+    CacheHierarchy h(eq, tinyHierarchy(2), backend);
+    constexpr int kInFlight = 8;
+    constexpr int kTotal = 32;
+    std::vector<Cycle> issued(kTotal, 0), filled(kTotal, 0);
+    std::vector<int> calls(kTotal, 0);
+    int started = 0;
+    int merged = 0;
+    std::function<void()> startOne = [&] {
+        const int id = started++;
+        issued[id] = eq.now();
+        const Addr addr = (0x1000 + static_cast<Addr>(id) * 67) *
+                          kLineBytes;
+        const auto r =
+            h.access(0, addr, false, MappingInfo{}, [&, id](Cycle when) {
+                ++calls[id];
+                filled[id] = when;
+                if (started < kTotal)
+                    startOne();
+            });
+        EXPECT_EQ(r.level, CacheHierarchy::Level::Mem) << "miss " << id;
+        eq.schedule(eq.now() + 5, [&h, &merged, addr](Cycle) {
+            const auto r1 = h.access(1, addr, false, MappingInfo{}, nullptr);
+            merged += r1.level == CacheHierarchy::Level::Mem;
+        });
+    };
+    for (int i = 0; i < kInFlight; ++i)
+        startOne();
+    eq.run();
+
+    ASSERT_EQ(started, kTotal);
+    EXPECT_EQ(backend.fetches.size(), static_cast<std::size_t>(kTotal));
+    EXPECT_EQ(merged, kTotal);
+    EXPECT_EQ(h.stats().value("mshrMerges"),
+              static_cast<std::uint64_t>(kTotal));
+    std::uint64_t latency = 0;
+    for (int id = 0; id < kTotal; ++id) {
+        EXPECT_EQ(calls[id], 1) << "miss " << id;
+        latency += filled[id] - issued[id];
+    }
+    EXPECT_DOUBLE_EQ(h.avgFetchLatency(),
+                     static_cast<double>(latency) / kTotal);
+}
 
 TEST(Hierarchy, RandomStreamIsPinnedAndInclusive)
 {
@@ -589,7 +656,7 @@ TEST(Hierarchy, RandomStreamIsPinnedAndInclusive)
     // which parks a load and a fetch of one core on one MSHR.
     EventQueue eq;
     DelayedBackend backend(eq);
-    CacheHierarchy h(tinyHierarchy(4), backend);
+    CacheHierarchy h(eq, tinyHierarchy(4), backend);
     constexpr std::uint64_t kUniverse = 768;
     Rng rng(31);
     std::uint64_t levels = 0xcbf29ce484222325ull;

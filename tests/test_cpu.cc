@@ -86,7 +86,7 @@ struct CoreRig
 {
     explicit CoreRig(std::vector<MemOp> ops, Cycle memDelay = 200,
                      CoreParams params = CoreParams{})
-        : backend(eq, memDelay), hierarchy(makeHier(), backend),
+        : backend(eq, memDelay), hierarchy(eq, makeHier(), backend),
           tlb(TlbParams{}, pageTable),
           pattern(std::move(ops)),
           core(0, params, eq, hierarchy, tlb, pattern, 1)

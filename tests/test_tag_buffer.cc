@@ -20,7 +20,6 @@ tiny(std::uint32_t entries = 16, std::uint32_t ways = 4)
     TagBufferParams p;
     p.entries = entries;
     p.ways = ways;
-    p.flushThreshold = 0.7;
     return p;
 }
 

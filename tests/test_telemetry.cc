@@ -105,14 +105,15 @@ TEST(Histogram, PercentilesAreConservativeAndClamped)
     EXPECT_EQ(u.percentile(0.99), 5u);
 }
 
-TEST(Histogram, MergeResetAndTrimmedBuckets)
+TEST(Histogram, ResetAndTrimmedBuckets)
 {
     Histogram a;
     Histogram b;
     a.record(1);
+    a.record(100);
+    a.record(0);
     b.record(100);
     b.record(0);
-    a.merge(b);
     EXPECT_EQ(a.count(), 3u);
     EXPECT_EQ(a.sum(), 101u);
     EXPECT_EQ(a.max(), 100u);
