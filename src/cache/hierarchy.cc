@@ -115,7 +115,7 @@ CacheHierarchy::accessInternal(CoreId core, Addr addr, bool isWrite,
     m.issued = eq_.now();
     m.waiters.push_back(MshrWaiter{core, isWrite, isFetch, std::move(done)});
 
-    backend_.fetchLine(line, mapping, core,
+    backend_.fetchLine(line, mapping,
                        [this, line](Cycle when) { fillComplete(line, when); });
     return res;
 }

@@ -51,8 +51,6 @@ BansheeScheme::BansheeScheme(const SchemeContext &ctx,
     if (ctx_.os) {
         ctx_.os->registerTagBufferHarvester(
             [this] { return tagBuffer_.harvest(); });
-        ctx_.os->registerReplacementLock(
-            [this](bool locked) { setReplacementsLocked(locked); });
     }
 }
 
@@ -112,11 +110,11 @@ BansheeScheme::chargeMetadataRw(std::uint32_t setIdx, TrafficCat cat,
 
 void
 BansheeScheme::demandFetch(LineAddr line, const MappingInfo &mapping,
-                           CoreId core, MissDoneFn done)
+                           MissDoneFn done)
 {
     const PageNum page = pageOfLine64(line);
     const TenantId tenant = tenantOfAddr(lineToAddr(line));
-    const std::uint32_t setIdx = setOfMemo(page, core);
+    const std::uint32_t setIdx = setOf(page);
     bool tbHit = false;
     const PageMapping m = resolveMapping(page, setIdx, mapping, tbHit);
 
@@ -297,14 +295,16 @@ BansheeScheme::executeReplacement(PageNum page, std::uint32_t setIdx,
 {
     const FbrDirectory::CachedEntry &pre = dir_.cached(setIdx, way);
     const PageNum spanPage = spanPageOf(page);
-    if (replacementsLocked_ || !tagBuffer_.canAcceptRemaps(2) ||
+    // The OS PTE-update routine locks replacements while it runs.
+    const bool locked = ctx_.os && ctx_.os->updateInProgress();
+    if (locked || !tagBuffer_.canAcceptRemaps(2) ||
         !tagBuffer_.canInsertRemapPair(page, pre.valid, pre.tag)) {
         ++statReplacementsBlocked_;
         if (spanPage != kNoSpanPage) {
             spans_->pageInstant(page, "repl_blocked", ctx_.eq->now(),
-                                {{"locked", replacementsLocked_ ? 1 : 0}});
+                                {{"locked", locked ? 1 : 0}});
         }
-        if (!replacementsLocked_ && ctx_.os)
+        if (!locked && ctx_.os)
             ctx_.os->requestPteUpdate();
         return;
     }

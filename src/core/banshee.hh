@@ -38,7 +38,6 @@
 #define BANSHEE_CORE_BANSHEE_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "common/stats.hh"
 #include "core/fbr_directory.hh"
@@ -74,7 +73,7 @@ class BansheeScheme : public DramCacheScheme, public ResizeHost
   public:
     BansheeScheme(const SchemeContext &ctx, const BansheeConfig &config);
 
-    void demandFetch(LineAddr line, const MappingInfo &mapping, CoreId core,
+    void demandFetch(LineAddr line, const MappingInfo &mapping,
                      MissDoneFn done) override;
     void demandWriteback(LineAddr line) override;
 
@@ -125,12 +124,6 @@ class BansheeScheme : public DramCacheScheme, public ResizeHost
 
     TagBuffer &tagBuffer() { return tagBuffer_; }
 
-    /** Demand-path set-memo hits (the memo tests read them). */
-    std::uint64_t setMemoHits() const { return memoHits_; }
-
-    /** Freeze/unfreeze replacements (driven by the OS routine). */
-    void setReplacementsLocked(bool locked) { replacementsLocked_ = locked; }
-
     std::uint64_t pagesInserted() const { return statInserts_.value(); }
     std::uint64_t
     replacementsBlocked() const
@@ -167,33 +160,6 @@ class BansheeScheme : public DramCacheScheme, public ResizeHost
         if (resizeDomain_)
             return resizeDomain_->setOf(page, h >> 32);
         return static_cast<std::uint32_t>((h >> 32) % dir_.numSets());
-    }
-
-    /**
-     * Memoized setOf for the demand path. Each core's accesses have
-     * page locality (64 lines per 4 KB page), so a per-core MRU
-     * (page, set) pair short-circuits the pin lookup + ring walk +
-     * hash on most fetches. setOf is pure in (page, layout
-     * generation): an entry is served only while the resize domain's
-     * layoutGeneration() still matches the one it was computed under
-     * (constant 0 without resizing), so hits are byte-identical to
-     * recomputation by construction.
-     */
-    std::uint32_t
-    setOfMemo(PageNum page, CoreId core)
-    {
-        const std::uint64_t gen =
-            resizeDomain_ ? resizeDomain_->layoutGeneration() : 0;
-        if (core >= setMemo_.size())
-            setMemo_.resize(core + 1);
-        SetMemoEntry &e = setMemo_[core];
-        if (e.page == page && e.generation == gen) {
-            ++memoHits_;
-            return e.setIdx;
-        }
-        const std::uint32_t idx = setOf(page);
-        e = SetMemoEntry{page, gen, idx};
-        return idx;
     }
 
   private:
@@ -256,26 +222,15 @@ class BansheeScheme : public DramCacheScheme, public ResizeHost
                           TenantId tenant,
                           PageNum spanPage = kNoSpanPage);
 
-    struct SetMemoEntry
-    {
-        PageNum page = ~0ull;
-        std::uint64_t generation = 0;
-        std::uint32_t setIdx = 0;
-    };
-
     BansheeConfig config_;
     FbrDirectory dir_;
     TagBuffer tagBuffer_;
     ResizeDomain *resizeDomain_ = nullptr;
     double threshold_;
     EwmaRatio missRate_;
-    bool replacementsLocked_ = false;
     std::uint64_t lruStampCounter_ = 1;
     std::uint32_t pageBytes_;
     Addr metaBase_;
-    /** Per-core MRU page->set memo (grown on first use per core). */
-    std::vector<SetMemoEntry> setMemo_;
-    std::uint64_t memoHits_ = 0;
 
     Counter &statInserts_;
     Counter &statReplacementsBlocked_;

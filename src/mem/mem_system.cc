@@ -45,10 +45,10 @@ MemSystem::buildSchemes(const SchemeFactory &factory,
 }
 
 void
-MemSystem::fetchLine(LineAddr line, const MappingInfo &mapping, CoreId core,
+MemSystem::fetchLine(LineAddr line, const MappingInfo &mapping,
                      MissDoneFn done)
 {
-    schemes_[mcOf(line)]->demandFetch(line, mapping, core, std::move(done));
+    schemes_[mcOf(line)]->demandFetch(line, mapping, std::move(done));
 }
 
 void

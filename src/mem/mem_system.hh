@@ -57,7 +57,7 @@ class MemSystem : public MemBackend
 
     // MemBackend interface (called by the LLC): route to the line's
     // controller. The caller's @p done goes to the scheme unwrapped.
-    void fetchLine(LineAddr line, const MappingInfo &mapping, CoreId core,
+    void fetchLine(LineAddr line, const MappingInfo &mapping,
                    MissDoneFn done) override;
     void writebackLine(LineAddr line) override;
 

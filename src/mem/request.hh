@@ -41,7 +41,7 @@ class MemBackend
 
     /** Fetch one 64 B line; @p done fires when data is available. */
     virtual void fetchLine(LineAddr line, const MappingInfo &mapping,
-                           CoreId core, MissDoneFn done) = 0;
+                           MissDoneFn done) = 0;
 
     /** Posted write of one dirty 64 B line evicted from the LLC. */
     virtual void writebackLine(LineAddr line) = 0;

@@ -68,7 +68,7 @@ class DramCacheScheme
      * with the cycle the 64 B line is available.
      */
     virtual void demandFetch(LineAddr line, const MappingInfo &mapping,
-                             CoreId core, MissDoneFn done) = 0;
+                             MissDoneFn done) = 0;
 
     /** Posted dirty-line eviction from the LLC (no mapping attached). */
     virtual void demandWriteback(LineAddr line) = 0;

@@ -12,10 +12,6 @@ OsServices::requestPteUpdate()
     updateInProgress_ = true;
     ++statUpdates_;
 
-    // Lock replacements in every memory controller for the duration.
-    for (auto &lock : locks_)
-        lock(true);
-
     // The interrupt handler runs on one randomly chosen core (the
     // degenerate no-core test configuration just commits). At most
     // one update is in flight, so the routine completion is one
@@ -55,8 +51,6 @@ OsServices::shootdownAll(CoreId initiator)
 void
 OsServices::finishUpdate()
 {
-    for (auto &lock : locks_)
-        lock(false);
     updateInProgress_ = false;
     for (auto &listener : updateListeners_)
         listener();

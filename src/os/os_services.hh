@@ -54,9 +54,6 @@ class OsServices
      */
     using HarvestFn = std::function<std::vector<PteUpdate>()>;
 
-    /** Replacement lock/unlock hook registered by each Banshee MC. */
-    using LockFn = std::function<void(bool)>;
-
     /** Listener invoked every time a batch PTE update completes (the
      *  resize subsystem resumes stalled migrations from it). */
     using UpdateListenerFn = std::function<void()>;
@@ -77,8 +74,6 @@ class OsServices
         harvesters_.push_back(std::move(fn));
     }
 
-    void registerReplacementLock(LockFn fn) { locks_.push_back(std::move(fn)); }
-
     void
     registerUpdateListener(UpdateListenerFn fn)
     {
@@ -94,6 +89,7 @@ class OsServices
      */
     void requestPteUpdate();
 
+    /** The routine is running; Banshee locks replacements meanwhile. */
     bool updateInProgress() const { return updateInProgress_; }
 
     /** Stall every core (used by the HMA software remapper). */
@@ -124,7 +120,6 @@ class OsServices
     Rng rng_;
     std::vector<CoreHooks> cores_;
     std::vector<HarvestFn> harvesters_;
-    std::vector<LockFn> locks_;
     std::vector<UpdateListenerFn> updateListeners_;
     bool updateInProgress_ = false;
     /** Handler core of the in-flight update; meaningful only when

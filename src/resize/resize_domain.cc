@@ -44,12 +44,11 @@ ResizeDomain::drain(std::function<void()> onDone)
         }
     });
 
-    // One bump covers the activation/ownership flips the controller
+    // One clear covers the activation/ownership flips the controller
     // just made plus the pin inserts above: no demand access can
-    // interleave between the flips and here (all synchronous), so
-    // memoized mappings from before the transition are invalidated
-    // exactly once. Pin drops during the drain bump individually.
-    ++layoutGeneration_;
+    // interleave between the flips and here (all synchronous). Pin
+    // drops during the drain clear the memo again.
+    memo_.fill(MemoEntry{});
 
     if (pending_.empty()) {
         // Nothing to move (e.g. a grow into a cold cache).

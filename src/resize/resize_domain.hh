@@ -31,6 +31,7 @@
 #ifndef BANSHEE_RESIZE_RESIZE_DOMAIN_HH
 #define BANSHEE_RESIZE_RESIZE_DOMAIN_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -63,18 +64,19 @@ class ResizeDomain
      * spread pages identically. In a partitioned (multi-tenant)
      * layout the successor walk is restricted to the page's tenant's
      * slices, confining each tenant to its quota.
+     *
+     * A direct-mapped memo indexed by @p mixedHash answers repeat
+     * lookups without the pin lookup and the ring walk. Whatever
+     * changes a page's set clears it first: drain() (the layout flips
+     * and the new pins) and every pin drop.
      */
     std::uint32_t
-    setOf(PageNum page, std::uint64_t mixedHash) const
+    setOf(PageNum page, std::uint64_t mixedHash)
     {
-        auto pin = pinned_.find(page);
-        if (pin != pinned_.end())
-            return pin->second;
-        const std::uint32_t slice =
-            layout_.sliceOf(page, partitioned_ ? host_.pageTenant(page)
-                                               : kNoTenant);
-        return slice * setsPerSlice_ +
-               static_cast<std::uint32_t>(mixedHash % setsPerSlice_);
+        MemoEntry &e = memo_[mixedHash % kMemoEntries];
+        if (e.page != page)
+            e = MemoEntry{page, computeSetOf(page, mixedHash)};
+        return e.set;
     }
 
     /** Slice owning set @p setIdx (layout, not ring). */
@@ -89,7 +91,9 @@ class ResizeDomain
      * set moved (every resident page under FlushAll), pin each to the
      * set it still occupies, and start the drain. Each page drops its
      * pin when it is drained or skipped. @p onDone fires when the
-     * drain completes, possibly before this returns.
+     * drain completes, possibly before this returns. It also clears
+     * the set memo, so every layout change must reach drain() before
+     * the next setOf().
      */
     void drain(std::function<void()> onDone);
 
@@ -102,23 +106,7 @@ class ResizeDomain
 
     /** A frame left the cache through normal replacement; drop any
      *  pin so future accesses use the page's new home set. */
-    void
-    notifyFrameEvicted(PageNum page)
-    {
-        if (pinned_.erase(page) > 0)
-            ++layoutGeneration_;
-    }
-
-    /**
-     * Monotone counter bumped on every page->set mapping mutation:
-     * once per transition (the layout change plus the pin inserts at
-     * drain start) and on every pin drop (drain progress or
-     * eviction). A cached (page, setOf(page)) pair is valid iff the
-     * generation it was computed under still matches — the
-     * invalidation contract the scheme's per-core mapping memo relies
-     * on.
-     */
-    std::uint64_t layoutGeneration() const { return layoutGeneration_; }
+    void notifyFrameEvicted(PageNum page) { unpin(page); }
 
     /** The shared slice layout (owned by the ResizeController). */
     const ConsistentHashMapper &layout() const { return layout_; }
@@ -155,17 +143,39 @@ class ResizeDomain
         PageNum page;
     };
 
+    /** One setOf answer; page ~0 marks an empty entry. */
+    struct MemoEntry
+    {
+        PageNum page = ~0ull;
+        std::uint32_t set = 0;
+    };
+    static constexpr std::size_t kMemoEntries = 64;
+
+    /** setOf without the memo: the page's pin, else its home set. */
+    std::uint32_t
+    computeSetOf(PageNum page, std::uint64_t mixedHash) const
+    {
+        auto pin = pinned_.find(page);
+        if (pin != pinned_.end())
+            return pin->second;
+        const std::uint32_t slice =
+            layout_.sliceOf(page, partitioned_ ? host_.pageTenant(page)
+                                               : kNoTenant);
+        return slice * setsPerSlice_ +
+               static_cast<std::uint32_t>(mixedHash % setsPerSlice_);
+    }
+
     /** Drain up to pagesPerBatch frames, then re-arm or finish. */
     void tick();
 
     void armTick(Cycle delay);
 
-    /** @p page left the backlog (drained or skipped): drop its pin. */
+    /** Drop @p page's pin, if any, and with it every memoized set. */
     void
     unpin(PageNum page)
     {
-        pinned_.erase(page);
-        ++layoutGeneration_;
+        if (pinned_.erase(page) > 0)
+            memo_.fill(MemoEntry{});
     }
 
     EventQueue &eq_;
@@ -177,7 +187,7 @@ class ResizeDomain
     std::uint32_t setsPerSlice_;
     /** Pages awaiting migration -> the old set they still occupy. */
     std::unordered_map<PageNum, std::uint32_t> pinned_;
-    std::uint64_t layoutGeneration_ = 0;
+    std::array<MemoEntry, kMemoEntries> memo_{};
 
     /** Frames queued by drain(), in drain order. */
     std::deque<Frame> pending_;

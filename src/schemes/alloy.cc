@@ -18,7 +18,7 @@ AlloyScheme::AlloyScheme(const SchemeContext &ctx, const AlloyConfig &config)
 }
 
 void
-AlloyScheme::demandFetch(LineAddr line, const MappingInfo &, CoreId,
+AlloyScheme::demandFetch(LineAddr line, const MappingInfo &,
                          MissDoneFn done)
 {
     const std::uint64_t set = setOf(line);

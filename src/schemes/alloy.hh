@@ -35,7 +35,7 @@ class AlloyScheme : public DramCacheScheme
   public:
     AlloyScheme(const SchemeContext &ctx, const AlloyConfig &config);
 
-    void demandFetch(LineAddr line, const MappingInfo &mapping, CoreId core,
+    void demandFetch(LineAddr line, const MappingInfo &mapping,
                      MissDoneFn done) override;
     void demandWriteback(LineAddr line) override;
 

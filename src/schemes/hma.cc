@@ -25,7 +25,7 @@ HmaScheme::armEpoch()
 }
 
 void
-HmaScheme::demandFetch(LineAddr line, const MappingInfo &, CoreId,
+HmaScheme::demandFetch(LineAddr line, const MappingInfo &,
                        MissDoneFn done)
 {
     const PageNum page = pageOfLine(line);

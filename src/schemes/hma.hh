@@ -38,7 +38,7 @@ class HmaScheme : public DramCacheScheme
   public:
     HmaScheme(const SchemeContext &ctx, const HmaConfig &config);
 
-    void demandFetch(LineAddr line, const MappingInfo &mapping, CoreId core,
+    void demandFetch(LineAddr line, const MappingInfo &mapping,
                      MissDoneFn done) override;
     void demandWriteback(LineAddr line) override;
 

@@ -21,8 +21,7 @@ class NoCacheScheme : public DramCacheScheme
     }
 
     void
-    demandFetch(LineAddr line, const MappingInfo &, CoreId,
-                MissDoneFn done) override
+    demandFetch(LineAddr line, const MappingInfo &, MissDoneFn done) override
     {
         recordAccess(false);
         offPkgRead64(line, TrafficCat::Demand, std::move(done));
@@ -50,8 +49,7 @@ class CacheOnlyScheme : public DramCacheScheme
     }
 
     void
-    demandFetch(LineAddr line, const MappingInfo &, CoreId,
-                MissDoneFn done) override
+    demandFetch(LineAddr line, const MappingInfo &, MissDoneFn done) override
     {
         recordAccess(true);
         inPkgAccess(deviceAddr(line), kLineBytes, 0, false,

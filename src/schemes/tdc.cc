@@ -5,17 +5,14 @@
 namespace banshee {
 
 TdcScheme::TdcScheme(const SchemeContext &ctx)
-    : DramCacheScheme(ctx)
+    : DramCacheScheme(ctx), numFrames_(ctx.cacheBytesPerMc / kPageBytes),
+      framePage_(numFrames_)
 {
-    numFrames_ = ctx.cacheBytesPerMc / kPageBytes;
     sim_assert(numFrames_ > 0, "TDC cache too small");
-    freeFrames_.reserve(numFrames_);
-    for (std::uint64_t f = 0; f < numFrames_; ++f)
-        freeFrames_.push_back(numFrames_ - 1 - f);
 }
 
 void
-TdcScheme::demandFetch(LineAddr line, const MappingInfo &, CoreId,
+TdcScheme::demandFetch(LineAddr line, const MappingInfo &,
                        MissDoneFn done)
 {
     const PageNum page = pageOfLine(line);
@@ -39,11 +36,9 @@ TdcScheme::demandFetch(LineAddr line, const MappingInfo &, CoreId,
 }
 
 void
-TdcScheme::evictOne()
+TdcScheme::evict(std::uint64_t frameIdx)
 {
-    sim_assert(!fifo_.empty(), "evict from empty TDC");
-    const PageNum victim = fifo_.front();
-    fifo_.pop_front();
+    const PageNum victim = framePage_[frameIdx];
     auto it = frameOf_.find(victim);
     sim_assert(it != frameOf_.end(), "FIFO page missing from map");
 
@@ -51,24 +46,22 @@ TdcScheme::evictOne()
     const std::uint32_t dirtyLines =
         it->second.residency.dirtyGroups() * kFootprintGroupLines;
     if (dirtyLines > 0) {
-        inPkgBulk(frameAddr(it->second.frameIdx),
+        inPkgBulk(frameAddr(frameIdx),
                   static_cast<std::uint64_t>(dirtyLines) * kLineBytes, false,
                   TrafficCat::Replacement);
         offPkgBulk(static_cast<Addr>(victim) * kPageBytes,
                    static_cast<std::uint64_t>(dirtyLines) * kLineBytes, true,
                    TrafficCat::Writeback);
     }
-    freeFrames_.push_back(it->second.frameIdx);
     frameOf_.erase(it);
 }
 
 void
 TdcScheme::fill(PageNum page, std::uint32_t lineIdx)
 {
-    if (freeFrames_.empty())
-        evictOne();
-    const std::uint64_t frameIdx = freeFrames_.back();
-    freeFrames_.pop_back();
+    const std::uint64_t frameIdx = fills_ % numFrames_;
+    if (fills_++ >= numFrames_)
+        evict(frameIdx);
 
     const std::uint32_t fillLines = footprint_.predictLines();
     offPkgBulk(static_cast<Addr>(page) * kPageBytes,
@@ -82,7 +75,7 @@ TdcScheme::fill(PageNum page, std::uint32_t lineIdx)
     frame.frameIdx = frameIdx;
     frame.residency.touch(lineIdx, false);
     frameOf_.emplace(page, frame);
-    fifo_.push_back(page);
+    framePage_[frameIdx] = page;
 }
 
 void

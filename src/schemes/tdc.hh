@@ -16,7 +16,6 @@
 #define BANSHEE_SCHEMES_TDC_HH
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -30,7 +29,7 @@ class TdcScheme : public DramCacheScheme
   public:
     explicit TdcScheme(const SchemeContext &ctx);
 
-    void demandFetch(LineAddr line, const MappingInfo &mapping, CoreId core,
+    void demandFetch(LineAddr line, const MappingInfo &mapping,
                      MissDoneFn done) override;
     void demandWriteback(LineAddr line) override;
 
@@ -49,15 +48,17 @@ class TdcScheme : public DramCacheScheme
         return frameIdx * kPageBytes;
     }
 
-    /** FIFO replacement of one page to make room. */
-    void evictOne();
+    /** FIFO replacement: evict the page in frame @p frameIdx. */
+    void evict(std::uint64_t frameIdx);
 
     void fill(PageNum page, std::uint32_t lineIdx);
 
     std::uint64_t numFrames_;
     std::unordered_map<PageNum, Frame> frameOf_;
-    std::deque<PageNum> fifo_;
-    std::vector<std::uint64_t> freeFrames_;
+    /** Frames fill in order, so the k-th fill takes frame k mod N and
+     *  evicts the oldest page: FIFO over a ring of frames. */
+    std::vector<PageNum> framePage_;
+    std::uint64_t fills_ = 0;
     FootprintPredictor footprint_;
 };
 

@@ -26,7 +26,7 @@ UnisonScheme::findWay(std::uint32_t setIdx, PageNum page)
 }
 
 void
-UnisonScheme::demandFetch(LineAddr line, const MappingInfo &, CoreId,
+UnisonScheme::demandFetch(LineAddr line, const MappingInfo &,
                           MissDoneFn done)
 {
     const PageNum page = pageOfLine(line);

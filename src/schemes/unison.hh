@@ -28,7 +28,7 @@ class UnisonScheme : public DramCacheScheme
   public:
     explicit UnisonScheme(const SchemeContext &ctx);
 
-    void demandFetch(LineAddr line, const MappingInfo &mapping, CoreId core,
+    void demandFetch(LineAddr line, const MappingInfo &mapping,
                      MissDoneFn done) override;
     void demandWriteback(LineAddr line) override;
 

@@ -1,5 +1,6 @@
 #include "sim/report.hh"
 
+#include <algorithm>
 #include <cstdarg>
 
 #include "common/log.hh"
@@ -17,8 +18,10 @@ void
 TablePrinter::printRow(const std::vector<std::string> &cells) const
 {
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        // First column is wider (workload names).
-        const int w = i == 0 ? width_ + 4 : width_;
+        // First column is wider (workload names). A cell too wide for
+        // its column still keeps one space before the next.
+        const int w = std::max(i == 0 ? width_ + 4 : width_,
+                               static_cast<int>(cells[i].size()) + 1);
         std::printf("%-*s", w, cells[i].c_str());
     }
     std::printf("\n");

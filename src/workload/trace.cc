@@ -86,20 +86,14 @@ TracePattern::TracePattern(Buffer records) : records_(std::move(records))
     sim_assert(records_ != nullptr && !records_->empty(), "empty trace");
 }
 
-std::unique_ptr<TracePattern>
-TracePattern::fromFile(const std::string &path)
-{
-    return std::make_unique<TracePattern>(readTrace(path));
-}
-
 namespace {
 
 /** Process-wide cache of loaded trace buffers, keyed by path. The
- *  mutex covers only load/lookup — replay touches the immutable
- *  buffer lock-free. Entries are weak so dropUnusedCachedTraces can
- *  tell live buffers from dead ones. */
+ *  mutex covers only load and lookup: replay reads the immutable
+ *  buffer lock-free. Entries are weak, so a buffer dies with its last
+ *  pattern. */
 std::mutex traceCacheMutex;
-std::map<std::string, std::shared_ptr<const std::vector<TraceRecord>>>
+std::map<std::string, std::weak_ptr<const std::vector<TraceRecord>>>
     traceCache;
 
 } // namespace
@@ -108,32 +102,14 @@ std::unique_ptr<TracePattern>
 TracePattern::sharedFromFile(const std::string &path)
 {
     std::lock_guard<std::mutex> lock(traceCacheMutex);
-    auto it = traceCache.find(path);
-    if (it == traceCache.end()) {
-        it = traceCache
-                 .emplace(path,
-                          std::make_shared<const std::vector<TraceRecord>>(
-                              readTrace(path)))
-                 .first;
+    std::weak_ptr<const std::vector<TraceRecord>> &cached = traceCache[path];
+    Buffer records = cached.lock();
+    if (!records) {
+        records =
+            std::make_shared<const std::vector<TraceRecord>>(readTrace(path));
+        cached = records;
     }
-    return std::make_unique<TracePattern>(it->second);
-}
-
-std::size_t
-TracePattern::dropUnusedCachedTraces()
-{
-    std::lock_guard<std::mutex> lock(traceCacheMutex);
-    std::size_t dropped = 0;
-    for (auto it = traceCache.begin(); it != traceCache.end();) {
-        // use_count == 1 means only the cache holds the buffer.
-        if (it->second.use_count() == 1) {
-            it = traceCache.erase(it);
-            ++dropped;
-        } else {
-            ++it;
-        }
-    }
-    return dropped;
+    return std::make_unique<TracePattern>(std::move(records));
 }
 
 MemOp

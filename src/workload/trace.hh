@@ -48,7 +48,7 @@ std::vector<TraceRecord> readTrace(const std::string &path);
  * every experiment in a sweep) replaying the same file shares one
  * in-memory copy through sharedFromFile, each instance holding only
  * its own cursor. A 64-core run over a multi-GB trace costs one load
- * and one buffer, not 64.
+ * and one buffer, not 64. The buffer dies with its last pattern.
  */
 class TracePattern : public AccessPattern
 {
@@ -58,9 +58,6 @@ class TracePattern : public AccessPattern
     explicit TracePattern(std::vector<TraceRecord> records);
     explicit TracePattern(Buffer records);
 
-    /** Convenience: load from file (private buffer, no cache). */
-    static std::unique_ptr<TracePattern> fromFile(const std::string &path);
-
     /**
      * Load @p path once per process and share the immutable record
      * buffer across all patterns replaying it (thread-safe — sweep
@@ -68,10 +65,6 @@ class TracePattern : public AccessPattern
      */
     static std::unique_ptr<TracePattern>
     sharedFromFile(const std::string &path);
-
-    /** Drop cached buffers not referenced by any live pattern;
-     *  returns how many were evicted (testing / long-lived hosts). */
-    static std::size_t dropUnusedCachedTraces();
 
     MemOp next(Rng &rng) override;
 

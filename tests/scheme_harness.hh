@@ -76,7 +76,7 @@ class SchemeHarness
           MappingInfo mapping = MappingInfo{})
     {
         Cycle doneAt = 0;
-        scheme.demandFetch(line, mapping, 0,
+        scheme.demandFetch(line, mapping,
                            [&doneAt](Cycle when) { doneAt = when; });
         drain();
         return doneAt;

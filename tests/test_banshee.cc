@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "core/banshee.hh"
-#include "resize/resize_domain.hh"
 #include "scheme_harness.hh"
 
 namespace banshee {
@@ -159,17 +158,20 @@ TEST(BansheeScheme, ReplacementsBlockedWhileLocked)
 {
     SchemeHarness h;
     BansheeScheme s(h.ctx, aggressive());
-    // Manually lock via the OS hook path.
-    h.os->registerTagBufferHarvester([] { return std::vector<PteUpdate>{}; });
     const LineAddr line = lineOf(0x500000);
     h.fetch(s, line);
-    // Lock replacements, then hammer: no page may be inserted.
-    s.setReplacementsLocked(true);
-    h.fetch(s, line);
-    h.fetch(s, line);
+    // Start the OS PTE-update routine (20 us), then hammer before it
+    // completes: no page may be inserted.
+    h.os->requestPteUpdate();
+    for (int i = 0; i < 2; ++i) {
+        s.demandFetch(line, MappingInfo{}, nullptr);
+        h.eq.run(h.eq.now() + 1000);
+    }
+    ASSERT_TRUE(h.os->updateInProgress());
     EXPECT_EQ(s.pagesInserted(), 0u);
     EXPECT_GT(s.replacementsBlocked(), 0u);
-    s.setReplacementsLocked(false);
+    h.drain();
+    ASSERT_FALSE(h.os->updateInProgress());
     h.fetch(s, line);
     EXPECT_EQ(s.pagesInserted(), 1u);
 }
@@ -335,67 +337,6 @@ TEST(BansheeScheme, CounterOverflowHalvesSet)
     for (int i = 0; i < 12; ++i)
         h.fetch(s, line);
     EXPECT_GT(s.stats().value("counterOverflows"), 0u);
-}
-
-// ------------------------------------------------------------------
-// Per-core mapping memo (setOfMemo)
-// ------------------------------------------------------------------
-
-TEST(BansheeScheme, MappingMemoHitsOnRepeatAndIsPerCore)
-{
-    SchemeHarness h;
-    BansheeScheme s(h.ctx, neverSample());
-    const PageNum p1 = 0x100, p2 = 0x200;
-
-    const std::uint32_t set1 = s.setOfMemo(p1, /*core=*/0);
-    EXPECT_EQ(s.setMemoHits(), 0u);
-    EXPECT_EQ(s.setOfMemo(p1, 0), set1);
-    EXPECT_EQ(s.setMemoHits(), 1u);
-
-    // Depth-1 MRU: a different page evicts the entry...
-    s.setOfMemo(p2, 0);
-    EXPECT_EQ(s.setOfMemo(p1, 0), set1); // recomputed, still correct
-    EXPECT_EQ(s.setMemoHits(), 1u);
-
-    // ...but another core's entry is independent of core 0's churn.
-    EXPECT_EQ(s.setOfMemo(p1, 1), set1);
-    EXPECT_EQ(s.setOfMemo(p1, 1), set1);
-    EXPECT_EQ(s.setMemoHits(), 2u);
-}
-
-TEST(BansheeScheme, MappingMemoInvalidatesOnResizeCommit)
-{
-    SchemeHarness h;
-    BansheeScheme s(h.ctx, neverSample());
-    ResizeConfig rc;
-    rc.enabled = true;
-    ConsistentHashMapper layout(rc.hash);
-    ResizeDomain dom(h.eq, s, layout, rc);
-    s.attachResizeDomain(&dom);
-
-    const PageNum page = 0x42;
-    const std::uint32_t before = s.setOfMemo(page, 0);
-    EXPECT_EQ(s.setOfMemo(page, 0), before);
-    EXPECT_EQ(s.setMemoHits(), 1u);
-
-    // Shrink one slice (empty cache: the drain completes inline).
-    const std::uint64_t gen = dom.layoutGeneration();
-    bool done = false;
-    layout.setActive(layout.numSlices() - 1, false);
-    dom.drain([&done] { done = true; });
-    h.drain();
-    ASSERT_TRUE(done);
-    EXPECT_GT(dom.layoutGeneration(), gen);
-
-    // The next lookup must recompute against the new layout, not
-    // serve the pre-resize entry.
-    const std::uint64_t hits = s.setMemoHits();
-    const std::uint32_t after = s.setOfMemo(page, 0);
-    EXPECT_EQ(s.setMemoHits(), hits);
-    EXPECT_EQ(after, s.setOf(page));
-    // And the refreshed entry hits again under the new generation.
-    EXPECT_EQ(s.setOfMemo(page, 0), after);
-    EXPECT_EQ(s.setMemoHits(), hits + 1);
 }
 
 } // namespace

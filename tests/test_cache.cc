@@ -342,8 +342,7 @@ class RecordingBackend : public MemBackend
 {
   public:
     void
-    fetchLine(LineAddr line, const MappingInfo &, CoreId,
-              MissDoneFn done) override
+    fetchLine(LineAddr line, const MappingInfo &, MissDoneFn done) override
     {
         fetches.push_back(line);
         pending.emplace_back(line, std::move(done));
@@ -572,8 +571,7 @@ class DelayedBackend : public MemBackend
     }
 
     void
-    fetchLine(LineAddr line, const MappingInfo &, CoreId,
-              MissDoneFn done) override
+    fetchLine(LineAddr line, const MappingInfo &, MissDoneFn done) override
     {
         fetches.push_back(line);
         eq_.schedule(eq_.now() + minDelay_ + rng_.nextBelow(300),

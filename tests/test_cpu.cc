@@ -26,8 +26,7 @@ class DelayBackend : public MemBackend
     DelayBackend(EventQueue &eq, Cycle delay) : eq_(eq), delay_(delay) {}
 
     void
-    fetchLine(LineAddr line, const MappingInfo &, CoreId,
-              MissDoneFn done) override
+    fetchLine(LineAddr line, const MappingInfo &, MissDoneFn done) override
     {
         ++fetches;
         fetched.push_back(line);

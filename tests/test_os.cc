@@ -68,19 +68,22 @@ TEST_F(OsServicesTest, RoutineTakesConfiguredTime)
 
 TEST_F(OsServicesTest, LocksHeldForRoutineDuration)
 {
+    // Banshee locks replacements while updateInProgress() holds.
     OsServices os(eq, pt);
-    std::vector<std::pair<Cycle, bool>> lockTrace;
-    os.registerReplacementLock([&](bool locked) {
-        lockTrace.emplace_back(eq.now(), locked);
-    });
     os.registerTagBufferHarvester([] { return std::vector<PteUpdate>{}; });
+    bool heldAtListener = true;
+    os.registerUpdateListener(
+        [&] { heldAtListener = os.updateInProgress(); });
+    EXPECT_FALSE(os.updateInProgress());
     os.requestPteUpdate();
+    EXPECT_TRUE(os.updateInProgress());
+    eq.run(usToCycles(20.0) - 1);
+    EXPECT_TRUE(os.updateInProgress());
     eq.run();
-    ASSERT_EQ(lockTrace.size(), 2u);
-    EXPECT_TRUE(lockTrace[0].second);
-    EXPECT_FALSE(lockTrace[1].second);
-    EXPECT_EQ(lockTrace[0].first, 0u);
-    EXPECT_EQ(lockTrace[1].first, usToCycles(20.0));
+    EXPECT_EQ(eq.now(), usToCycles(20.0));
+    EXPECT_FALSE(os.updateInProgress());
+    // Listeners (the resize drains) run after the lock is released.
+    EXPECT_FALSE(heldAtListener);
 }
 
 TEST_F(OsServicesTest, HandlerCoreStalledShootdownCostsSplit)

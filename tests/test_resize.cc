@@ -170,61 +170,74 @@ class FakeHost : public ResizeHost
     void verifyResidencyConsistent() override {}
 };
 
-TEST(ResizeDomain, LayoutGenerationBumpsOnResizeAndPinDrops)
+TEST(ResizeDomain, SetMemoNeverOutlivesAMappingChange)
 {
+    // setOf memoizes its answers. At each point where a page's set
+    // changes (drain start, a drained page, the eviction of a pinned
+    // page) a page still in its frame must map to that frame's set,
+    // and every other page where a freshly built domain maps it. The
+    // mixed hash is the page number, so pages 0-63 take distinct memo
+    // entries.
     EventQueue eq;
     FakeHost host;
-    for (std::uint32_t i = 0; i < 8; ++i)
-        host.frames[{i, 0}] = FakeHost::Frame{100 + i, false};
-
     ResizeConfig rc;
     rc.enabled = true;
+    rc.migration.pagesPerBatch = 1;
     ConsistentHashMapper layout(rc.hash);
     ResizeDomain dom(eq, host, layout, rc);
-    const std::uint64_t g0 = dom.layoutGeneration();
+    const std::uint32_t lost = layout.numSlices() - 1;
 
-    bool done = false;
-    layout.setActive(layout.numSlices() - 1, false);
-    dom.drain([&done] { done = true; });
-    // The activation flip + pin inserts invalidate stale mappings
-    // before any drain work runs.
-    const std::uint64_t gStart = dom.layoutGeneration();
-    EXPECT_GT(gStart, g0);
+    // Two pages of the slice that will go sit at their home sets;
+    // every page is looked up once, so each has a memo entry.
+    std::map<PageNum, std::pair<std::uint32_t, std::uint32_t>> frameOf;
+    int onLost = 0;
+    for (PageNum p = 0; p < 64; ++p) {
+        const std::uint32_t set = dom.setOf(p, p);
+        if (layout.sliceOf(p) != lost)
+            continue;
+        ++onLost;
+        if (frameOf.size() < 2) {
+            const auto way = static_cast<std::uint32_t>(frameOf.size());
+            host.frames[{set, way}] = FakeHost::Frame{p, false};
+            frameOf[p] = {set, way};
+        }
+    }
+    // Non-resident pages of the lost slice hold stale entries too.
+    ASSERT_GT(onLost, 2);
+
+    auto expectFresh = [&](const char *point) {
+        ResizeDomain fresh(eq, host, layout, rc);
+        for (PageNum p = 0; p < 64; ++p) {
+            const auto f = frameOf.find(p);
+            if (f != frameOf.end() && host.frames.at(f->second).resident)
+                EXPECT_EQ(dom.setOf(p, p), f->second.first)
+                    << point << ", page " << p;
+            else
+                EXPECT_EQ(dom.setOf(p, p), fresh.setOf(p, p))
+                    << point << ", page " << p;
+        }
+    };
+
+    layout.setActive(lost, false);
+    dom.drain([] {});
+    expectFresh("drain start");
+
+    eq.run(0); // the first batch drains one page
+    ASSERT_EQ(host.evictionOrder.size(), 1u);
+    expectFresh("drained page");
+
+    // Normal replacement evicts the other page while it is pinned.
+    PageNum pinned = frameOf.begin()->first;
+    if (pinned == host.evictionOrder[0])
+        pinned = std::next(frameOf.begin())->first;
+    host.frames.at(frameOf.at(pinned)).resident = false;
+    dom.notifyFrameEvicted(pinned);
+    expectFresh("evicted pinned page");
 
     eq.run();
-    ASSERT_TRUE(done);
-    // Every drained pin bumps again so memoized pinned mappings die
-    // the moment the page's frame is reclaimed.
-    EXPECT_GE(dom.layoutGeneration(), gStart);
-    EXPECT_FALSE(dom.draining());
-}
-
-TEST(ResizeDomain, EvictionOfPinnedPageBumpsGeneration)
-{
-    EventQueue eq;
-    FakeHost host;
-    host.frames[{0, 0}] = FakeHost::Frame{100, false};
-
-    ResizeConfig rc;
-    rc.enabled = true;
-    ConsistentHashMapper layout(rc.hash);
-    ResizeDomain dom(eq, host, layout, rc);
-
-    // No pin: eviction notifications are generation-neutral.
-    const std::uint64_t g0 = dom.layoutGeneration();
-    dom.notifyFrameEvicted(100);
-    EXPECT_EQ(dom.layoutGeneration(), g0);
-
-    // Pin the page by starting a flush-style drain that cannot make
-    // progress (tag buffer full), then evict it out from under the
-    // migration: the pin drop must invalidate memoized mappings.
-    host.allowEvict = false;
-    rc.strategy = ResizeStrategy::FlushAll;
-    ResizeDomain flushDom(eq, host, layout, rc);
-    flushDom.drain([] {});
-    const std::uint64_t g1 = flushDom.layoutGeneration();
-    flushDom.notifyFrameEvicted(100);
-    EXPECT_GT(flushDom.layoutGeneration(), g1);
+    EXPECT_EQ(dom.pagesDrained(), 1u);
+    EXPECT_EQ(dom.pagesSkipped(), 1u);
+    expectFresh("drain end");
 }
 
 /** A FlushAll domain's config: every resident page drains. */

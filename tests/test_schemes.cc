@@ -314,15 +314,15 @@ TEST(Hma, EpochMovesHotPagesIn)
     HmaScheme s(h.ctx, cfg);
     // Touch two pages repeatedly; they miss before the first epoch.
     for (int i = 0; i < 20; ++i) {
-        s.demandFetch(lineOf(0x1000), MappingInfo{}, 0, nullptr);
-        s.demandFetch(lineOf(0x2000), MappingInfo{}, 0, nullptr);
+        s.demandFetch(lineOf(0x1000), MappingInfo{}, nullptr);
+        s.demandFetch(lineOf(0x2000), MappingInfo{}, nullptr);
     }
     EXPECT_EQ(s.hits(), 0u);
     // Let the first epoch fire.
     h.eq.run(15000);
     EXPECT_GE(s.epochsRun(), 1u);
     h.resetTraffic();
-    s.demandFetch(lineOf(0x1000), MappingInfo{}, 0, nullptr);
+    s.demandFetch(lineOf(0x1000), MappingInfo{}, nullptr);
     h.eq.run(18000);
     EXPECT_EQ(h.inBytes(TrafficCat::HitData), 64u); // now resident
 }
@@ -338,7 +338,7 @@ TEST(Hma, EpochStallsAllCores)
     cfg.baseCost = 100;
     cfg.perPageCost = 10;
     HmaScheme s(h.ctx, cfg);
-    s.demandFetch(lineOf(0x1000), MappingInfo{}, 0, nullptr);
+    s.demandFetch(lineOf(0x1000), MappingInfo{}, nullptr);
     h.eq.run(15000);
     EXPECT_GT(stalled, 0u);
 }

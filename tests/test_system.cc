@@ -5,7 +5,8 @@
  * invariant, which every Banshee run checks, holds under the full
  * machine; the bounding baselines bound; results are deterministic;
  * the scheme's page size fixes the controller striping; the memory
- * system's fetch completions survive re-entry.
+ * system's fetch completions survive re-entry; bench tables keep
+ * over-wide cells apart.
  */
 
 #include <gtest/gtest.h>
@@ -382,7 +383,7 @@ TEST(MemSystemFetch, ReentrantCompletionsKeepTheirOwnRecords)
         issued[id] = eq.now();
         // Lines spread over banks and rows, so latencies differ.
         const LineAddr line = 0x40000 + static_cast<LineAddr>(id) * 4099;
-        mem.fetchLine(line, MappingInfo{}, 0, [&, id](Cycle when) {
+        mem.fetchLine(line, MappingInfo{}, [&, id](Cycle when) {
             ++calls[id];
             completed[id] = when;
             if (started < kTotal)
@@ -443,6 +444,19 @@ TEST(Runner, GeomeanHandlesEmptyAndZeroWithoutNan)
     EXPECT_DOUBLE_EQ(geomean({0.0}), 0.0);
     EXPECT_DOUBLE_EQ(geomean({0.0, 4.0, 9.0}), 0.0);
     EXPECT_DOUBLE_EQ(geomean({5.0}), 5.0);
+}
+
+TEST(Report, CellsWiderThanTheirColumnStaySeparated)
+{
+    // Columns are 4 wide, the first 8; a cell that fits is padded to
+    // its column, a wider one to its length plus one space.
+    const TablePrinter table({"name", "a", "b"}, 4);
+    ::testing::internal::CaptureStdout();
+    table.printRow({"ab", "1.0", "x"});
+    table.printRow({"Banshee FBR", "1.24", "longer"});
+    EXPECT_EQ(::testing::internal::GetCapturedStdout(),
+              "ab      1.0 x   \n"
+              "Banshee FBR 1.24 longer \n");
 }
 
 } // namespace

@@ -7,13 +7,15 @@
  * magic, a truncated header, and a record-count mismatch (the header
  * promises more records than the file holds). The round-trip test
  * writes a randomized trace and checks bit-exact recovery, plus the
- * cyclic replay semantics of TracePattern.
+ * cyclic replay semantics of TracePattern and the lifetime of its
+ * shared buffer.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -148,7 +150,7 @@ TEST_F(TraceIoTest, TracePatternReplaysCyclically)
     records[2].addr = 0x3000;
     ASSERT_TRUE(writeTrace(path_, records));
 
-    auto pattern = TracePattern::fromFile(path_);
+    auto pattern = TracePattern::sharedFromFile(path_);
     ASSERT_EQ(pattern->size(), 3u);
     Rng rng(1);
     for (int loop = 0; loop < 3; ++loop) {
@@ -187,22 +189,30 @@ TEST_F(TraceIoTest, SharedLoadSharesOneBufferWithIndependentCursors)
     EXPECT_EQ(core0->next(rng).addr, 0x3000u);
     EXPECT_EQ(core1->next(rng).addr, 0x2000u);
 
-    // Dropping both patterns leaves only the cache's reference; the
-    // eviction sweep reclaims it. While either lives, it must not.
-    EXPECT_EQ(TracePattern::dropUnusedCachedTraces(), 0u);
+    // The cache holds no reference of its own: the buffer lives while
+    // either pattern does and dies with the last one.
+    const std::weak_ptr<const std::vector<TraceRecord>> buffer =
+        core0->buffer();
     core0.reset();
+    EXPECT_FALSE(buffer.expired());
     core1.reset();
-    EXPECT_GE(TracePattern::dropUnusedCachedTraces(), 1u);
+    EXPECT_TRUE(buffer.expired());
 }
 
-TEST_F(TraceIoTest, PrivateLoadDoesNotShare)
+TEST_F(TraceIoTest, LoadAfterTheLastPatternDiesReadsTheFileAgain)
 {
     std::vector<TraceRecord> records(1);
     records[0].addr = 0x1000;
     ASSERT_TRUE(writeTrace(path_, records));
-    auto a = TracePattern::fromFile(path_);
-    auto b = TracePattern::fromFile(path_);
-    EXPECT_NE(a->buffer().get(), b->buffer().get());
+    Rng rng(1);
+    auto first = TracePattern::sharedFromFile(path_);
+    EXPECT_EQ(first->next(rng).addr, 0x1000u);
+    first.reset();
+
+    records[0].addr = 0x2000;
+    ASSERT_TRUE(writeTrace(path_, records));
+    auto second = TracePattern::sharedFromFile(path_);
+    EXPECT_EQ(second->next(rng).addr, 0x2000u);
 }
 
 } // namespace
