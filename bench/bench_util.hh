@@ -29,6 +29,9 @@ struct BenchOptions
     /** True when --workloads was given (benches with their own
      *  defaults only override the list when the user did not). */
     bool workloadsExplicit = false;
+    /** True when --quick was given (benches with their own run
+     *  lengths pick the short one). */
+    bool quick = false;
     unsigned threads = 0;
     /** Empty = no JSON output. */
     std::string jsonPath;
@@ -58,8 +61,9 @@ struct BenchOptions
  * empty) and the default --spans output directory.
  *
  * @p extraFlags lets a bench register additional boolean switches
- * (e.g. ext_tenant's --sched): each pair maps a flag spelling to the
- * bool it sets. Extra flags appear in the usage line.
+ * (ext_tenant's --sched, ext_scale's --compare-serial): each pair maps
+ * a flag spelling to the bool it sets. Extra flags appear in the usage
+ * line.
  */
 inline BenchOptions
 parseArgs(int argc, char **argv, const std::string &benchName = "",
@@ -89,7 +93,6 @@ parseArgs(int argc, char **argv, const std::string &benchName = "",
         }
         return false;
     };
-    bool quick = false;
     bool full = false;
     int spanShift = -1; // -1 = no --spans
     for (int i = 1; i < argc; ++i) {
@@ -97,7 +100,7 @@ parseArgs(int argc, char **argv, const std::string &benchName = "",
         if (matchExtra(arg)) {
             // handled
         } else if (arg == "--quick") {
-            quick = true;
+            opt.quick = true;
         } else if (arg == "--full") {
             full = true;
         } else if (arg == "--workloads" && i + 1 < argc) {
@@ -161,7 +164,7 @@ parseArgs(int argc, char **argv, const std::string &benchName = "",
     }
     if (full)
         opt.base = SystemConfig::paperDefault();
-    if (quick) {
+    if (opt.quick) {
         opt.base.warmupInstrPerCore /= 4;
         opt.base.measureInstrPerCore /= 4;
     }
@@ -214,23 +217,9 @@ class ResultIndex
         return *byLabel_.at(workload + "/" + scheme);
     }
 
-    bool
-    has(const std::string &workload, const std::string &scheme) const
-    {
-        return byLabel_.count(workload + "/" + scheme) > 0;
-    }
-
   private:
     std::map<std::string, const RunResult *> byLabel_;
 };
-
-/** The scheme labels used across Figures 4-6, in the paper's order. */
-inline std::vector<std::string>
-figureSchemes()
-{
-    return {"Unison", "TDC", "Alloy 1", "Alloy 0.1", "Banshee",
-            "CacheOnly"};
-}
 
 } // namespace banshee::benchutil
 

@@ -28,7 +28,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "bench_util.hh"
@@ -127,24 +126,9 @@ timedSweep(const std::vector<Experiment> &exps, unsigned threads,
 int
 main(int argc, char **argv)
 {
-    // Peel off our own flags before the shared parser (it rejects
-    // unknown arguments).
     bool compareSerial = false;
-    bool quick = false;
-    std::vector<char *> args;
-    args.reserve(static_cast<std::size_t>(argc));
-    for (int i = 0; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--compare-serial") == 0) {
-            compareSerial = true;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true; // also forwarded to the shared parser
-        args.push_back(argv[i]);
-    }
-    BenchOptions opt =
-        parseArgs(static_cast<int>(args.size()), args.data(),
-                  "ext_scale");
+    BenchOptions opt = parseArgs(argc, argv, "ext_scale",
+                                 {{"--compare-serial", &compareSerial}});
     printBanner("Extension: sweep throughput at consolidation scale "
                 "(64 cores, 16 tenants)",
                 "Banshee (MICRO'17) evaluation grids; parallel sweep "
@@ -155,8 +139,8 @@ main(int argc, char **argv)
     // 10 systems of 64 cores each, so per-core budgets a fraction of
     // the default already total ~10x an ext_tenant run. --quick is a
     // smoke budget sized so a sanitizer build finishes in CI minutes.
-    opt.base.warmupInstrPerCore = quick ? 20'000 : 150'000;
-    opt.base.measureInstrPerCore = quick ? 40'000 : 300'000;
+    opt.base.warmupInstrPerCore = opt.quick ? 20'000 : 150'000;
+    opt.base.measureInstrPerCore = opt.quick ? 40'000 : 300'000;
     opt.base.autoWarmup = false;
     opt.base.footprintScale = 1.0 / 4.0;
 

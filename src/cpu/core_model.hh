@@ -45,8 +45,7 @@ struct CoreParams
  * ops from the pattern up to 16 ahead of issue, in blocks. Issue
  * order is the pattern's order, across yields, stalls and phases, but
  * a pattern can be asked for up to 15 ops per core that are never
- * issued. Only a RecordingPattern wrapped around a core's pattern
- * could notice; no caller does that.
+ * issued.
  */
 class CoreModel
 {

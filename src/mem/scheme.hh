@@ -121,7 +121,7 @@ class DramCacheScheme
   protected:
     /** Record a demand access outcome in the common counters. */
     void
-    recordAccess(bool hit, TenantId tenant = kNoTenant)
+    recordAccess(bool hit, TenantId tenant)
     {
         ++statAccesses_;
         ++tenantAccesses_[tenantBucket(tenant)];
@@ -154,8 +154,7 @@ class DramCacheScheme
     /** 64 B read of @p line from off-package DRAM. */
     void
     offPkgRead64(LineAddr line, TrafficCat cat, DramDoneFn done,
-                 TenantId tenant = kNoTenant,
-                 PageNum spanPage = kNoSpanPage)
+                 TenantId tenant, PageNum spanPage = kNoSpanPage)
     {
         DramRequest req;
         req.addr = lineToAddr(line);
@@ -170,7 +169,7 @@ class DramCacheScheme
 
     /** Posted 64 B write of @p line to off-package DRAM. */
     void
-    offPkgWrite64(LineAddr line, TrafficCat cat, TenantId tenant = kNoTenant,
+    offPkgWrite64(LineAddr line, TrafficCat cat, TenantId tenant,
                   PageNum spanPage = kNoSpanPage)
     {
         DramRequest req;
@@ -187,8 +186,7 @@ class DramCacheScheme
     void
     inPkgAccess(Addr deviceAddr, std::uint32_t bytes, std::uint32_t tagBytes,
                 bool isWrite, TrafficCat cat, DramDoneFn done,
-                TenantId tenant = kNoTenant,
-                PageNum spanPage = kNoSpanPage)
+                TenantId tenant, PageNum spanPage = kNoSpanPage)
     {
         DramRequest req;
         req.addr = deviceAddr;
@@ -205,8 +203,7 @@ class DramCacheScheme
     /** Bulk (page-sized) movement on the in-package channel. */
     void
     inPkgBulk(Addr deviceAddr, std::uint64_t bytes, bool isWrite,
-              TrafficCat cat, TenantId tenant = kNoTenant,
-              PageNum spanPage = kNoSpanPage)
+              TrafficCat cat, TenantId tenant, PageNum spanPage = kNoSpanPage)
     {
         ctx_.inPkg->bulkAccess(ctx_.mcId, deviceAddr, bytes, isWrite, cat,
                                tenant, spanPage);
@@ -215,7 +212,7 @@ class DramCacheScheme
     /** Bulk movement of a page's worth of off-package data. */
     void
     offPkgBulk(Addr byteAddr, std::uint64_t bytes, bool isWrite,
-               TrafficCat cat, TenantId tenant = kNoTenant,
+               TrafficCat cat, TenantId tenant,
                PageNum spanPage = kNoSpanPage)
     {
         ctx_.offPkg->bulkAccess(offPkgChannel(lineOf(byteAddr)), byteAddr,

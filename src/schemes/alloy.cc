@@ -22,27 +22,30 @@ AlloyScheme::demandFetch(LineAddr line, const MappingInfo &,
                          MissDoneFn done)
 {
     const std::uint64_t set = setOf(line);
+    const TenantId tenant = tenantOfAddr(lineToAddr(line));
     const bool hit = (state_[set] & 1) && tags_[set] == line;
-    recordAccess(hit);
+    recordAccess(hit, tenant);
 
     if (hit) {
         // One 96 B TAD read: data plus the tag burst.
         inPkgAccess(tadAddr(set), 96, 32, false, TrafficCat::HitData,
-                    std::move(done));
+                    std::move(done), tenant);
         return;
     }
 
     // Miss: the probe must complete before the off-package fetch
     // (the parallel speculative fetch is disabled, Section 5.1.1).
     inPkgAccess(tadAddr(set), 96, 32, false, TrafficCat::MissData,
-                [this, line, done = std::move(done)](Cycle) mutable {
-                    offPkgRead64(line, TrafficCat::Demand, std::move(done));
-                });
-    maybeFill(line, set);
+                [this, line, tenant, done = std::move(done)](Cycle) mutable {
+                    offPkgRead64(line, TrafficCat::Demand, std::move(done),
+                                 tenant);
+                },
+                tenant);
+    maybeFill(line, set, tenant);
 }
 
 void
-AlloyScheme::maybeFill(LineAddr line, std::uint64_t set)
+AlloyScheme::maybeFill(LineAddr line, std::uint64_t set, TenantId tenant)
 {
     if (ctx_.batman && ctx_.batman->shouldBypass(pageOfLine(line))) {
         ++statFillsSkipped_;
@@ -57,11 +60,12 @@ AlloyScheme::maybeFill(LineAddr line, std::uint64_t set)
     // a dirty victim costs only the off-package write (BEAR fill).
     if ((state_[set] & 1) && (state_[set] & 2)) {
         ++statVictimWritebacks_;
-        offPkgWrite64(tags_[set], TrafficCat::Writeback);
+        offPkgWrite64(tags_[set], TrafficCat::Writeback,
+                      tenantOfAddr(lineToAddr(tags_[set])));
     }
     // Fill writes data + tag as one TAD.
     inPkgAccess(tadAddr(set), 96, 32, true, TrafficCat::Replacement,
-                nullptr);
+                nullptr, tenant);
     tags_[set] = line;
     state_[set] = 1; // valid, clean
 }
@@ -70,17 +74,19 @@ void
 AlloyScheme::demandWriteback(LineAddr line)
 {
     const std::uint64_t set = setOf(line);
+    const TenantId tenant = tenantOfAddr(lineToAddr(line));
     // BEAR writeback probe: a 32 B tag read decides hit/miss.
-    inPkgAccess(tadAddr(set), 32, 32, false, TrafficCat::Tag, nullptr);
+    inPkgAccess(tadAddr(set), 32, 32, false, TrafficCat::Tag, nullptr,
+                tenant);
 
     const bool hit = (state_[set] & 1) && tags_[set] == line;
     if (hit) {
         inPkgAccess(tadAddr(set), 96, 32, true, TrafficCat::HitData,
-                    nullptr);
+                    nullptr, tenant);
         state_[set] |= 2; // dirty
     } else {
         // No write-allocate on the eviction path.
-        offPkgWrite64(line, TrafficCat::Writeback);
+        offPkgWrite64(line, TrafficCat::Writeback, tenant);
     }
 }
 

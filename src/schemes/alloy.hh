@@ -66,7 +66,9 @@ class AlloyScheme : public DramCacheScheme
         return set * kTadStorageBytes;
     }
 
-    void maybeFill(LineAddr line, std::uint64_t set);
+    /** Fill @p line on a miss; @p tenant pays the fill, the dirty
+     *  victim's own tenant its writeback. */
+    void maybeFill(LineAddr line, std::uint64_t set, TenantId tenant);
 
     AlloyConfig config_;
     std::uint64_t numSets_;

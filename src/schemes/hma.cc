@@ -29,16 +29,17 @@ HmaScheme::demandFetch(LineAddr line, const MappingInfo &,
                        MissDoneFn done)
 {
     const PageNum page = pageOfLine(line);
+    const TenantId tenant = tenantOfAddr(lineToAddr(line));
     ++counts_[page];
     auto it = resident_.find(page);
-    recordAccess(it != resident_.end());
+    recordAccess(it != resident_.end(), tenant);
     if (it != resident_.end()) {
         const Addr dev = frameAddr(it->second.frameIdx) +
                          (lineToAddr(line) & (kPageBytes - 1));
         inPkgAccess(dev, kLineBytes, 0, false, TrafficCat::HitData,
-                    std::move(done));
+                    std::move(done), tenant);
     } else {
-        offPkgRead64(line, TrafficCat::Demand, std::move(done));
+        offPkgRead64(line, TrafficCat::Demand, std::move(done), tenant);
     }
 }
 
@@ -46,14 +47,16 @@ void
 HmaScheme::demandWriteback(LineAddr line)
 {
     const PageNum page = pageOfLine(line);
+    const TenantId tenant = tenantOfAddr(lineToAddr(line));
     auto it = resident_.find(page);
     if (it != resident_.end()) {
         it->second.dirty = true;
         const Addr dev = frameAddr(it->second.frameIdx) +
                          (lineToAddr(line) & (kPageBytes - 1));
-        inPkgAccess(dev, kLineBytes, 0, true, TrafficCat::HitData, nullptr);
+        inPkgAccess(dev, kLineBytes, 0, true, TrafficCat::HitData, nullptr,
+                    tenant);
     } else {
-        offPkgWrite64(line, TrafficCat::Writeback);
+        offPkgWrite64(line, TrafficCat::Writeback, tenant);
     }
 }
 
@@ -80,7 +83,8 @@ HmaScheme::runEpoch()
     for (std::size_t i = 0; i < keep; ++i)
         target.emplace(ranked[i].second, true);
 
-    // Evict pages that fell out of the hot set.
+    // Evict pages that fell out of the hot set. Each migration is
+    // charged to the moved page's tenant.
     std::uint64_t moved = 0;
     for (auto it = resident_.begin(); it != resident_.end();) {
         if (target.count(it->first)) {
@@ -88,10 +92,12 @@ HmaScheme::runEpoch()
             continue;
         }
         if (it->second.dirty) {
+            const Addr addr = static_cast<Addr>(it->first) * kPageBytes;
+            const TenantId tenant = tenantOfAddr(addr);
             inPkgBulk(frameAddr(it->second.frameIdx), kPageBytes, false,
-                      TrafficCat::Replacement);
-            offPkgBulk(static_cast<Addr>(it->first) * kPageBytes,
-                       kPageBytes, true, TrafficCat::Writeback);
+                      TrafficCat::Replacement, tenant);
+            offPkgBulk(addr, kPageBytes, true, TrafficCat::Writeback,
+                       tenant);
         }
         freeFrames_.push_back(it->second.frameIdx);
         it = resident_.erase(it);
@@ -105,10 +111,11 @@ HmaScheme::runEpoch()
         sim_assert(!freeFrames_.empty(), "HMA frame accounting error");
         const std::uint64_t frameIdx = freeFrames_.back();
         freeFrames_.pop_back();
-        offPkgBulk(static_cast<Addr>(kv.first) * kPageBytes, kPageBytes,
-                   false, TrafficCat::Fill);
+        const Addr addr = static_cast<Addr>(kv.first) * kPageBytes;
+        const TenantId tenant = tenantOfAddr(addr);
+        offPkgBulk(addr, kPageBytes, false, TrafficCat::Fill, tenant);
         inPkgBulk(frameAddr(frameIdx), kPageBytes, true,
-                  TrafficCat::Replacement);
+                  TrafficCat::Replacement, tenant);
         resident_[kv.first] = Resident{frameIdx, false};
         ++moved;
     }

@@ -23,14 +23,16 @@ class NoCacheScheme : public DramCacheScheme
     void
     demandFetch(LineAddr line, const MappingInfo &, MissDoneFn done) override
     {
-        recordAccess(false);
-        offPkgRead64(line, TrafficCat::Demand, std::move(done));
+        const TenantId tenant = tenantOfAddr(lineToAddr(line));
+        recordAccess(false, tenant);
+        offPkgRead64(line, TrafficCat::Demand, std::move(done), tenant);
     }
 
     void
     demandWriteback(LineAddr line) override
     {
-        offPkgWrite64(line, TrafficCat::Writeback);
+        offPkgWrite64(line, TrafficCat::Writeback,
+                      tenantOfAddr(lineToAddr(line)));
     }
 };
 
@@ -51,16 +53,18 @@ class CacheOnlyScheme : public DramCacheScheme
     void
     demandFetch(LineAddr line, const MappingInfo &, MissDoneFn done) override
     {
-        recordAccess(true);
+        const TenantId tenant = tenantOfAddr(lineToAddr(line));
+        recordAccess(true, tenant);
         inPkgAccess(deviceAddr(line), kLineBytes, 0, false,
-                    TrafficCat::HitData, std::move(done));
+                    TrafficCat::HitData, std::move(done), tenant);
     }
 
     void
     demandWriteback(LineAddr line) override
     {
         inPkgAccess(deviceAddr(line), kLineBytes, 0, true,
-                    TrafficCat::HitData, nullptr);
+                    TrafficCat::HitData, nullptr,
+                    tenantOfAddr(lineToAddr(line)));
     }
 
   private:

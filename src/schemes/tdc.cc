@@ -17,22 +17,23 @@ TdcScheme::demandFetch(LineAddr line, const MappingInfo &,
 {
     const PageNum page = pageOfLine(line);
     const std::uint32_t lineIdx = lineInPage(line);
+    const TenantId tenant = tenantOfAddr(lineToAddr(line));
     auto it = frameOf_.find(page);
-    recordAccess(it != frameOf_.end());
+    recordAccess(it != frameOf_.end(), tenant);
 
     if (it != frameOf_.end()) {
         it->second.residency.touch(lineIdx, false);
         const Addr dev = frameAddr(it->second.frameIdx) +
                          static_cast<Addr>(lineIdx) * kLineBytes;
         inPkgAccess(dev, kLineBytes, 0, false, TrafficCat::HitData,
-                    std::move(done));
+                    std::move(done), tenant);
         return;
     }
 
     // Mapping is in the TLB (idealized): the miss goes straight to
     // off-package DRAM, no probe latency.
-    offPkgRead64(line, TrafficCat::Demand, std::move(done));
-    fill(page, lineIdx);
+    offPkgRead64(line, TrafficCat::Demand, std::move(done), tenant);
+    fill(page, lineIdx, tenant);
 }
 
 void
@@ -46,18 +47,20 @@ TdcScheme::evict(std::uint64_t frameIdx)
     const std::uint32_t dirtyLines =
         it->second.residency.dirtyGroups() * kFootprintGroupLines;
     if (dirtyLines > 0) {
+        const Addr victimAddr = static_cast<Addr>(victim) * kPageBytes;
+        const TenantId victimTenant = tenantOfAddr(victimAddr);
         inPkgBulk(frameAddr(frameIdx),
                   static_cast<std::uint64_t>(dirtyLines) * kLineBytes, false,
-                  TrafficCat::Replacement);
-        offPkgBulk(static_cast<Addr>(victim) * kPageBytes,
+                  TrafficCat::Replacement, victimTenant);
+        offPkgBulk(victimAddr,
                    static_cast<std::uint64_t>(dirtyLines) * kLineBytes, true,
-                   TrafficCat::Writeback);
+                   TrafficCat::Writeback, victimTenant);
     }
     frameOf_.erase(it);
 }
 
 void
-TdcScheme::fill(PageNum page, std::uint32_t lineIdx)
+TdcScheme::fill(PageNum page, std::uint32_t lineIdx, TenantId tenant)
 {
     const std::uint64_t frameIdx = fills_ % numFrames_;
     if (fills_++ >= numFrames_)
@@ -66,10 +69,10 @@ TdcScheme::fill(PageNum page, std::uint32_t lineIdx)
     const std::uint32_t fillLines = footprint_.predictLines();
     offPkgBulk(static_cast<Addr>(page) * kPageBytes,
                static_cast<std::uint64_t>(fillLines) * kLineBytes, false,
-               TrafficCat::Fill);
+               TrafficCat::Fill, tenant);
     inPkgBulk(frameAddr(frameIdx),
               static_cast<std::uint64_t>(fillLines) * kLineBytes, true,
-              TrafficCat::Replacement);
+              TrafficCat::Replacement, tenant);
 
     Frame frame;
     frame.frameIdx = frameIdx;
@@ -83,14 +86,16 @@ TdcScheme::demandWriteback(LineAddr line)
 {
     const PageNum page = pageOfLine(line);
     const std::uint32_t lineIdx = lineInPage(line);
+    const TenantId tenant = tenantOfAddr(lineToAddr(line));
     auto it = frameOf_.find(page);
     if (it != frameOf_.end()) {
         it->second.residency.touch(lineIdx, true);
         const Addr dev = frameAddr(it->second.frameIdx) +
                          static_cast<Addr>(lineIdx) * kLineBytes;
-        inPkgAccess(dev, kLineBytes, 0, true, TrafficCat::HitData, nullptr);
+        inPkgAccess(dev, kLineBytes, 0, true, TrafficCat::HitData, nullptr,
+                    tenant);
     } else {
-        offPkgWrite64(line, TrafficCat::Writeback);
+        offPkgWrite64(line, TrafficCat::Writeback, tenant);
     }
 }
 

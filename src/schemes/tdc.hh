@@ -48,10 +48,12 @@ class TdcScheme : public DramCacheScheme
         return frameIdx * kPageBytes;
     }
 
-    /** FIFO replacement: evict the page in frame @p frameIdx. */
+    /** FIFO replacement: evict the page in frame @p frameIdx; its
+     *  own tenant pays the writeback. */
     void evict(std::uint64_t frameIdx);
 
-    void fill(PageNum page, std::uint32_t lineIdx);
+    /** Fill @p page's footprint on a miss, paid by @p tenant. */
+    void fill(PageNum page, std::uint32_t lineIdx, TenantId tenant);
 
     std::uint64_t numFrames_;
     std::unordered_map<PageNum, Frame> frameOf_;

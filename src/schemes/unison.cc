@@ -32,8 +32,9 @@ UnisonScheme::demandFetch(LineAddr line, const MappingInfo &,
     const PageNum page = pageOfLine(line);
     const std::uint32_t setIdx = setOf(page);
     const std::uint32_t lineIdx = lineInPage(line);
+    const TenantId tenant = tenantOfAddr(lineToAddr(line));
     WayEntry *entry = findWay(setIdx, page);
-    recordAccess(entry != nullptr);
+    recordAccess(entry != nullptr, tenant);
 
     if (entry) {
         // Perfect way prediction: tags + predicted way data together
@@ -45,23 +46,25 @@ UnisonScheme::demandFetch(LineAddr line, const MappingInfo &,
         const Addr dev = frameAddr(setIdx, way) +
                          static_cast<Addr>(lineIdx) * kLineBytes;
         inPkgAccess(dev, 96, 32, false, TrafficCat::HitData,
-                    std::move(done));
+                    std::move(done), tenant);
         inPkgAccess(tagRowAddr(setIdx), 32, 32, true, TrafficCat::Tag,
-                    nullptr);
+                    nullptr, tenant);
         return;
     }
 
     // Miss: speculative data + tag read first, then the demand fetch.
     inPkgAccess(tagRowAddr(setIdx), 96, 32, false, TrafficCat::MissData,
-                [this, line, done = std::move(done)](Cycle) mutable {
-                    offPkgRead64(line, TrafficCat::Demand, std::move(done));
-                });
-    replaceOnMiss(page, setIdx, lineIdx);
+                [this, line, tenant, done = std::move(done)](Cycle) mutable {
+                    offPkgRead64(line, TrafficCat::Demand, std::move(done),
+                                 tenant);
+                },
+                tenant);
+    replaceOnMiss(page, setIdx, lineIdx, tenant);
 }
 
 void
 UnisonScheme::replaceOnMiss(PageNum page, std::uint32_t setIdx,
-                            std::uint32_t lineIdx)
+                            std::uint32_t lineIdx, TenantId tenant)
 {
     ++statReplacements_;
     WayEntry *set = &ways_[static_cast<std::uint64_t>(setIdx) * kWays];
@@ -85,12 +88,14 @@ UnisonScheme::replaceOnMiss(PageNum page, std::uint32_t setIdx,
         const std::uint32_t dirtyLines =
             victim.residency.dirtyGroups() * kFootprintGroupLines;
         if (dirtyLines > 0) {
+            const Addr victimAddr = static_cast<Addr>(victim.page) * kPageBytes;
+            const TenantId victimTenant = tenantOfAddr(victimAddr);
             inPkgBulk(frameAddr(setIdx, victimWay),
                       static_cast<std::uint64_t>(dirtyLines) * kLineBytes,
-                      false, TrafficCat::Replacement);
-            offPkgBulk(static_cast<Addr>(victim.page) * kPageBytes,
+                      false, TrafficCat::Replacement, victimTenant);
+            offPkgBulk(victimAddr,
                        static_cast<std::uint64_t>(dirtyLines) * kLineBytes,
-                       true, TrafficCat::Writeback);
+                       true, TrafficCat::Writeback, victimTenant);
         }
     }
 
@@ -99,12 +104,13 @@ UnisonScheme::replaceOnMiss(PageNum page, std::uint32_t setIdx,
     const std::uint32_t fillLines = footprint_.predictLines();
     offPkgBulk(static_cast<Addr>(page) * kPageBytes,
                static_cast<std::uint64_t>(fillLines) * kLineBytes, false,
-               TrafficCat::Fill);
+               TrafficCat::Fill, tenant);
     inPkgBulk(frameAddr(setIdx, victimWay),
               static_cast<std::uint64_t>(fillLines) * kLineBytes, true,
-              TrafficCat::Replacement);
+              TrafficCat::Replacement, tenant);
     // Tag update for the new page.
-    inPkgAccess(tagRowAddr(setIdx), 32, 32, true, TrafficCat::Tag, nullptr);
+    inPkgAccess(tagRowAddr(setIdx), 32, 32, true, TrafficCat::Tag, nullptr,
+                tenant);
 
     victim.page = page;
     victim.valid = true;
@@ -119,9 +125,11 @@ UnisonScheme::demandWriteback(LineAddr line)
     const PageNum page = pageOfLine(line);
     const std::uint32_t setIdx = setOf(page);
     const std::uint32_t lineIdx = lineInPage(line);
+    const TenantId tenant = tenantOfAddr(lineToAddr(line));
 
     // Tag read to decide hit/miss on the eviction path.
-    inPkgAccess(tagRowAddr(setIdx), 32, 32, false, TrafficCat::Tag, nullptr);
+    inPkgAccess(tagRowAddr(setIdx), 32, 32, false, TrafficCat::Tag, nullptr,
+                tenant);
 
     WayEntry *entry = findWay(setIdx, page);
     if (entry) {
@@ -130,11 +138,12 @@ UnisonScheme::demandWriteback(LineAddr line)
             entry - &ways_[static_cast<std::uint64_t>(setIdx) * kWays]);
         const Addr dev = frameAddr(setIdx, way) +
                          static_cast<Addr>(lineIdx) * kLineBytes;
-        inPkgAccess(dev, kLineBytes, 0, true, TrafficCat::HitData, nullptr);
+        inPkgAccess(dev, kLineBytes, 0, true, TrafficCat::HitData, nullptr,
+                    tenant);
         inPkgAccess(tagRowAddr(setIdx), 32, 32, true, TrafficCat::Tag,
-                    nullptr);
+                    nullptr, tenant);
     } else {
-        offPkgWrite64(line, TrafficCat::Writeback);
+        offPkgWrite64(line, TrafficCat::Writeback, tenant);
     }
 }
 

@@ -67,9 +67,10 @@ class UnisonScheme : public DramCacheScheme
         return metaBase_ + static_cast<Addr>(setIdx) * 32;
     }
 
-    /** Replacement on a miss: evict LRU way, fill the footprint. */
+    /** Replacement on a miss: evict LRU way, fill the footprint.
+     *  @p tenant pays the fill, the victim's own tenant its writeback. */
     void replaceOnMiss(PageNum page, std::uint32_t setIdx,
-                       std::uint32_t lineIdx);
+                       std::uint32_t lineIdx, TenantId tenant);
 
     std::uint32_t numSets_;
     Addr metaBase_;

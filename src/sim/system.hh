@@ -171,9 +171,6 @@ class System
     /** Resize coordination, or nullptr when resizing is disabled. */
     ResizeController *resizeController() { return resize_.get(); }
 
-    /** Tenant ownership, or nullptr for single-tenant runs. */
-    TenantMap *tenantMap() { return tenants_.get(); }
-
     /** Events executed on this system's event queue (a
      *  deterministic work counter, read by simbench). */
     std::uint64_t totalEventsExecuted() const { return eq_.eventsExecuted(); }

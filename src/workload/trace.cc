@@ -75,12 +75,6 @@ readTrace(const std::string &path)
     return records;
 }
 
-TracePattern::TracePattern(std::vector<TraceRecord> records)
-    : TracePattern(std::make_shared<const std::vector<TraceRecord>>(
-          std::move(records)))
-{
-}
-
 TracePattern::TracePattern(Buffer records) : records_(std::move(records))
 {
     sim_assert(records_ != nullptr && !records_->empty(), "empty trace");

@@ -55,7 +55,6 @@ class TracePattern : public AccessPattern
   public:
     using Buffer = std::shared_ptr<const std::vector<TraceRecord>>;
 
-    explicit TracePattern(std::vector<TraceRecord> records);
     explicit TracePattern(Buffer records);
 
     /**
@@ -76,32 +75,6 @@ class TracePattern : public AccessPattern
   private:
     Buffer records_;
     std::size_t pos_ = 0;
-};
-
-/** Capture every op a pattern produces (testing / trace creation). */
-class RecordingPattern : public AccessPattern
-{
-  public:
-    explicit RecordingPattern(AccessPattern &inner) : inner_(inner) {}
-
-    MemOp
-    next(Rng &rng) override
-    {
-        MemOp op = inner_.next(rng);
-        TraceRecord r;
-        r.addr = op.addr;
-        r.flags = (op.isWrite ? TraceRecord::kWrite : 0) |
-                  (op.dependsOnPrev ? TraceRecord::kDependsOnPrev : 0);
-        r.nonMemBefore = op.nonMemBefore;
-        records_.push_back(r);
-        return op;
-    }
-
-    const std::vector<TraceRecord> &records() const { return records_; }
-
-  private:
-    AccessPattern &inner_;
-    std::vector<TraceRecord> records_;
 };
 
 } // namespace banshee

@@ -49,6 +49,7 @@ TEST(BenchArgs, QuickQuartersTheScaledDefault)
 {
     const SystemConfig scaled = SystemConfig::scaledDefault();
     const BenchOptions opt = parse({"--quick"});
+    EXPECT_TRUE(opt.quick);
     EXPECT_EQ(opt.base.warmupInstrPerCore, scaled.warmupInstrPerCore / 4);
     EXPECT_EQ(opt.base.measureInstrPerCore,
               scaled.measureInstrPerCore / 4);
@@ -80,6 +81,7 @@ TEST(BenchArgs, ValueFlagsAndExtraSwitches)
     EXPECT_EQ(opt.threads, 3u);
     EXPECT_EQ(opt.jsonPath, "out.json");
     EXPECT_TRUE(opt.workloadsExplicit);
+    EXPECT_FALSE(opt.quick);
     EXPECT_EQ(opt.workloads, (std::vector<std::string>{"mcf", "omnetpp"}));
     EXPECT_FALSE(opt.base.telemetry.enabled);
     EXPECT_FALSE(opt.base.spans.enabled);

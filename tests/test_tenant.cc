@@ -11,7 +11,8 @@
  *    the power-cap composition sheds from the tenant furthest over
  *    quota;
  *  - end to end on the full machine: per-tenant statistics conserve
- *    the device totals, a cache-hostile streaming tenant cannot
+ *    the device totals, every scheme charges each demand access and
+ *    each DRAM byte to a tenant, a cache-hostile streaming tenant cannot
  *    degrade a quota-protected resident tenant's miss rate beyond a
  *    small epsilon of its solo run (while the unpartitioned baseline
  *    degrades it badly), and the arbiter converges slice ownership
@@ -281,6 +282,38 @@ TEST(TenantEndToEnd, PerTenantStatsConserveTheTotals)
     // An equal-weight partition of 8 slices: 4 each.
     EXPECT_EQ(r.tenants[0].slicesOwned, 4u);
     EXPECT_EQ(r.tenants[1].slicesOwned, 4u);
+}
+
+TEST(TenantEndToEnd, EverySchemeChargesItsTenants)
+{
+    for (const SchemeKind kind :
+         {SchemeKind::NoCache, SchemeKind::CacheOnly, SchemeKind::Alloy,
+          SchemeKind::Unison, SchemeKind::Tdc, SchemeKind::Hma,
+          SchemeKind::Banshee}) {
+        SCOPED_TRACE(schemeKindName(kind));
+        SystemConfig c = SystemConfig::testDefault();
+        c.numCores = 2;
+        c.withScheme(kind);
+        // Short HMA epochs, so its page migrations land in the run.
+        c.hma.epoch = usToCycles(20.0);
+        c.hma.baseCost = usToCycles(1.0);
+        c.withTenants({{"a", "omnetpp", 1.0, 1}, {"b", "mcf", 1.0, 1}},
+                      /*partition=*/false);
+        System sys(c);
+        const RunResult r = sys.run();
+
+        ASSERT_EQ(r.tenants.size(), 2u);
+        for (const TenantRunStats &t : r.tenants)
+            EXPECT_GT(t.dramCacheAccesses, 0u) << t.name;
+        MemSystem &mem = sys.memSystem();
+        for (DramModel *dev : {mem.inPkg(), mem.offPkg()}) {
+            if (dev == nullptr)
+                continue;
+            EXPECT_GT(dev->traffic().totalBytes(), 0u);
+            EXPECT_EQ(dev->traffic().tenantBytes(kNoTenant), 0u);
+            EXPECT_EQ(dev->power().energy().tenantDynamicPJ(kNoTenant), 0.0);
+        }
+    }
 }
 
 TEST(TenantEndToEnd, QuotaIsolatesTheResidentTenantFromChurn)

@@ -320,28 +320,5 @@ TEST(Trace, RoundTripThroughFile)
     std::remove(path.c_str());
 }
 
-TEST(Trace, PatternReplaysCyclically)
-{
-    std::vector<TraceRecord> records;
-    for (int i = 0; i < 3; ++i)
-        records.push_back(TraceRecord{static_cast<Addr>(i) * 64, 0, 1});
-    TracePattern p(records);
-    Rng rng(15);
-    for (int round = 0; round < 4; ++round)
-        for (int i = 0; i < 3; ++i)
-            EXPECT_EQ(p.next(rng).addr, static_cast<Addr>(i) * 64);
-}
-
-TEST(Trace, RecordingPatternCaptures)
-{
-    StreamPattern inner(0, 1024, 64, 0.0, 2);
-    RecordingPattern rec(inner);
-    Rng rng(16);
-    for (int i = 0; i < 10; ++i)
-        rec.next(rng);
-    EXPECT_EQ(rec.records().size(), 10u);
-    EXPECT_EQ(rec.records()[3].addr, 3u * 64);
-}
-
 } // namespace
 } // namespace banshee
